@@ -1,8 +1,9 @@
 /**
  * @file
  * Host-side microbenchmarks of the emulator itself (google-benchmark):
- * emulated instructions per second, event-queue operation rate, and
- * link byte throughput.  These bound how large a network the
+ * emulated instructions per second, event-queue operation rate (one
+ * number per event kind: closure, static, typed), and link byte
+ * throughput.  These bound how large a network the
  * co-simulation can handle; the paper-facing results live in the
  * bench_e* harnesses.
  */
@@ -20,6 +21,7 @@ using namespace transputer;
 namespace
 {
 
+/** The cold closure path: a std::function plus a live-set entry. */
 void
 BM_EventQueue(benchmark::State &state)
 {
@@ -33,6 +35,47 @@ BM_EventQueue(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueue);
+
+/** One StaticEvent re-armed in place (CPU step, timers, watchdogs). */
+void
+BM_EventQueueStatic(benchmark::State &state)
+{
+    sim::EventQueue q;
+    int64_t n = 0;
+    sim::StaticEvent ev([](void *ctx) { ++*static_cast<int64_t *>(ctx); },
+                        &n);
+    uint64_t seq = 0;
+    for (auto _ : state) {
+        q.scheduleStatic(q.now() + 1,
+                         sim::EventKey{1, sim::chanStep, ++seq}, ev);
+        q.runOne();
+    }
+    benchmark::DoNotOptimize(n);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueStatic);
+
+/** One typed fire-and-forget event (a line delivery). */
+void
+BM_EventQueueTyped(benchmark::State &state)
+{
+    sim::EventQueue q;
+    int64_t n = 0;
+    const sim::TypedEvent ev{[](void *ctx, uint64_t arg) {
+                                 *static_cast<int64_t *>(ctx) +=
+                                     static_cast<int64_t>(arg);
+                             },
+                             &n, 1};
+    uint64_t seq = 0;
+    for (auto _ : state) {
+        q.scheduleTyped(q.now() + 1,
+                        sim::EventKey{1, sim::chanLine, ++seq}, ev);
+        q.runOne();
+    }
+    benchmark::DoNotOptimize(n);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueTyped);
 
 void
 BM_EmulatedArithmetic(benchmark::State &state)

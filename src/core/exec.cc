@@ -69,8 +69,11 @@ Transputer::fetchByte()
     // instruction fetch is word-granular (section 3.2.5: "as memory
     // is word accessed, a 32 bit transputer will receive four
     // instructions for every fetch"); off-chip code therefore pays
-    // its wait states once per word of instructions, not per byte
-    if (!mem_.isOnChip(iptr_)) {
+    // its wait states once per word of instructions, not per byte.  A
+    // wild jump beyond populated memory skips the buffer (its
+    // generation lookup would index past the end) and faults in
+    // readByte below
+    if (!mem_.isOnChip(iptr_) && mem_.contains(iptr_)) {
         const Word w = shape_.wordAlign(iptr_);
         if (!fetchBufferHolds(w)) {
             chargeCycles(mem_.accessWaits(iptr_));

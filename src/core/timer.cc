@@ -118,7 +118,6 @@ Transputer::timerRemove(int pri, Word wptr)
 void
 Transputer::timerExpire()
 {
-    timerEvent_ = sim::invalidEventId;
     // when the CPU is idle its local clock lags the event queue;
     // expiry happens in global time
     time_ = std::max(time_, queue_->now());
@@ -157,10 +156,7 @@ Transputer::armTimerEvent()
         const Word tv = mem_.readWord(shape_.index(head, ws::time));
         earliest = std::min(earliest, tickFor(pri, tv));
     }
-    if (timerEvent_ != sim::invalidEventId) {
-        queue_->cancel(timerEvent_);
-        timerEvent_ = sim::invalidEventId;
-    }
+    queue_->cancelStatic(timerEvent_);
     if (earliest == maxTick)
         return;
     // clamp an already-passed deadline to the CPU's architectural
@@ -168,10 +164,10 @@ Transputer::armTimerEvent()
     // queue on any path that arms the timer, and the architectural
     // time is identical in serial and shard-parallel runs (the queue
     // clock depends on how execution was batched)
-    timerEvent_ = queue_->schedule(
+    queue_->scheduleStatic(
         std::max(earliest, time_),
         sim::EventKey{actorId_, sim::chanTimer, ++selfSeq_},
-        [this] { timerExpire(); });
+        timerEvent_);
 }
 
 } // namespace transputer::core

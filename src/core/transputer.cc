@@ -20,6 +20,9 @@ Transputer::Transputer(sim::EventQueue &queue, const Config &cfg,
       predecodeEnabled_(cfg.predecode),
       stepEvent_([](void *ctx) {
           static_cast<Transputer *>(ctx)->stepHandler();
+      }, this),
+      timerEvent_([](void *ctx) {
+          static_cast<Transputer *>(ctx)->timerExpire();
       }, this)
 {
     fptr_[0] = fptr_[1] = notProcess();
@@ -205,15 +208,8 @@ Transputer::kill()
     killed_ = true;
     state_ = CpuState::Halted;
     preemptPending_ = false;
-    if (stepScheduled_) {
-        if (!queue_->cancelStatic(stepEvent_))
-            queue_->cancel(stepEvent_.id());
-        stepScheduled_ = false;
-    }
-    if (timerEvent_ != sim::invalidEventId) {
-        queue_->cancel(timerEvent_);
-        timerEvent_ = sim::invalidEventId;
-    }
+    queue_->cancelStatic(stepEvent_);
+    queue_->cancelStatic(timerEvent_);
     timersRunning_ = false;
 }
 
@@ -244,11 +240,10 @@ Transputer::exportSnap() const
     s.timerBase = timerBase_;
     s.timerOffset[0] = timerOffset_[0];
     s.timerOffset[1] = timerOffset_[1];
-    if (timerEvent_ != sim::invalidEventId) {
-        sim::EventKey key;
-        s.timerArmed =
-            queue_->pendingInfo(timerEvent_, s.timerWhen, key);
-        s.timerSeq = key.seq;
+    if (timerEvent_.pending()) {
+        s.timerArmed = true;
+        s.timerWhen = timerEvent_.scheduledAt();
+        s.timerSeq = timerEvent_.scheduledKey().seq;
     }
     s.lowSaved = lowSaved_;
     s.lowDebtTicks = lowDebtTicks_;
@@ -263,21 +258,10 @@ Transputer::exportSnap() const
     s.stallUntil = stallUntil_;
     s.time = time_;
     s.sliceStartCycles = sliceStartCycles_;
-    if (stepScheduled_) {
+    if (stepEvent_.pending()) {
         s.stepArmed = true;
-        if (stepEvent_.pending()) {
-            s.stepWhen = stepEvent_.scheduledAt();
-            s.stepSeq = stepEvent_.scheduledKey().seq;
-        } else {
-            // a parallel run migrated the arm between queues as an
-            // ordinary event; it kept the static event's id
-            sim::EventKey key;
-            const bool live =
-                queue_->pendingInfo(stepEvent_.id(), s.stepWhen, key);
-            TRANSPUTER_ASSERT(live,
-                              "step arm neither static nor migrated");
-            s.stepSeq = key.seq;
-        }
+        s.stepWhen = stepEvent_.scheduledAt();
+        s.stepSeq = stepEvent_.scheduledKey().seq;
     }
     s.eventPending = eventPending_;
     s.eventWaiter = eventWaiter_;
@@ -292,18 +276,9 @@ Transputer::exportSnap() const
 void
 Transputer::importSnap(const CpuSnap &s)
 {
-    // drop whatever this CPU had pending: restore replaces it (the
-    // arm may be live as a migrated ordinary event after a parallel
-    // run, hence the id-based fallback)
-    if (stepScheduled_) {
-        if (!queue_->cancelStatic(stepEvent_))
-            queue_->cancel(stepEvent_.id());
-        stepScheduled_ = false;
-    }
-    if (timerEvent_ != sim::invalidEventId) {
-        queue_->cancel(timerEvent_);
-        timerEvent_ = sim::invalidEventId;
-    }
+    // drop whatever this CPU had pending: restore replaces it
+    queue_->cancelStatic(stepEvent_);
+    queue_->cancelStatic(timerEvent_);
     iptr_ = s.iptr;
     wptr_ = s.wptr;
     areg_ = s.areg;
@@ -355,19 +330,16 @@ Transputer::importSnap(const CpuSnap &s)
     // re-arm the pending events with their exact original keys: the
     // continuation dispatches them in the same total order as the
     // uninterrupted run
-    if (s.stepArmed) {
-        stepScheduled_ = true;
+    if (s.stepArmed)
         queue_->scheduleStatic(
             s.stepWhen,
             sim::EventKey{actorId_, sim::chanStep, s.stepSeq},
             stepEvent_);
-    }
-    if (s.timerArmed) {
-        timerEvent_ = queue_->schedule(
+    if (s.timerArmed)
+        queue_->scheduleStatic(
             s.timerWhen,
             sim::EventKey{actorId_, sim::chanTimer, s.timerSeq},
-            [this] { timerExpire(); });
-    }
+            timerEvent_);
 }
 
 // ---------------------------------------------------------------------
@@ -377,9 +349,8 @@ Transputer::importSnap(const CpuSnap &s)
 void
 Transputer::scheduleStep()
 {
-    if (stepScheduled_)
+    if (stepEvent_.pending())
         return;
-    stepScheduled_ = true;
     queue_->scheduleStatic(
         std::max(time_, queue_->now()),
         sim::EventKey{actorId_, sim::chanStep, ++selfSeq_}, stepEvent_);
@@ -388,7 +359,6 @@ Transputer::scheduleStep()
 void
 Transputer::stepHandler()
 {
-    stepScheduled_ = false;
     if (state_ != CpuState::Running)
         return;
     int batch = 0;

@@ -679,7 +679,6 @@ class Transputer
     bool timersRunning_ = false;
     Tick timerBase_ = 0;       ///< tick at which sttimer ran
     Word timerOffset_[2] = {0, 0};
-    sim::EventId timerEvent_ = sim::invalidEventId;
 
     // interrupted low-priority process (shadow registers live in the
     // reserved memory save area; this flag says they are valid)
@@ -702,7 +701,6 @@ class Transputer
 
     // event-loop state
     CpuState state_ = CpuState::Idle;
-    bool stepScheduled_ = false;
     bool killed_ = false;      ///< halted by fault::kill, not by error
     Tick stallUntil_ = 0;      ///< injected stall: no issue before this
     Tick time_ = 0;
@@ -758,6 +756,7 @@ class Transputer
     uint64_t linkBytesInLive_ = 0;
 
     std::ostream *trace_ = nullptr;
+    sim::StaticEvent timerEvent_; ///< the timer-queue expiry event
 };
 
 } // namespace transputer::core

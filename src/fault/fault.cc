@@ -205,9 +205,7 @@ FaultInjector::exportSnap() const
         s.taps.push_back(
             TapSnap{tap->line->lineId(), tap->rng.state()});
     for (const Planned &p : nodeEvents_) {
-        Tick when;
-        sim::EventKey key;
-        if (!net_->queue().pendingInfo(p.id, when, key))
+        if (!net_->queue().isPending(p.id))
             continue; // already fired: its effect is in the state
         s.events.push_back(
             PlannedSnap{p.node, p.kind, p.when, p.until, p.seq});
@@ -221,10 +219,8 @@ FaultInjector::pendingNodeEvents() const
     if (!net_)
         return 0;
     size_t n = 0;
-    Tick when;
-    sim::EventKey key;
     for (const Planned &p : nodeEvents_)
-        if (net_->queue().pendingInfo(p.id, when, key))
+        if (net_->queue().isPending(p.id))
             ++n;
     return n;
 }

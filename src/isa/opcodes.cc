@@ -129,17 +129,17 @@ opLookup()
     return *map;
 }
 
-const std::unordered_map<uint32_t, std::string_view> &
-opNames()
-{
-    static const auto *map = [] {
-        auto *m = new std::unordered_map<uint32_t, std::string_view>;
-        for (const auto &e : opTable)
-            m->emplace(static_cast<uint32_t>(e.op), e.name);
-        return m;
-    }();
-    return *map;
-}
+/** Operation codes are small (T414 numbering stops below 0x60), so
+ *  every code-indexed lookup is one array read. */
+constexpr size_t opSpace = 0x100;
+
+/** Mnemonic by operation code; empty for an undefined code. */
+constexpr auto opNameTable = [] {
+    std::array<std::string_view, opSpace> t{};
+    for (const auto &e : opTable)
+        t[static_cast<size_t>(e.op)] = e.name;
+    return t;
+}();
 
 } // namespace
 
@@ -152,8 +152,8 @@ fnName(Fn fn)
 std::string_view
 opName(Op op)
 {
-    auto it = opNames().find(static_cast<uint32_t>(op));
-    return it == opNames().end() ? std::string_view{"?op?"} : it->second;
+    const uint32_t code = static_cast<uint32_t>(op);
+    return opDefined(code) ? opNameTable[code] : std::string_view{"?op?"};
 }
 
 std::optional<Fn>
@@ -177,7 +177,7 @@ opFromName(std::string_view name)
 bool
 opDefined(uint32_t code)
 {
-    return opNames().count(code) != 0;
+    return code < opSpace && !opNameTable[code].empty();
 }
 
 } // namespace transputer::isa

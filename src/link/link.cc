@@ -26,6 +26,33 @@ Line::claim(Tick not_before, Tick duration)
     return start;
 }
 
+namespace
+{
+
+/** The typed-event handler of every line delivery: ctx is the
+ *  receiving endpoint, arg packs (kind << 8) | byte. */
+void
+fireDelivery(void *ctx, uint64_t arg)
+{
+    auto *remote = static_cast<LinkEndpoint *>(ctx);
+    switch (static_cast<uint8_t>(arg >> 8)) {
+    case Line::kDataStart:
+        remote->onDataStart();
+        break;
+    case Line::kDataEnd:
+        remote->onDataEnd(static_cast<uint8_t>(arg));
+        break;
+    case Line::kPeerDead:
+        remote->onPeerDead();
+        break;
+    default:
+        remote->onAckEnd();
+        break;
+    }
+}
+
+} // namespace
+
 void
 Line::scheduleDelivery(const InFlight &rec)
 {
@@ -35,26 +62,12 @@ Line::scheduleDelivery(const InFlight &rec)
     // which queue the event lands on
     const sim::EventKey key{remote_->actor(), sim::chanLine + lineId_,
                             rec.seq};
-    LinkEndpoint *remote = remote_;
-    std::function<void()> fn;
-    switch (rec.kind) {
-    case kDataStart:
-        fn = [remote] { remote->onDataStart(); };
-        break;
-    case kDataEnd:
-        fn = [remote, byte = rec.byte] { remote->onDataEnd(byte); };
-        break;
-    case kPeerDead:
-        fn = [remote] { remote->onPeerDead(); };
-        break;
-    default:
-        fn = [remote] { remote->onAckEnd(); };
-        break;
-    }
+    const sim::TypedEvent ev{&fireDelivery, remote_,
+                             (uint64_t{rec.kind} << 8) | rec.byte};
     if (route_)
-        route_(rec.when, key, std::move(fn));
+        route_->push(rec.when, key, ev);
     else
-        queue_->schedule(rec.when, key, std::move(fn));
+        queue_->scheduleTyped(rec.when, key, ev);
 }
 
 void
@@ -488,6 +501,14 @@ LinkEngine::onHostKilled()
     disarmInWatchdog();
 }
 
+LinkEngine::Watchdogs &
+LinkEngine::watchdogs()
+{
+    if (!wdogs_)
+        wdogs_ = std::make_unique<Watchdogs>(this);
+    return *wdogs_;
+}
+
 void
 LinkEngine::armOutWatchdog(Tick from)
 {
@@ -497,10 +518,8 @@ LinkEngine::armOutWatchdog(Tick from)
     // `from` is architectural (the CPU clock or a dispatched event's
     // time), so the deadline -- and everything an abort then does --
     // is bit-identical between serial and shard-parallel runs
-    outWdog_ = queue_->schedule(
-        std::max(queue_->now(), from + watchdogTimeout_),
-        sim::EventKey{actor_, sim::chanSelf, ++selfSeq_},
-        [this] { outWatchdogFired(); });
+    armSelfAt(std::max(queue_->now(), from + watchdogTimeout_),
+              watchdogs().out);
 }
 
 void
@@ -509,34 +528,27 @@ LinkEngine::armInWatchdog(Tick from)
     if (watchdogTimeout_ == 0 || dead_)
         return;
     disarmInWatchdog();
-    inWdog_ = queue_->schedule(
-        std::max(queue_->now(), from + watchdogTimeout_),
-        sim::EventKey{actor_, sim::chanSelf, ++selfSeq_},
-        [this] { inWatchdogFired(); });
+    armSelfAt(std::max(queue_->now(), from + watchdogTimeout_),
+              watchdogs().in);
 }
 
 void
 LinkEngine::disarmOutWatchdog()
 {
-    if (outWdog_ == sim::invalidEventId)
-        return;
-    queue_->cancel(outWdog_);
-    outWdog_ = sim::invalidEventId;
+    if (wdogs_)
+        queue_->cancelStatic(wdogs_->out);
 }
 
 void
 LinkEngine::disarmInWatchdog()
 {
-    if (inWdog_ == sim::invalidEventId)
-        return;
-    queue_->cancel(inWdog_);
-    inWdog_ = sim::invalidEventId;
+    if (wdogs_)
+        queue_->cancelStatic(wdogs_->in);
 }
 
 void
 LinkEngine::outWatchdogFired()
 {
-    outWdog_ = sim::invalidEventId;
     if (dead_ || !awaitingAck_)
         return;
     // abandon the transfer; hardware never retransmits.  The process
@@ -555,7 +567,6 @@ LinkEngine::outWatchdogFired()
 void
 LinkEngine::inWatchdogFired()
 {
-    inWdog_ = sim::invalidEventId;
     if (dead_ || !inActive_)
         return;
     // a partly received message has stalled: complete it short.  The
@@ -602,17 +613,15 @@ LinkEngine::exportSnap() const
     s.overrunDrops = overrunDrops_;
     s.deadDrops = deadDrops_;
     s.selfSeq = selfSeq_;
-    if (outWdog_ != sim::invalidEventId) {
-        sim::EventKey key;
-        s.outWdogArmed =
-            queue_->pendingInfo(outWdog_, s.outWdogWhen, key);
-        s.outWdogSeq = key.seq;
+    if (wdogs_ && wdogs_->out.pending()) {
+        s.outWdogArmed = true;
+        s.outWdogWhen = wdogs_->out.scheduledAt();
+        s.outWdogSeq = wdogs_->out.scheduledKey().seq;
     }
-    if (inWdog_ != sim::invalidEventId) {
-        sim::EventKey key;
-        s.inWdogArmed =
-            queue_->pendingInfo(inWdog_, s.inWdogWhen, key);
-        s.inWdogSeq = key.seq;
+    if (wdogs_ && wdogs_->in.pending()) {
+        s.inWdogArmed = true;
+        s.inWdogWhen = wdogs_->in.scheduledAt();
+        s.inWdogSeq = wdogs_->in.scheduledKey().seq;
     }
     return s;
 }
@@ -650,15 +659,15 @@ LinkEngine::importSnap(const EngineSnap &s)
     deadDrops_ = s.deadDrops;
     selfSeq_ = s.selfSeq;
     if (s.outWdogArmed)
-        outWdog_ = queue_->schedule(
+        queue_->scheduleStatic(
             s.outWdogWhen,
             sim::EventKey{actor_, sim::chanSelf, s.outWdogSeq},
-            [this] { outWatchdogFired(); });
+            watchdogs().out);
     if (s.inWdogArmed)
-        inWdog_ = queue_->schedule(
+        queue_->scheduleStatic(
             s.inWdogWhen,
             sim::EventKey{actor_, sim::chanSelf, s.inWdogSeq},
-            [this] { inWatchdogFired(); });
+            watchdogs().in);
 }
 
 bool

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -172,11 +173,10 @@ class Line
         return 2 * cfg_.bitTime() + cfg_.propagationDelay;
     }
 
-    /** Sink for remote deliveries (cross-shard); null: schedule. */
-    using Router =
-        std::function<void(Tick, const sim::EventKey &,
-                           std::function<void()>)>;
-    void setRouter(Router r) { route_ = std::move(r); }
+    /** Sink for remote deliveries (a cross-shard inbox); null:
+     *  schedule them on this line's queue. */
+    using Router = sim::TypedSink;
+    void setRouter(Router *r) { route_ = r; }
     ///@}
 
     /** One packet on the wire, as in the paper's Figure 1. */
@@ -271,7 +271,7 @@ class Line
     LinkEndpoint *remote_ = nullptr;
     uint32_t lineId_ = 0;
     uint64_t seq_ = 0; ///< FIFO sequence of this line's deliveries
-    Router route_;
+    Router *route_ = nullptr;
     Tick busyUntil_ = 0;
     Tick busyTime_ = 0;
     uint64_t dataPackets_ = 0;
@@ -371,6 +371,16 @@ class LinkEndpoint
             queue_->now() + delta,
             sim::EventKey{actor_, sim::chanSelf, ++selfSeq_},
             std::move(fn));
+    }
+
+    /** Arm an endpoint-internal StaticEvent (watchdogs, hop timers)
+     *  at absolute time when, keyed on the same channel and sequence
+     *  as schedSelfIn. */
+    void
+    armSelfAt(Tick when, sim::StaticEvent &ev)
+    {
+        queue_->scheduleStatic(
+            when, sim::EventKey{actor_, sim::chanSelf, ++selfSeq_}, ev);
     }
 
     sim::EventQueue *queue_;
@@ -567,12 +577,29 @@ class LinkEngine : public LinkEndpoint, public core::ChannelPort
     uint64_t bytesSent_ = 0;
     uint64_t bytesReceived_ = 0;
 
+    /** The two link-health watchdogs, re-armed in place.  Allocated
+     *  on first arming: most engines run unsupervised, and a 100k-node
+     *  grid has 400k of them. */
+    struct Watchdogs
+    {
+        explicit Watchdogs(LinkEngine *e)
+            : out([](void *p) {
+                  static_cast<LinkEngine *>(p)->outWatchdogFired();
+              }, e),
+              in([](void *p) {
+                  static_cast<LinkEngine *>(p)->inWatchdogFired();
+              }, e)
+        {}
+        sim::StaticEvent out;
+        sim::StaticEvent in;
+    };
+    Watchdogs &watchdogs();
+
     // link health (src/fault); timeout 0 = strict hardware model
     Tick watchdogTimeout_ = 0;
     bool dead_ = false;
     bool peerDead_ = false;
-    sim::EventId outWdog_ = sim::invalidEventId;
-    sim::EventId inWdog_ = sim::invalidEventId;
+    std::unique_ptr<Watchdogs> wdogs_;
     uint64_t outAborts_ = 0;
     uint64_t inAborts_ = 0;
     uint64_t staleAcks_ = 0;

@@ -45,12 +45,16 @@ Network::describe() const
 std::string
 Network::dumpMetrics() const
 {
+    const sim::EventQueue::Stats q = queue_.stats();
     std::ostringstream os;
-    os << "{\n  \"simulated_ns\": " << queue_.now() << ",\n"
+    os << "{\n  \"simulated_ns\": " << q.now << ",\n"
        << "  \"nodes\": " << nodes_.size() << ",\n"
-       << "  \"queue\": {\"dispatched\": " << queue_.dispatched()
-       << ", \"pending\": " << queue_.pending()
-       << ", \"high_water\": " << queue_.highWater() << "},\n"
+       << "  \"queue\": {\"dispatched\": " << q.dispatched
+       << ", \"dispatched_static\": " << q.dispatchedStatic
+       << ", \"dispatched_typed\": " << q.dispatchedTyped
+       << ", \"dispatched_closure\": " << q.dispatchedClosure
+       << ", \"pending\": " << q.pending
+       << ", \"high_water\": " << q.highWater << "},\n"
        << "  \"total\": " << obs::countersJson(counters()) << ",\n"
        << "  \"per_node\": {\n";
     for (size_t i = 0; i < nodes_.size(); ++i) {

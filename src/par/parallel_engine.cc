@@ -257,7 +257,7 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
     Tick lookahead = maxTick;
     for (const auto &lr : net.lines()) {
         if (shard_of[lr.srcNode] == shard_of[lr.dstNode]) {
-            lr.line->setRouter({});
+            lr.line->setRouter(nullptr);
             continue;
         }
         const Tick lead = lr.line->minDeliveryLead();
@@ -265,11 +265,7 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
         Tick &d = dist[static_cast<size_t>(shard_of[lr.srcNode]) * ns +
                        static_cast<size_t>(shard_of[lr.dstNode])];
         d = std::min(d, lead);
-        Inbox *inbox = &shards[shard_of[lr.dstNode]]->inbox;
-        lr.line->setRouter([inbox](Tick when, const sim::EventKey &key,
-                                   std::function<void()> fn) {
-            inbox->push(when, key, std::move(fn));
-        });
+        lr.line->setRouter(&shards[shard_of[lr.dstNode]]->inbox);
     }
     TRANSPUTER_ASSERT(lookahead > 0, "cut line with zero lookahead");
 
@@ -324,7 +320,7 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
     for (const auto &er : net.endpoints())
         er.ep->setHomeQueue(master);
     for (const auto &lr : net.lines())
-        lr.line->setRouter({});
+        lr.line->setRouter(nullptr);
 
     if (stats) {
         stats->rounds = rounds;

@@ -15,9 +15,9 @@ Inbox::~Inbox()
 
 void
 Inbox::push(Tick when, const sim::EventKey &key,
-            std::function<void()> fn)
+            const sim::TypedEvent &ev)
 {
-    Node *node = new Node{when, key, std::move(fn), nullptr};
+    Node *node = new Node{when, key, ev, nullptr};
     pushes_.fetch_add(1, std::memory_order_relaxed);
     node->next = head_.load(std::memory_order_relaxed);
     while (!head_.compare_exchange_weak(node->next, node,
@@ -33,7 +33,7 @@ Inbox::drainTo(sim::EventQueue &q)
     Node *n = head_.exchange(nullptr, std::memory_order_acquire);
     size_t count = 0;
     while (n) {
-        q.schedule(n->when, n->key, std::move(n->fn));
+        q.scheduleTyped(n->when, n->key, n->ev);
         Node *next = n->next;
         delete n;
         n = next;

@@ -15,7 +15,6 @@
 #define TRANSPUTER_PAR_SHARD_HH
 
 #include <atomic>
-#include <functional>
 #include <vector>
 
 #include "base/types.hh"
@@ -24,8 +23,9 @@
 namespace transputer::par
 {
 
-/** A lock-free multi-producer single-consumer event mailbox. */
-class Inbox
+/** A lock-free multi-producer single-consumer mailbox of typed
+ *  events (the cut lines' deliveries, link::Line::Router). */
+class Inbox final : public sim::TypedSink
 {
   public:
     Inbox() = default;
@@ -35,7 +35,7 @@ class Inbox
 
     /** Post an event (any thread). */
     void push(Tick when, const sim::EventKey &key,
-              std::function<void()> fn);
+              const sim::TypedEvent &ev) override;
 
     /**
      * Move every posted event into the queue (owning thread only;
@@ -56,7 +56,7 @@ class Inbox
     {
         Tick when;
         sim::EventKey key;
-        std::function<void()> fn;
+        sim::TypedEvent ev;
         Node *next;
     };
 

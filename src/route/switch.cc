@@ -143,21 +143,15 @@ SwitchPort::transmitHop()
 void
 SwitchPort::armHopTimer()
 {
-    TRANSPUTER_ASSERT(hopTimer_ == sim::invalidEventId,
+    TRANSPUTER_ASSERT(!hopTimer_.pending(),
                       "route: hop timer already armed");
-    hopTimer_ = schedSelfIn(sw_.config().hopTimeout, [this] {
-        hopTimer_ = sim::invalidEventId;
-        hopTimerFired();
-    });
+    armSelfAt(queue_->now() + sw_.config().hopTimeout, hopTimer_);
 }
 
 void
 SwitchPort::disarmHopTimer()
 {
-    if (hopTimer_ == sim::invalidEventId)
-        return;
-    queue_->cancel(hopTimer_);
-    hopTimer_ = sim::invalidEventId;
+    queue_->cancelStatic(hopTimer_);
 }
 
 void
@@ -210,21 +204,15 @@ SwitchPort::sendHopAck(uint8_t seq)
 void
 SwitchPort::ensureWatchdog()
 {
-    if (dead_ || !awaitingAck() || wdog_ != sim::invalidEventId)
+    if (dead_ || !awaitingAck() || wdog_.pending())
         return;
-    wdog_ = schedSelfIn(sw_.config().portWatchdog, [this] {
-        wdog_ = sim::invalidEventId;
-        watchdogFired();
-    });
+    armSelfAt(queue_->now() + sw_.config().portWatchdog, wdog_);
 }
 
 void
 SwitchPort::disarmWatchdog()
 {
-    if (wdog_ == sim::invalidEventId)
-        return;
-    queue_->cancel(wdog_);
-    wdog_ = sim::invalidEventId;
+    queue_->cancelStatic(wdog_);
 }
 
 void

@@ -258,7 +258,9 @@ class SwitchPort final : public net::Peripheral
     bool dead_ = false;
     int consecAborts_ = 0;
     uint64_t txAborts_ = 0;
-    sim::EventId wdog_ = sim::invalidEventId;
+    sim::StaticEvent wdog_{[](void *p) {
+        static_cast<SwitchPort *>(p)->watchdogFired();
+    }, this};
 
     // hop-level stop-and-wait packet ARQ (trunk ports)
     std::deque<Packet> hopQueue_; ///< head is the packet in flight
@@ -268,7 +270,9 @@ class SwitchPort final : public net::Peripheral
     int hopLastRx_ = -1;    ///< last accepted peer hopSeq (-1: none)
     uint64_t hopRetransmits_ = 0;
     uint64_t hopDrops_ = 0; ///< packets dropped at the try cap
-    sim::EventId hopTimer_ = sim::invalidEventId;
+    sim::StaticEvent hopTimer_{[](void *p) {
+        static_cast<SwitchPort *>(p)->hopTimerFired();
+    }, this};
 };
 
 /** Aggregated per-switch routing statistics (all deterministic). */

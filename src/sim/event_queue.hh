@@ -19,6 +19,18 @@
  * the serial/parallel bit-equivalence guarantee.  Events scheduled
  * through the legacy unkeyed API fall into actor 0 / channel 0 and
  * keep their classic FIFO-among-ties behaviour.
+ *
+ * Event kinds.  Every pending event is one compact heap entry carrying
+ * one of three payloads; the kind never affects the dispatch order.
+ *  - static: a StaticEvent living inside its owner (CPU step and
+ *    timer, link and switch-port watchdogs, hop timers), re-armed in
+ *    place and cancelled lazily;
+ *  - typed: a fire-and-forget TypedEvent record (function pointer,
+ *    context, 64-bit argument) -- the per-packet line deliveries;
+ *  - closure: a std::function kept in a live-set map, the only kind
+ *    cancel(EventId) applies to.  The cold path: tests, examples,
+ *    peripheral latency, fault-plan node events, route flow timers.
+ * The static and typed kinds allocate nothing per event.
  */
 
 #ifndef TRANSPUTER_SIM_EVENT_QUEUE_HH
@@ -68,23 +80,62 @@ constexpr uint32_t chanFault = 3; ///< fault-plan events (src/fault)
 constexpr uint32_t chanLine = 8;  ///< + line id: wire deliveries
 ///@}
 
+/**
+ * A fire-and-forget event payload: dispatch calls fn(ctx, arg).
+ *
+ * Plain data, so it is copied into a heap entry -- or into a
+ * cross-shard mailbox record (src/par) -- without allocating.  A typed
+ * event cannot be cancelled.
+ */
+struct TypedEvent
+{
+    using Fn = void (*)(void *ctx, uint64_t arg);
+
+    Fn fn = nullptr;
+    void *ctx = nullptr;
+    uint64_t arg = 0;
+};
+
+/**
+ * Where typed events go when they must not be scheduled on the
+ * producer's own queue: a shard's inbound mailbox (par::Inbox), which
+ * the owning shard drains into its queue.
+ */
+class TypedSink
+{
+  public:
+    virtual void push(Tick when, const EventKey &key,
+                      const TypedEvent &ev) = 0;
+
+  protected:
+    ~TypedSink() = default;
+};
+
 class EventQueue;
 
 /**
- * A preallocated, reusable event: the allocation-free fast path for
- * high-frequency periodic events (the CPU-step channel).
+ * A preallocated, reusable event: the allocation-free path for an
+ * owner's recurring events (CPU step and timer, watchdogs).
  *
- * The object is the slab: it lives inside its owner (one per
- * transputer), carries a plain function pointer + context instead of
- * a std::function, and is tracked by an intrusive list in the queue
- * instead of the heap-allocating live-event map.  Arming it
- * (EventQueue::scheduleStatic) therefore performs no allocation
- * beyond the amortized heap-vector push.
+ * The object lives inside its owner, carries a plain function pointer
+ * + context instead of a std::function, and is re-armed in place
+ * (EventQueue::scheduleStatic).  Cancelling (EventQueue::cancelStatic)
+ * only clears the armed flag: the heap entry left behind is dead
+ * because its id no longer matches the current arming.  A re-arming
+ * on the same actor and channel, strictly later than the event's
+ * newest entry still in the heap, pushes nothing -- that entry stands
+ * in for it and, on reaching the top, re-queues the arming under its
+ * exact (tick, key, id) -- so a watchdog pushed back on every byte
+ * costs no heap traffic.  Dispatch order is unchanged:
+ * the stand-in sorts before the arming it carries, so the arming is
+ * back in the heap before anything after it can run.
  *
  * At most one arming may be outstanding; the owner re-arms it from
  * inside the fire callback (or later).  Migration between queues
- * (EventQueue::extractPending, src/par) wraps it into an ordinary
- * closure event, preserving its dispatch key and id.
+ * (EventQueue::extractPending/insertPending, src/par) moves the object
+ * itself with its tick, key and id, so it is pending() again on the
+ * new queue.  Destroying it unlinks it from the queue still holding
+ * its entries (armed or dead), so an owner may die before its queue.
  */
 class StaticEvent
 {
@@ -94,27 +145,21 @@ class StaticEvent
     StaticEvent(FireFn fire, void *ctx) : fire_(fire), ctx_(ctx) {}
     StaticEvent(const StaticEvent &) = delete;
     StaticEvent &operator=(const StaticEvent &) = delete;
+    ~StaticEvent();
 
     /** True while armed on some queue. */
     bool pending() const { return armed_; }
 
-    /** @name Scheduling introspection (src/snap)
-     *  Valid only while pending(): the tick and key of the current
-     *  arming, so a checkpoint can re-schedule the event exactly.
+    /** @name Scheduling introspection (src/snap, tests)
+     *  Valid only while pending(): the tick, key and dispatch id of the
+     *  current arming, so a checkpoint can re-schedule the event
+     *  exactly.
      */
     ///@{
     Tick scheduledAt() const { return when_; }
     const EventKey &scheduledKey() const { return key_; }
-    ///@}
-
-    /**
-     * Dispatch id of the latest arming.  Kept by the ordinary event a
-     * migration (EventQueue::extractPending) wraps this one into, so
-     * when the owner sees its arming flag set but pending() false the
-     * migrated event can still be queried (EventQueue::pendingInfo)
-     * and cancelled (EventQueue::cancel) through this id.
-     */
     EventId id() const { return id_; }
+    ///@}
 
   private:
     friend class EventQueue;
@@ -124,13 +169,16 @@ class StaticEvent
     Tick when_ = 0;
     EventKey key_{};
     EventId id_ = invalidEventId;
+    EventQueue *home_ = nullptr; ///< queue whose heap names this event
+    Tick headWhen_ = 0;          ///< tick of the newest entry pushed
+    uint32_t entries_ = 0;       ///< heap entries (live or dead) there
     bool armed_ = false;
-    StaticEvent *prev_ = nullptr;
-    StaticEvent *next_ = nullptr;
+    bool headValid_ = false; ///< that entry is still in the heap
+    bool deferred_ = false;  ///< armed, carried by an earlier entry
 };
 
 /**
- * A time-ordered queue of callbacks.
+ * A time-ordered queue of events.
  *
  * Cancellation is lazy: cancelled entries stay in the heap and are
  * skipped when popped, which keeps schedule/cancel O(log n) without a
@@ -144,6 +192,11 @@ class EventQueue
 {
   public:
     EventQueue() : nextId_(s_idEpoch.fetch_add(1) << idEpochShift) {}
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
+    /** Releases the static events it still names (see clear()). */
+    ~EventQueue() { clear(); }
 
     /** Current simulated time (time of the last dispatched event). */
     Tick now() const { return now_; }
@@ -250,57 +303,69 @@ class EventQueue
             return heap_.empty() ? maxTick : heap_.front().when;
         Tick best = maxTick;
         for (const HeapEntry &e : heap_) {
-            Tick t = e.when;
+            Tick d = 0;
             const int32_t g = groupOf(e.key.actor);
             if (g >= 0 && g != me) {
-                Tick d = dist_[static_cast<size_t>(g) * ngroups_ + me];
+                d = dist_[static_cast<size_t>(g) * ngroups_ + me];
                 if (e.key.channel == chanStep)
                     d += stepExtra_; // see setTopology
-                t = d >= maxTick - t ? maxTick : t + d;
             }
+            Tick t = d >= maxTick - e.when ? maxTick : e.when + d;
             // liveness is checked only when the entry would lower the
             // bound, so the common far-future entries cost no lookup
-            if (t >= best)
+            if (t >= best || !alive(e))
                 continue;
-            const bool alive = e.sev
-                                   ? (e.sev->armed_ && e.sev->id_ == e.id)
-                                   : live_.count(e.id) != 0;
-            if (alive)
-                best = t;
+            if (const StaticEvent *s = staticOf(e); s && s->deferred_)
+                t = d >= maxTick - s->when_ ? maxTick : s->when_ + d;
+            best = std::min(best, t);
         }
         return best;
     }
     ///@}
 
-    /** Number of live (non-cancelled) pending events. */
-    size_t pending() const { return live_.size() + staticLive_; }
+    /** Number of live (non-cancelled) pending events of every kind. */
+    size_t
+    pending() const
+    {
+        return live_.size() + staticLive_ + typedLive_;
+    }
 
     /** @name Queue statistics (src/obs, Network::dumpMetrics) */
     ///@{
     /** Events dispatched by runOne over this queue's lifetime. */
-    uint64_t dispatched() const { return dispatched_; }
+    uint64_t
+    dispatched() const
+    {
+        return dispatchedStatic_ + dispatchedTyped_ + dispatchedClosure_;
+    }
     /** Largest live pending-event count ever observed. */
     size_t highWater() const { return highWater_; }
 
     /** One coherent snapshot of the statistics above, for exporters
-     *  that want the numbers as a value (tprof --json, time-series). */
+     *  that want the numbers as a value (tprof --json, time-series).
+     *  The per-kind counts show how much traffic still takes the
+     *  allocating closure path. */
     struct Stats
     {
         Tick now = 0;
         uint64_t dispatched = 0;
         size_t pending = 0;
         size_t highWater = 0;
+        uint64_t dispatchedStatic = 0;
+        uint64_t dispatchedTyped = 0;
+        uint64_t dispatchedClosure = 0;
     };
     Stats
     stats() const
     {
-        return Stats{now_, dispatched_, pending(), highWater_};
+        return Stats{now_,        dispatched(),      pending(),
+                     highWater_,  dispatchedStatic_, dispatchedTyped_,
+                     dispatchedClosure_};
     }
     ///@}
 
     /**
-     * Arm a StaticEvent at absolute time when (>= now): the
-     * allocation-free path used by the CPU-step channel.  The event
+     * Arm a StaticEvent at absolute time when (>= now).  The event
      * must not already be pending.
      * @return the dispatch id (for determinism tie-breaks; static
      * events are cancelled via cancelStatic, not this id).
@@ -311,31 +376,38 @@ class EventQueue
         TRANSPUTER_ASSERT(when >= now_,
                           "event scheduled in the past");
         TRANSPUTER_ASSERT(!ev.armed_, "static event already pending");
-        const EventId id = ++nextId_;
-        ev.when_ = when;
-        ev.key_ = key;
-        ev.id_ = id;
-        ev.armed_ = true;
-        linkStatic(ev);
-        ++staticLive_;
-        pushHeap(HeapEntry{when, key, id, &ev});
-        noteHighWater();
-        return id;
+        arm(ev, when, key, ++nextId_);
+        return ev.id_;
     }
 
     /**
      * Disarm a pending StaticEvent (lazy, like cancel()).
-     * @return true if it was pending on this queue.
+     * @return true if it was pending.
      */
     bool
     cancelStatic(StaticEvent &ev)
     {
         if (!ev.armed_)
             return false;
-        unlinkStatic(ev);
+        TRANSPUTER_ASSERT(ev.home_ == this,
+                          "static event armed on another queue");
         ev.armed_ = false;
+        ev.deferred_ = false;
         --staticLive_;
         return true;
+    }
+
+    /** Schedule a fire-and-forget typed event at absolute time when
+     *  (>= now) with a deterministic dispatch key. */
+    void
+    scheduleTyped(Tick when, const EventKey &key, const TypedEvent &ev)
+    {
+        TRANSPUTER_ASSERT(when >= now_,
+                          "event scheduled in the past");
+        TRANSPUTER_ASSERT(ev.fn, "typed event without a handler");
+        pushHeap(HeapEntry{when, key, ++nextId_, ev});
+        ++typedLive_;
+        noteHighWater();
     }
 
     /**
@@ -350,7 +422,7 @@ class EventQueue
                           "event scheduled in the past");
         const EventId id = ++nextId_;
         live_.emplace(id, Live{std::move(fn), when, key});
-        pushHeap(HeapEntry{when, key, id});
+        pushHeap(HeapEntry{when, key, id, {}});
         noteHighWater();
         return id;
     }
@@ -374,7 +446,7 @@ class EventQueue
     }
 
     /**
-     * Cancel a previously scheduled event.
+     * Cancel a previously scheduled closure event.
      * @return true if the event was still pending.
      */
     bool
@@ -383,39 +455,48 @@ class EventQueue
         return live_.erase(id) != 0;
     }
 
-    /**
-     * Look up the tick and key of a live closure event (src/snap):
-     * lets a component that only kept the cancellation handle record
-     * exactly how its pending event was scheduled.
-     * @return false if the id is not live on this queue.
-     */
+    /** True while the closure event id is pending on this queue. */
     bool
-    pendingInfo(EventId id, Tick &when, EventKey &key) const
+    isPending(EventId id) const
     {
-        auto it = live_.find(id);
-        if (it == live_.end())
-            return false;
-        when = it->second.when;
-        key = it->second.key;
-        return true;
+        return live_.count(id) != 0;
     }
 
     /**
      * Reposition the clock in either direction (src/snap restore).
      * Legal only while the queue holds no live events -- restore first
-     * drains the queue (extractPending, discarding the result), resets
-     * the clock to the snapshot's tick, then re-schedules every saved
-     * event with its exact original (tick, key).  This is the one
-     * sanctioned way time may move backwards: onto an empty queue,
-     * where no dispatch order can be violated.
+     * drains the queue (clear), resets the clock to the snapshot's
+     * tick, then re-schedules every saved event with its exact
+     * original (tick, key).  This is the one sanctioned way time may
+     * move backwards: onto an empty queue, where no dispatch order can
+     * be violated.
      */
     void
     resetTime(Tick t)
     {
-        TRANSPUTER_ASSERT(live_.empty() && staticLive_ == 0,
+        TRANSPUTER_ASSERT(pending() == 0,
                           "resetTime with events pending");
-        heap_.clear();
+        clear();
         now_ = t;
+    }
+
+    /**
+     * Drop every pending event, live or cancelled, without running
+     * it; the clock is unchanged.  Static events end up disarmed.
+     */
+    void
+    clear()
+    {
+        for (const HeapEntry &e : heap_)
+            if (StaticEvent *s = staticOf(e)) {
+                s->armed_ = false;
+                s->deferred_ = false;
+                release(*s);
+            }
+        heap_.clear();
+        live_.clear();
+        staticLive_ = 0;
+        typedLive_ = 0;
     }
 
     /** Time of the earliest pending event, or maxTick if none. */
@@ -447,22 +528,26 @@ class EventQueue
         const HeapEntry e = heap_.front();
         popHeap();
         TRANSPUTER_ASSERT(e.when >= now_, "time went backwards");
-        if (e.sev) {
-            StaticEvent &ev = *e.sev;
-            unlinkStatic(ev);
-            ev.armed_ = false;
+        now_ = e.when;
+        if (e.ev.fn) {
+            --typedLive_;
+            ++dispatchedTyped_;
+            e.ev.fn(e.ev.ctx, e.ev.arg);
+            return true;
+        }
+        if (StaticEvent *s = staticOf(e)) {
+            release(*s);
+            s->armed_ = false;
             --staticLive_;
-            now_ = e.when;
-            ++dispatched_;
-            ev.fire_(ev.ctx_);
+            ++dispatchedStatic_;
+            s->fire_(s->ctx_);
             return true;
         }
         auto it = live_.find(e.id);
         TRANSPUTER_ASSERT(it != live_.end());
         auto fn = std::move(it->second.fn);
         live_.erase(it);
-        now_ = e.when;
-        ++dispatched_;
+        ++dispatchedClosure_;
         fn();
         return true;
     }
@@ -492,43 +577,44 @@ class EventQueue
         return n;
     }
 
-    /** A pending event in transit between queues (src/par). */
+    /** A pending event in transit between queues (src/par).  Exactly
+     *  one payload is set: sev, typed.fn, or fn. */
     struct Pending
     {
         Tick when;
         EventKey key;
         EventId id;
-        std::function<void()> fn;
+        StaticEvent *sev = nullptr; ///< static: the event object itself
+        TypedEvent typed;           ///< typed: its payload
+        std::function<void()> fn;   ///< closure
     };
 
     /**
      * Remove and return every live pending event (in no particular
      * order; the keys carry the dispatch order).  The queue is left
-     * empty with its clock unchanged.
+     * empty with its clock unchanged.  Static events travel disarmed
+     * until insertPending re-arms them.
      */
     std::vector<Pending>
     extractPending()
     {
         std::vector<Pending> out;
-        out.reserve(live_.size() + staticLive_);
-        for (auto &[id, ev] : live_)
-            out.push_back(
-                Pending{ev.when, ev.key, id, std::move(ev.fn)});
-        // armed static events migrate as ordinary closure events (the
-        // wrap allocates, but migration is a per-run event, not a
-        // per-step one); they re-arm statically on their new queue
-        // the next time their owner schedules them
-        while (staticHead_) {
-            StaticEvent &ev = *staticHead_;
-            unlinkStatic(ev);
-            ev.armed_ = false;
-            --staticLive_;
-            out.push_back(Pending{
-                ev.when_, ev.key_, ev.id_,
-                [fire = ev.fire_, ctx = ev.ctx_] { fire(ctx); }});
+        out.reserve(pending());
+        for (const HeapEntry &e : heap_) {
+            if (e.ev.fn) {
+                out.push_back(Pending{e.when, e.key, e.id, nullptr, e.ev,
+                                      {}});
+            } else if (StaticEvent *s = staticOf(e); s && alive(e)) {
+                // the arming itself, which a stand-in may carry
+                out.push_back(
+                    Pending{s->when_, s->key_, s->id_, s, {}, {}});
+                s->armed_ = false; // listed once; clear() releases it
+            }
         }
-        live_.clear();
-        heap_.clear();
+        for (auto &[id, ev] : live_)
+            out.push_back(Pending{ev.when, ev.key, id, nullptr, {},
+                                  std::move(ev.fn)});
+        clear();
         return out;
     }
 
@@ -542,12 +628,25 @@ class EventQueue
     {
         TRANSPUTER_ASSERT(p.when >= now_,
                           "migrated event in the past");
-        pushHeap(HeapEntry{p.when, p.key, p.id});
-        live_.emplace(p.id, Live{std::move(p.fn), p.when, p.key});
+        if (p.sev) {
+            TRANSPUTER_ASSERT(!p.sev->armed_,
+                              "migrated static event still armed");
+            arm(*p.sev, p.when, p.key, p.id);
+            return;
+        }
+        if (p.typed.fn) {
+            pushHeap(HeapEntry{p.when, p.key, p.id, p.typed});
+            ++typedLive_;
+        } else {
+            pushHeap(HeapEntry{p.when, p.key, p.id, {}});
+            live_.emplace(p.id, Live{std::move(p.fn), p.when, p.key});
+        }
         noteHighWater();
     }
 
   private:
+    friend class StaticEvent;
+
     struct Live
     {
         std::function<void()> fn;
@@ -555,55 +654,124 @@ class EventQueue
         EventKey key;
     };
 
+    /**
+     * One pending (or lazily cancelled) event.  The payload kind is
+     * implicit in ev: a handler makes it typed; no handler but a
+     * context makes the context the StaticEvent; neither makes it a
+     * closure held in live_ under id.
+     */
     struct HeapEntry
     {
         Tick when;
         EventKey key;
         EventId id;
-        StaticEvent *sev = nullptr; ///< non-null: static fast path
+        TypedEvent ev;
 
-        /** std::priority_queue is a max-heap; order inverted. */
+        /** The dispatch order: (tick, actor, channel, seq, id). */
         bool
-        operator<(const HeapEntry &o) const
+        before(const HeapEntry &o) const
         {
             if (when != o.when)
-                return when > o.when;
+                return when < o.when;
             if (key.actor != o.key.actor)
-                return key.actor > o.key.actor;
+                return key.actor < o.key.actor;
             if (key.channel != o.key.channel)
-                return key.channel > o.key.channel;
+                return key.channel < o.key.channel;
             if (key.seq != o.key.seq)
-                return key.seq > o.key.seq;
-            return id > o.id;
+                return key.seq < o.key.seq;
+            return id < o.id;
         }
     };
+    // nextTimeFor scans the whole heap on every CPU batch
+    static_assert(sizeof(HeapEntry) <= 64, "heap entry over 64 bytes");
+
+    static StaticEvent *
+    staticOf(const HeapEntry &e)
+    {
+        return e.ev.fn ? nullptr : static_cast<StaticEvent *>(e.ev.ctx);
+    }
+
+    /** False for a cancelled closure or a superseded static arming;
+     *  true for the stand-in of a deferred one (see StaticEvent). */
+    bool
+    alive(const HeapEntry &e) const
+    {
+        if (e.ev.fn)
+            return true; // typed events cannot be cancelled
+        if (const StaticEvent *s = staticOf(e))
+            return s->armed_ && (s->id_ == e.id || s->deferred_);
+        return live_.count(e.id) != 0;
+    }
 
     void
     noteHighWater()
     {
-        const size_t n = live_.size() + staticLive_;
+        const size_t n = pending();
         if (n > highWater_)
             highWater_ = n;
     }
 
-    /** @name Binary heap over heap_ (front = earliest pending);
-     *  HeapEntry::operator< is inverted, so the std max-heap
-     *  algorithms keep the earliest entry at the front.  A plain
-     *  vector (rather than std::priority_queue) so nextTimeFor can
-     *  scan the pending set. */
+    /** @name 4-ary min-heap over heap_ (front = earliest pending)
+     *
+     * A plain vector, so nextTimeFor can scan the pending set.  Four
+     * children per node halve the depth of a binary heap: a pop of a
+     * 100k-event heap (every node of a large network armed at once)
+     * touches half as many levels, and the four children of a node
+     * are adjacent in memory.
+     */
     ///@{
+    static constexpr size_t kArity = 4;
+
     void
-    pushHeap(HeapEntry e)
+    pushHeap(const HeapEntry &e)
     {
+        size_t i = heap_.size();
         heap_.push_back(e);
-        std::push_heap(heap_.begin(), heap_.end());
+        while (i > 0) {
+            const size_t parent = (i - 1) / kArity;
+            if (!e.before(heap_[parent]))
+                break;
+            heap_[i] = heap_[parent];
+            i = parent;
+        }
+        heap_[i] = e;
     }
 
     void
     popHeap()
     {
-        std::pop_heap(heap_.begin(), heap_.end());
+        const HeapEntry last = heap_.back();
         heap_.pop_back();
+        const size_t n = heap_.size();
+        if (n == 0)
+            return;
+        size_t i = 0;
+        while (true) {
+            const size_t first = i * kArity + 1;
+            if (first >= n)
+                break;
+            size_t best = first;
+            const size_t end = std::min(first + kArity, n);
+            for (size_t c = first + 1; c < end; ++c)
+                if (heap_[c].before(heap_[best]))
+                    best = c;
+            if (!heap_[best].before(last))
+                break;
+            heap_[i] = heap_[best];
+            i = best;
+        }
+        heap_[i] = last;
+    }
+
+    /** Restore the heap property after arbitrary removals (a sorted
+     *  vector is a valid heap). */
+    void
+    rebuildHeap()
+    {
+        std::sort(heap_.begin(), heap_.end(),
+                  [](const HeapEntry &a, const HeapEntry &b) {
+                      return a.before(b);
+                  });
     }
     ///@}
 
@@ -614,43 +782,96 @@ class EventQueue
         return actor < groupOf_.size() ? groupOf_[actor] : -1;
     }
 
-    /** Drop cancelled entries from the top of the heap. */
+    /** Drop cancelled entries from the top of the heap, and re-queue
+     *  the deferred arming a stand-in at the top carries: afterwards
+     *  the top, if any, is the next event to dispatch. */
     void
     skipDead()
     {
         while (!heap_.empty()) {
-            const HeapEntry &t = heap_.front();
-            const bool alive =
-                t.sev ? (t.sev->armed_ && t.sev->id_ == t.id)
-                      : live_.count(t.id) != 0;
-            if (alive)
-                break;
+            const HeapEntry &top = heap_.front();
+            StaticEvent *s = staticOf(top);
+            if (s ? s->armed_ && s->id_ == top.id : alive(top))
+                return;
             popHeap();
+            if (!s)
+                continue;
+            release(*s);
+            if (s->deferred_) {
+                s->deferred_ = false;
+                pushStatic(*s);
+            }
         }
     }
 
-    /** @name Intrusive list of armed static events */
+    /** @name StaticEvent bookkeeping
+     *
+     * A static event's heap entries all live on its home queue; the
+     * entry count says when none are left, so neither side ever holds
+     * a pointer to the other after it is destroyed.
+     */
     ///@{
     void
-    linkStatic(StaticEvent &ev)
+    arm(StaticEvent &ev, Tick when, const EventKey &key, EventId id)
     {
-        ev.prev_ = nullptr;
-        ev.next_ = staticHead_;
-        if (staticHead_)
-            staticHead_->prev_ = &ev;
-        staticHead_ = &ev;
+        // dead entries on a queue the owner has since moved away from
+        if (ev.home_ && ev.home_ != this)
+            ev.home_->forget(ev);
+        // strictly later than an entry still queued for the same actor
+        // and channel: that entry pops first, so it can stand in (and
+        // nextTimeFor credits it with the same lead)
+        ev.deferred_ = ev.headValid_ && ev.headWhen_ < when &&
+                       key.actor == ev.key_.actor &&
+                       key.channel == ev.key_.channel;
+        ev.when_ = when;
+        ev.key_ = key;
+        ev.id_ = id;
+        ev.armed_ = true;
+        ++staticLive_;
+        if (!ev.deferred_)
+            pushStatic(ev);
+        noteHighWater();
     }
 
+    /** Queue ev's current arming under its exact (tick, key, id). */
     void
-    unlinkStatic(StaticEvent &ev)
+    pushStatic(StaticEvent &ev)
     {
-        if (ev.prev_)
-            ev.prev_->next_ = ev.next_;
-        else
-            staticHead_ = ev.next_;
-        if (ev.next_)
-            ev.next_->prev_ = ev.prev_;
-        ev.prev_ = ev.next_ = nullptr;
+        ev.home_ = this;
+        ++ev.entries_;
+        ev.headWhen_ = ev.when_;
+        ev.headValid_ = true;
+        pushHeap(HeapEntry{ev.when_, ev.key_, ev.id_,
+                           TypedEvent{nullptr, &ev, 0}});
+    }
+
+    /** One heap entry naming ev has left the heap.  It may have been
+     *  the newest, so that one no longer stands in for a re-arming. */
+    static void
+    release(StaticEvent &ev)
+    {
+        ev.headValid_ = false;
+        if (--ev.entries_ == 0)
+            ev.home_ = nullptr;
+    }
+
+    /** Remove every heap entry naming ev (it is being destroyed or
+     *  re-homed); O(heap), off every hot path. */
+    void
+    forget(StaticEvent &ev)
+    {
+        if (ev.armed_) {
+            ev.armed_ = false;
+            --staticLive_;
+        }
+        std::erase_if(heap_, [&ev](const HeapEntry &e) {
+            return staticOf(e) == &ev;
+        });
+        rebuildHeap();
+        ev.entries_ = 0;
+        ev.home_ = nullptr;
+        ev.headValid_ = false;
+        ev.deferred_ = false;
     }
     ///@}
 
@@ -660,19 +881,27 @@ class EventQueue
 
     Tick now_ = 0;
     Tick horizon_ = maxTick;
-    uint64_t dispatched_ = 0;
+    uint64_t dispatchedStatic_ = 0;
+    uint64_t dispatchedTyped_ = 0;
+    uint64_t dispatchedClosure_ = 0;
     size_t highWater_ = 0;
     EventId nextId_;
     uint64_t defaultSeq_ = 0;
     std::vector<HeapEntry> heap_;
-    std::unordered_map<EventId, Live> live_;
+    std::unordered_map<EventId, Live> live_; ///< closure events
+    size_t staticLive_ = 0;                  ///< armed static events
+    size_t typedLive_ = 0;                   ///< pending typed events
     std::vector<int32_t> groupOf_; ///< actor -> group (topology)
     std::vector<Tick> dist_;       ///< group-to-group min link lead
     Tick stepExtra_ = 0;           ///< extra lead for foreign steps
     int ngroups_ = 0;              ///< 0: no topology registered
-    StaticEvent *staticHead_ = nullptr; ///< armed static events
-    size_t staticLive_ = 0;
 };
+
+inline StaticEvent::~StaticEvent()
+{
+    if (home_)
+        home_->forget(*this);
+}
 
 } // namespace transputer::sim
 

@@ -644,7 +644,7 @@ restore(net::Network &net, const Snapshot &s, const RestoreOptions &opts)
     // to the captured instant; every component below re-schedules its
     // own pending events under their original keys.
     auto &q = net.queue();
-    q.extractPending();
+    q.clear();
     q.resetTime(s.now);
 
     for (size_t i = 0; i < s.states.size(); ++i) {

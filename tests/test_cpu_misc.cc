@@ -2,7 +2,8 @@
  * @file
  * Remaining instruction coverage: long add/subtract with carry and
  * borrow, loop end, the queue-register store instructions, processor
- * status operations, and block moves with awkward alignments.
+ * status operations, block moves with awkward alignments, and guest
+ * errors that must stay guest errors (a wild off-chip jump).
  */
 
 #include <gtest/gtest.h>
@@ -189,4 +190,15 @@ TEST(CpuMisc, ResetchOnALinkResetsTheEngine)
     rig.loadAsm("start: mint\n resetch\n stopp\n");
     rig.cpu.boot(rig.img.symbol("start"), rig.bootWptr());
     EXPECT_THROW(rig.queue.runToQuiescence(), SimFatal);
+}
+
+TEST(CpuMisc, WildOffChipJumpRaisesMemFault)
+{
+    // gcall far beyond populated memory: the next instruction fetch
+    // must raise the guest fault, not index the fetch buffer's write
+    // generations out of range (which crashed the host process)
+    SingleCpu rig;
+    rig.loadAsm("start: ldc #7FFFFF00\n gcall\n");
+    rig.cpu.boot(rig.img.symbol("start"), rig.bootWptr());
+    EXPECT_THROW(rig.queue.runToQuiescence(), mem::MemFault);
 }

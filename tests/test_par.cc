@@ -124,7 +124,12 @@ TEST(ParInbox, ConcurrentPushesAllArriveInKeyOrder)
                     sim::EventKey{static_cast<uint32_t>(p + 1),
                                   sim::chanLine,
                                   static_cast<uint64_t>(i + 1)},
-                    [&sum, v] { sum.fetch_add(v); });
+                    sim::TypedEvent{[](void *ctx, uint64_t arg) {
+                                        static_cast<std::atomic<uint64_t> *>(
+                                            ctx)
+                                            ->fetch_add(arg);
+                                    },
+                                    &sum, v});
             }
         });
     }

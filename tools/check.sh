@@ -14,6 +14,9 @@
 # The routing suite (test_route) also carries both: serial-vs-parallel
 # routed-fabric identity under tsan, kill/reroute/partition under
 # asan; its decoder/switch fuzzers (test_fuzz_route) run under asan.
+# The event-kernel and link suites (test_sim, test_link) run under
+# asan because the queue holds raw pointers into its owners, and so
+# does test_cpu_misc, whose wild-jump case once crashed the host.
 #
 # Usage: tools/check.sh [--no-tsan] [--no-asan]
 set -eu
@@ -137,7 +140,8 @@ if want --no-asan; then
         --target test_profile --target test_snap \
         --target test_fuzz_snap --target test_blockc \
         --target test_scale --target test_route \
-        --target test_fuzz_route
+        --target test_fuzz_route --target test_sim --target test_link \
+        --target test_cpu_misc
 fi
 
 echo "== all checks passed =="
