@@ -9,11 +9,11 @@
  * Hot predecoded regions (heat is sampled where the dispatch loop and
  * the fused loop's back-edges land) are compiled into superblocks:
  * arrays of superop steps (isa/superop.hh), each binding one chain --
- * prefix chain folded into the operand at compile time -- to a
- * specialized handler, with adjacent chains fused where a peephole
- * rule matches.  The ThreadedBackend dispatches the steps with
- * computed gotos, so the per-instruction decode/branch cost of the
- * interpreter disappears.
+ * prefix chain folded into the operand at compile time -- to its
+ * handler in core/semantics.hh, with adjacent chains fused where a
+ * peephole rule matches.  Transputer::execBlock dispatches the steps
+ * with computed gotos, so the per-instruction decode/branch cost of
+ * the interpreter disappears.
  *
  * Bit-faithfulness contract (obs::sameArchitectural is the oracle):
  *   - every step retires its chain's exact counters and cycle charges
@@ -51,7 +51,6 @@
 #include "base/types.hh"
 #include "core/icache.hh"
 #include "isa/superop.hh"
-#include "mem/memory.hh"
 #include "obs/counters.hh"
 
 namespace transputer::core
@@ -80,35 +79,20 @@ static_assert(static_cast<size_t>(Deopt::kCount) == obs::kBlockDeopts,
               "Deopt enum and obs deopt histogram must match");
 
 /**
- * One superop step: a predecoded chain (an icache entry image taken
+ * One superop step: a predecoded chain (its icache entry image, taken
  * at compile time) bound to a handler kind.  Member steps of a fused
  * group keep their solo kind in `kind == solo`; only the head step's
- * `kind` is the fused superop, and a backend near a bound/budget
+ * `kind` is the fused superop, and the executor near a bound/budget
  * boundary re-dispatches the members through `solo`.
  */
 struct Step
 {
-    Word tag = 0;       ///< chain start address
-    Word next = 0;      ///< tag + length, truncated (fall-through)
-    Word operand = 0;   ///< folded operand
-    Word aux = 0;       ///< kind-specific (folded constant, binop op)
-    int64_t sop = 0;    ///< operand, sign-extended at compile time
-    uint32_t slot = 0;  ///< icache slot: tag & the icache index mask
-    uint32_t gidx = 0;  ///< generation slot of the first byte
-    uint32_t gidx2 = 0; ///< generation slot of the last byte
-    uint32_t gen = 0;   ///< write generation at compile time
-    uint32_t gen2 = 0;
-    uint8_t length = 0; ///< bytes, including prefixes
-    uint8_t pfixes = 0;
-    uint8_t nfixes = 0;
-    uint8_t fn = 0;     ///< final isa::Fn
-    uint8_t flags = 0;  ///< isa::pflag:: bits
-    bool offChip = false;
+    PredecodeCache::Entry e;
     isa::superop::Kind kind = isa::superop::Kind::kCount;
     isa::superop::Kind solo = isa::superop::Kind::kCount;
     /** Worst-case cycles of the fused group minus its last chain
-     *  (prefixes, base costs, memory waits, off-chip fetches): the
-     *  fused head runs only when the bound admits this much. */
+     *  (prefixes, base costs, memory waits): the fused head runs only
+     *  when the bound admits this much. */
     uint8_t groupPreCost = 0;
 };
 
@@ -120,7 +104,7 @@ struct Superblock
     /**
      * Every step's icache slot held that step's chain on the last
      * full pass and no fill anywhere has happened since (missFence):
-     * slot checks are provably hits, so the backend banks them
+     * slot checks are provably hits, so the executor banks them
      * without touching the entry array.
      */
     bool primed = false;
@@ -128,7 +112,6 @@ struct Superblock
      *  slot holds its step's chain (aliasing steps thrash one slot
      *  and can never all be resident at once). */
     bool primeable = false;
-    bool loops = false; ///< has a back-edge to entry
     uint16_t nsteps = 0;
     uint64_t missFence = 0; ///< icache miss count when primed was set
     /** Steps whose slot held their chain during recent executions
@@ -175,51 +158,6 @@ struct Superblock
 };
 
 /**
- * Backend interface: turns a compiled Superblock into something
- * executable.  The threaded backend interprets the step array with
- * computed gotos; a native template-splat backend (ROADMAP's 10x
- * target) would bind `Superblock` to emitted host code in prepare()
- * and jump to it in run() -- the compiler, cache, deopt contract and
- * statistics are backend-independent.
- */
-class BlockBackend
-{
-  public:
-    virtual ~BlockBackend() = default;
-    virtual const char *name() const = 0;
-
-    /** Bind backend state to a freshly compiled block (e.g. emit
-     *  native code).  Called once per compile, before any run(). */
-    virtual void prepare(Superblock &sb) = 0;
-
-    /**
-     * Execute `sb` from its entry (the CPU's iptr must equal
-     * sb.entry, state Running, oreg 0).  Retires at most `budget`
-     * chains and never starts a chain with the local clock past
-     * `bound`.  Returns the chains retired, with `why` set to the
-     * exit reason; on return all CPU state is spilled and consistent
-     * at a chain boundary.
-     */
-    virtual int run(Transputer &cpu, Superblock &sb, Tick bound,
-                    int budget, Deopt &why) = 0;
-};
-
-/** The computed-goto step interpreter (the default backend). */
-class ThreadedBackend final : public BlockBackend
-{
-  public:
-    const char *name() const override { return "threaded"; }
-    void prepare(Superblock &) override {}
-    int run(Transputer &cpu, Superblock &sb, Tick bound, int budget,
-            Deopt &why) override;
-
-  private:
-    template <bool Primed>
-    static int exec(Transputer &cpu, Superblock &sb, Tick bound,
-                    int budget, Deopt &why);
-};
-
-/**
  * Per-transputer superblock cache: a direct-mapped block table plus a
  * heat table that promotes entry points once they have been reached
  * often enough.  Compilation failures are negatively cached so cold
@@ -262,24 +200,15 @@ class BlockCache
         return ++heatCount_[i] >= kHotThreshold;
     }
 
-    /** True if a valid block exists here or the address just became
-     *  hot (used by the fused loop to hand back-edges to this tier). */
-    bool
-    wantsEntry(Word iptr)
-    {
-        return find(iptr) != nullptr || heat(iptr);
-    }
-
     /**
      * Compile a superblock starting at `entry` and install it (also
-     * evicting whatever aliased its table slot).  @return the block,
-     * or nullptr when the region is not worth compiling (the address
-     * is then negatively cached until its heat slot is recycled).
+     * evicting whatever aliased its table slot), decoding through
+     * the icache's decode step.  @return the block, or nullptr when
+     * the region is not worth compiling (the address is then
+     * negatively cached until its heat slot is recycled).
      */
-    Superblock *compile(mem::Memory &mem, const uint32_t *gens,
-                        size_t icache_mask, const WordShape &s,
-                        int external_waits, Word entry,
-                        BlockBackend &backend);
+    Superblock *compile(const PredecodeCache &icache, const WordShape &s,
+                        int external_waits, Word entry);
 
     /** Reset an address's heat without compiling (promotion was
      *  declined): it must cross the threshold again before the next

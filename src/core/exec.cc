@@ -1,38 +1,27 @@
 /**
  * @file
- * Instruction execution: the thirteen direct functions, the two
- * prefixing functions, and the indirect operations (paper sections
- * 3.2.5 - 3.2.9).
+ * Instruction execution: the byte-at-a-time interpreter, the
+ * predecoded single step and the fused loop over the inlined
+ * instructions (core/semantics.hh), and the remaining indirect
+ * operations (paper sections 3.2.5 - 3.2.9).
  */
 
 #include <bit>
 #include <ostream>
 
 #include "base/format.hh"
-#include "core/transputer.hh"
-#include "isa/cycles.hh"
+#include "core/semantics.hh"
 #include "isa/disasm.hh"
 #include "isa/encoding.hh"
-#include "isa/predecode.hh"
+#include "isa/superop.hh"
 
 namespace transputer::core
 {
 
 using isa::Fn;
 using isa::Op;
+using sem::overflows;
 namespace cyc = transputer::isa::cycles;
-
-namespace
-{
-
-/** Signed range check for a host-width intermediate result. */
-bool
-overflows(const WordShape &s, int64_t v)
-{
-    return v > s.toSigned(s.mostPos) || v < s.toSigned(s.mostNeg);
-}
-
-} // namespace
 
 bool
 Transputer::fetchBufferHolds(Word word_addr) const
@@ -125,20 +114,8 @@ Transputer::executePredecoded(const PredecodeCache::Entry &e)
 {
     lastInstrInterruptible_ = false;
     inExec_ = true;
-    if (e.offChip)
-        chargeFetchSpan(iptr_, e.length);
-    instructions_ += e.length;
-    if (const int prefixes = e.pfixes + e.nfixes) {
-        ctrs_.fn[static_cast<size_t>(Fn::PFIX)] += e.pfixes;
-        ctrs_.fn[static_cast<size_t>(Fn::NFIX)] += e.nfixes;
-        chargeCycles(prefixes);
-    }
-    // after the prefix charges, so the interruptible-instruction
-    // window seen by serviceInterrupt matches the byte-at-a-time path
-    // (which starts a fresh instruction at the final chain byte)
-    lastInstrStart_ = time_;
-    ++ctrs_.fn[e.fn];
-    iptr_ = shape_.truncate(iptr_ + e.length);
+    sem::Members m(*this);
+    sem::retire<true>(m, e);
     const Fn fn = static_cast<Fn>(e.fn);
     if (fn == Fn::OPR)
         execOp(e.operand);
@@ -155,61 +132,26 @@ int
 Transputer::runFused(Tick bound, int budget)
 {
     // The fused inner loop: cached fast (event-free, non-descheduling)
-    // instructions execute with the common direct functions inlined
-    // and the hot CPU state (registers, iptr, local time) hoisted
-    // into locals -- stores into the byte-addressed memory image may
-    // alias any member, so working through `this` would force the
-    // compiler to reload everything after every write.  Anything not
+    // direct functions execute through the inlined handlers with the
+    // hot CPU state hoisted into locals (sem::Hoisted).  Anything not
     // inlined here (cache miss, non-fast entry, call, opr) returns to
     // the caller, which runs one instruction through the generic path
-    // and re-enters.  The cycle charges and side-effect order below
-    // mirror execDirect exactly; the cache on/off bit-equivalence
-    // tests guard the duplication.
+    // and re-enters.
     if (!predecodeEnabled_ || oreg_ != 0 || trace_ || budget <= 0)
         return 0;
     // no inlined instruction is interruptible, and serviceInterrupt
     // only reads lastInstrStart_ when the last one was
     lastInstrInterruptible_ = false;
-    inExec_ = true;
-    const Tick period = cfg_.cyclePeriod;
-    const bool halt_on_err = haltOnError_;
-    const WordShape s = shape_;
-    Word iptr = iptr_, a = areg_, b = breg_, c = creg_, wp = wptr_;
-    Tick t = time_, lis = lastInstrStart_;
-    uint64_t cyc = cycles_, icount = instructions_;
-    const uint64_t cyc0 = cyc; // per-tier cycle attribution (tprof)
-    bool err = errorFlag_;
-    int n = 0;
-    bool bail = false; // a back-edge reached a compiled superblock
-    const auto spill = [&] {
-        iptr_ = iptr;
-        areg_ = a;
-        breg_ = b;
-        creg_ = c;
-        wptr_ = wp;
-        time_ = t;
-        lastInstrStart_ = lis;
-        cycles_ = cyc;
-        instructions_ = icount;
-    };
-    const auto reload = [&] {
-        iptr = iptr_;
-        a = areg_;
-        b = breg_;
-        c = creg_;
-        wp = wptr_;
-        t = time_;
-        lis = lastInstrStart_;
-        cyc = cycles_;
-    };
     const PredecodeCache::Entry *const entries =
         icache_.entriesData();
-    if (!entries) {
-        // never filled: one generic-path instruction makes lookup()
-        // allocate the entry array, then we re-enter with it live
-        inExec_ = false;
-        return 0;
-    }
+    if (!entries)
+        return 0; // never filled: one generic-path instruction makes
+                  // lookup() allocate the entry array
+    inExec_ = true;
+    sem::Hoisted h(*this);
+    const uint64_t cyc0 = h.cycles; // per-tier cycle attribution (tprof)
+    int n = 0;
+    bool bail = false; // a back-edge reached a compiled superblock
     const size_t imask = icache_.indexMask();
     const uint32_t *const gens = icache_.gensData();
     uint64_t hits = 0;
@@ -220,20 +162,20 @@ Transputer::runFused(Tick bound, int budget)
     uint64_t profNext = profNextCycle_;
     Tick tsNext = tsNextTick_;
     try {
-        while (n < budget && t <= bound && running && !bail) {
-            if (cyc >= profNext || t >= tsNext) {
+        while (n < budget && h.time <= bound && running && !bail) {
+            if (h.cycles >= profNext || h.time >= tsNext) {
                 // chain boundary crossed a sampling threshold: fire
                 // with the architectural state spilled (oreg_ is 0
                 // throughout the fused loop)
-                spill();
+                h.spill();
                 obsBoundaryFire(obs::kTierFused);
-                reload();
+                h.reload();
                 profNext = profNextCycle_;
                 tsNext = tsNextTick_;
             }
             const auto &e =
-                entries[static_cast<size_t>(iptr) & imask];
-            if (!(e.length && e.tag == iptr &&
+                entries[static_cast<size_t>(h.iptr) & imask];
+            if (!(e.length && e.tag == h.iptr &&
                   gens[e.gidx] == e.gen && gens[e.gidx2] == e.gen2))
                 break; // miss: the generic path fills and executes
             if (!(e.flags & isa::pflag::kFast))
@@ -242,190 +184,55 @@ Transputer::runFused(Tick bound, int budget)
             if (fn == Fn::OPR || fn == Fn::CALL)
                 break; // generic path handles these (fused if fast)
             ++hits;
-            if (e.offChip) {
-                time_ = t;
-                cycles_ = cyc;
-                chargeFetchSpan(iptr, e.length);
-                t = time_;
-                cyc = cycles_;
-            }
-            icount += e.length;
-            if (const int pf = e.pfixes + e.nfixes) {
-                ctrs_.fn[static_cast<size_t>(Fn::PFIX)] += e.pfixes;
-                ctrs_.fn[static_cast<size_t>(Fn::NFIX)] += e.nfixes;
-                cyc += static_cast<uint64_t>(pf);
-                t += pf * period;
-            }
-            ++ctrs_.fn[e.fn];
-            // post-prefix start, as executePredecoded records it:
-            // never read on this path (nothing inlined here is
-            // interruptible), but the field is snapshot state, so
-            // every tier must stamp every chain identically
-            lis = t;
-            iptr = s.truncate(iptr + e.length);
-            const Word operand = e.operand;
+            sem::retire<true>(h, e);
             switch (fn) {
               case Fn::J:
-                cyc += 3;
-                t += 3 * period;
-                iptr = s.truncate(iptr + operand);
-                flushFetchBuffer();
-                spill();
-                timesliceCheck(); // a descheduling point
-                reload();
+                sem::j(h, e.operand);
                 running = state_ == CpuState::Running;
                 // hand hot loop heads to the block tier: back-edges
                 // are where superblocks begin, and entering one
                 // mid-fused-run would skip its entry protocol
                 if (running && blockCompileEnabled_ &&
-                    wantsBlockEntry(iptr))
+                    wantsBlockEntry(h.iptr))
                     bail = true;
                 break;
-
-              case Fn::LDLP:
-                cyc += 1;
-                t += period;
-                c = b;
-                b = a;
-                a = s.index(wp, s.toSigned(operand));
-                break;
-
-              case Fn::LDNL: {
-                cyc += 2;
-                t += 2 * period;
-                const Word addr =
-                    s.index(s.wordAlign(a), s.toSigned(operand));
-                if (const int w = mem_.accessWaits(addr)) {
-                    cyc += static_cast<uint64_t>(w);
-                    t += w * period;
-                }
-                a = mem_.readWord(addr);
-                break;
-              }
-
-              case Fn::LDC:
-                cyc += 1;
-                t += period;
-                c = b;
-                b = a;
-                a = operand;
-                break;
-
-              case Fn::LDNLP:
-                cyc += 1;
-                t += period;
-                a = s.index(a, s.toSigned(operand));
-                break;
-
-              case Fn::LDL: {
-                cyc += 2;
-                t += 2 * period;
-                const Word addr = s.index(wp, s.toSigned(operand));
-                if (const int w = mem_.accessWaits(addr)) {
-                    cyc += static_cast<uint64_t>(w);
-                    t += w * period;
-                }
-                const Word v = mem_.readWord(addr);
-                c = b;
-                b = a;
-                a = v;
-                break;
-              }
-
-              case Fn::ADC: {
-                cyc += 1;
-                t += period;
-                const int64_t r =
-                    s.toSigned(a) + s.toSigned(operand);
-                if (overflows(s, r)) {
-                    err = true;
-                    errorFlag_ = true;
-                }
-                a = s.truncate(static_cast<uint64_t>(r));
-                break;
-              }
-
               case Fn::CJ:
-                if (a == 0) {
-                    cyc += 4;
-                    t += 4 * period;
-                    iptr = s.truncate(iptr + operand);
-                    flushFetchBuffer();
-                    if (blockCompileEnabled_ && wantsBlockEntry(iptr))
-                        bail = true; // taken back-edge onto a block
-                } else {
-                    cyc += 2;
-                    t += 2 * period;
-                    a = b;
-                    b = c;
-                }
+                if (sem::cj(h, e.operand) && blockCompileEnabled_ &&
+                    wantsBlockEntry(h.iptr))
+                    bail = true; // taken back-edge onto a block
                 break;
-
-              case Fn::AJW:
-                cyc += 1;
-                t += period;
-                wp = s.index(wp, s.toSigned(operand));
+              // the other direct functions, each passed as a constant
+              // so that the handler's own switch folds away
+#define TRANSPUTER_INLINE_CASE(name, kind, effects)                    \
+              case Fn::name:                                           \
+                sem::direct(h, Fn::name, e.operand);                   \
                 break;
-
-              case Fn::EQC:
-                cyc += 2;
-                t += 2 * period;
-                a = (a == operand) ? 1 : 0;
-                break;
-
-              case Fn::STL: {
-                cyc += 1;
-                t += period;
-                const Word addr = s.index(wp, s.toSigned(operand));
-                const Word v = a;
-                a = b;
-                b = c;
-                if (const int w = mem_.accessWaits(addr)) {
-                    cyc += static_cast<uint64_t>(w);
-                    t += w * period;
-                }
-                mem_.writeWord(addr, v);
-                break;
-              }
-
-              case Fn::STNL: {
-                cyc += 2;
-                t += 2 * period;
-                const Word addr =
-                    s.index(s.wordAlign(a), s.toSigned(operand));
-                if (const int w = mem_.accessWaits(addr)) {
-                    cyc += static_cast<uint64_t>(w);
-                    t += w * period;
-                }
-                mem_.writeWord(addr, b);
-                a = c;
-                break;
-              }
-
+                TRANSPUTER_INLINED_DIRECT(TRANSPUTER_INLINE_CASE)
+#undef TRANSPUTER_INLINE_CASE
               default:
                 break; // unreachable: pfix/nfix never end a chain
             }
             ++n;
-            if (err && halt_on_err) {
+            if (h.err && h.haltOnError) {
                 state_ = CpuState::Halted;
-                trcAt(t, obs::Ev::Halt,
-                      wp | static_cast<Word>(pri_));
+                trcAt(h.time, obs::Ev::Halt,
+                      h.wp | static_cast<Word>(pri_));
                 break;
             }
         }
     } catch (...) {
-        spill();
+        h.spill();
         icache_.addHits(hits);
         inExec_ = false;
         throw;
     }
-    spill();
+    h.spill();
     icache_.addHits(hits);
     // host-side statistics: one fused run of n instructions (bucketed
     // by bit_width, so bucket 0 is the empty run)
     ++ctrs_.fused.runs;
     ctrs_.fused.instructions += static_cast<uint64_t>(n);
-    ctrs_.fused.cycles += cyc - cyc0;
+    ctrs_.fused.cycles += h.cycles - cyc0;
     ++ctrs_.fused.lenLog2[std::bit_width(static_cast<uint32_t>(n))];
     inExec_ = false;
     return n;
@@ -460,11 +267,11 @@ Transputer::executeOneSlow()
     switch (fn) {
       case Fn::PFIX:
         oreg_ = shape_.truncate(oreg_ << 4);
-        chargeCycles(1);
+        chargeCycles(cyc::direct(fn));
         break;
       case Fn::NFIX:
         oreg_ = shape_.truncate(~oreg_ << 4);
-        chargeCycles(1);
+        chargeCycles(cyc::direct(fn));
         break;
       case Fn::OPR: {
         const Word op = oreg_;
@@ -489,101 +296,21 @@ Transputer::executeOneSlow()
 void
 Transputer::execDirect(Fn fn, Word operand)
 {
-    const int64_t sop = shape_.toSigned(operand);
+    sem::Members m(*this);
     switch (fn) {
       case Fn::J:
-        chargeCycles(cyc::direct(fn));
-        iptr_ = shape_.truncate(iptr_ + operand);
-        flushFetchBuffer();
-        timesliceCheck(); // a descheduling point (section 3.2.4)
+        sem::j(m, operand);
         break;
-
-      case Fn::LDLP:
-        chargeCycles(cyc::direct(fn));
-        push(shape_.index(wptr_, sop));
-        break;
-
-      case Fn::LDNL:
-        chargeCycles(cyc::direct(fn));
-        areg_ = readWord(shape_.index(shape_.wordAlign(areg_), sop));
-        break;
-
-      case Fn::LDC:
-        chargeCycles(cyc::direct(fn));
-        push(operand);
-        break;
-
-      case Fn::LDNLP:
-        chargeCycles(cyc::direct(fn));
-        areg_ = shape_.index(areg_, sop);
-        break;
-
-      case Fn::LDL:
-        chargeCycles(cyc::direct(fn));
-        push(readWord(shape_.index(wptr_, sop)));
-        break;
-
-      case Fn::ADC: {
-        chargeCycles(cyc::direct(fn));
-        const int64_t r = shape_.toSigned(areg_) + sop;
-        if (overflows(shape_, r))
-            setError();
-        areg_ = shape_.truncate(static_cast<uint64_t>(r));
-        break;
-      }
-
-      case Fn::CALL: {
-        chargeCycles(cyc::direct(fn));
-        const Word w = shape_.index(wptr_, -4);
-        writeWord(shape_.index(w, 0), iptr_);
-        writeWord(shape_.index(w, 1), areg_);
-        writeWord(shape_.index(w, 2), breg_);
-        writeWord(shape_.index(w, 3), creg_);
-        areg_ = iptr_; // return address available to the callee
-        wptr_ = w;
-        iptr_ = shape_.truncate(iptr_ + operand);
-        flushFetchBuffer();
-        break;
-      }
-
       case Fn::CJ:
-        if (areg_ == 0) {
-            chargeCycles(cyc::direct(fn, true));
-            iptr_ = shape_.truncate(iptr_ + operand);
-            flushFetchBuffer();
-        } else {
-            chargeCycles(cyc::direct(fn, false));
-            pop();
-        }
+        sem::cj(m, operand);
         break;
-
-      case Fn::AJW:
-        chargeCycles(cyc::direct(fn));
-        wptr_ = shape_.index(wptr_, sop);
-        break;
-
-      case Fn::EQC:
-        chargeCycles(cyc::direct(fn));
-        areg_ = (areg_ == operand) ? 1 : 0;
-        break;
-
-      case Fn::STL:
-        chargeCycles(cyc::direct(fn));
-        writeWord(shape_.index(wptr_, sop), pop());
-        break;
-
-      case Fn::STNL: {
-        chargeCycles(cyc::direct(fn));
-        const Word addr = shape_.index(shape_.wordAlign(areg_), sop);
-        writeWord(addr, breg_);
-        areg_ = creg_;
-        break;
-      }
-
       case Fn::PFIX:
       case Fn::NFIX:
       case Fn::OPR:
         panic("prefix/opr reached execDirect");
+      default:
+        sem::direct(m, fn, operand);
+        break;
     }
 }
 
@@ -594,22 +321,15 @@ Transputer::execOp(Word operation)
         fatal("{}: undefined operation #{} at iptr #{}", name_,
               hexWord(operation, 4), hexWord(iptr_));
     const Op op = static_cast<Op>(operation);
+    if (sem::Members m(*this); sem::operate(m, op))
+        return; // an inlined operation: counted and charged
     ++ctrs_.op[operation];
     chargeCycles(cyc::op(op));
     const int bits = shape_.bits;
 
     switch (op) {
-      case Op::REV:
-        std::swap(areg_, breg_);
-        break;
-
       case Op::LB:
         areg_ = readByte(areg_);
-        break;
-
-      case Op::BSUB:
-        areg_ = shape_.truncate(areg_ + breg_);
-        breg_ = creg_;
         break;
 
       case Op::ENDP: {
@@ -625,20 +345,6 @@ Transputer::execOp(Word operation)
             writeWord(shape_.index(p, 1), shape_.truncate(count - 1));
             descheduleCurrent(false); // this component terminates
         }
-        break;
-      }
-
-      case Op::DIFF:
-        areg_ = shape_.truncate(breg_ - areg_);
-        breg_ = creg_;
-        break;
-
-      case Op::ADD: {
-        const int64_t r = shape_.toSigned(breg_) + shape_.toSigned(areg_);
-        if (overflows(shape_, r))
-            setError();
-        areg_ = shape_.truncate(static_cast<uint64_t>(r));
-        breg_ = creg_;
         break;
       }
 
@@ -660,28 +366,9 @@ Transputer::execOp(Word operation)
         breg_ = creg_;
         break;
 
-      case Op::GT:
-        areg_ = shape_.toSigned(breg_) > shape_.toSigned(areg_) ? 1 : 0;
-        breg_ = creg_;
-        break;
-
-      case Op::WSUB:
-        areg_ = shape_.index(areg_, shape_.toSigned(breg_));
-        breg_ = creg_;
-        break;
-
       case Op::OUT: {
         const Word count = areg_, chan = breg_, ptr = creg_;
         channelOut(count, chan, ptr);
-        break;
-      }
-
-      case Op::SUB: {
-        const int64_t r = shape_.toSigned(breg_) - shape_.toSigned(areg_);
-        if (overflows(shape_, r))
-            setError();
-        areg_ = shape_.truncate(static_cast<uint64_t>(r));
-        breg_ = creg_;
         break;
       }
 
@@ -795,10 +482,6 @@ Transputer::execOp(Word operation)
         }
         break;
       }
-
-      case Op::LDPI:
-        areg_ = shape_.truncate(iptr_ + areg_);
-        break;
 
       case Op::STLF:
         fptr_[1] = areg_ == notProcess() ? areg_
@@ -951,15 +634,6 @@ Transputer::execOp(Word operation)
         break;
       }
 
-      case Op::NOT:
-        areg_ = shape_.truncate(~areg_);
-        break;
-
-      case Op::XOR:
-        areg_ = breg_ ^ areg_;
-        breg_ = creg_;
-        break;
-
       case Op::BCNT:
         areg_ = shape_.truncate(static_cast<uint64_t>(areg_) *
                                 shape_.bytes);
@@ -1085,10 +759,6 @@ Transputer::execOp(Word operation)
         break;
       }
 
-      case Op::MINT:
-        push(shape_.mostNeg);
-        break;
-
       case Op::ALT:
         wsWrite(wptr_, ws::state, enabling());
         break;
@@ -1105,11 +775,6 @@ Transputer::execOp(Word operation)
       case Op::ALTEND:
         iptr_ = shape_.truncate(iptr_ + readWord(wptr_));
         flushFetchBuffer();
-        break;
-
-      case Op::AND:
-        areg_ = breg_ & areg_;
-        breg_ = creg_;
         break;
 
       case Op::ENBT: {
@@ -1154,11 +819,6 @@ Transputer::execOp(Word operation)
         pop();
         break;
       }
-
-      case Op::OR:
-        areg_ = breg_ | areg_;
-        breg_ = creg_;
-        break;
 
       case Op::CSNGL: {
         // A = lo, B = hi: check the pair is a sign-extended single
@@ -1217,11 +877,6 @@ Transputer::execOp(Word operation)
         break;
       }
 
-      case Op::SUM:
-        areg_ = shape_.truncate(breg_ + areg_);
-        breg_ = creg_;
-        break;
-
       case Op::MUL: {
         chargeCycles(cyc::mul(shape_));
         const int64_t r = shape_.toSigned(breg_) * shape_.toSigned(areg_);
@@ -1269,9 +924,8 @@ Transputer::execOp(Word operation)
         push(haltOnError_ ? 1 : 0);
         break;
 
-      case Op::DUP:
-        push(areg_);
-        break;
+      default:
+        break; // the inlined operations returned above
     }
 }
 

@@ -164,6 +164,43 @@ class PredecodeCache
     void addHits(uint64_t n) { hits_ += n; }
     ///@}
 
+    /**
+     * The fill's decode step: fold the chain at iptr and describe it
+     * as an entry image (tag, operand, write generations, prefix
+     * counts, flags, off-chip bit) in `e`, touching neither the slots
+     * nor the statistics.  The block compiler builds its steps with
+     * it.  @return the fold; `e` is meaningful only when complete.
+     */
+    isa::Predecoded
+    decode(Word iptr, Entry &e) const
+    {
+        const WordShape &s = mem_->shape();
+        uint8_t buf[isa::maxChainBytes];
+        size_t n = 0;
+        while (n < isa::maxChainBytes &&
+               mem_->contains(s.truncate(iptr + n))) {
+            buf[n] = mem_->readByte(s.truncate(iptr + n));
+            ++n;
+        }
+        const isa::Predecoded d = isa::predecode(buf, n, s);
+        if (!d.complete())
+            return d;
+        const Word last = lastByte(iptr, d.length);
+        e.tag = iptr;
+        e.operand = d.operand;
+        e.gidx = static_cast<uint32_t>(mem_->blockIndex(iptr));
+        e.gidx2 = static_cast<uint32_t>(mem_->blockIndex(last));
+        e.gen = gens_[e.gidx];
+        e.gen2 = gens_[e.gidx2];
+        e.length = d.length;
+        e.pfixes = d.pfixes;
+        e.nfixes = d.nfixes;
+        e.fn = static_cast<uint8_t>(d.fn);
+        e.flags = d.flags;
+        e.offChip = !mem_->isOnChip(iptr) || !mem_->isOnChip(last);
+        return d;
+    }
+
     /** @name Raw access for the block-compiler tier (core/blockc.cc)
      *
      * A superblock execution emulates this cache's lookup per chain
@@ -171,8 +208,8 @@ class PredecodeCache
      * observables -- stay bit-identical with the tier off.  A miss
      * whose code bytes are provably unchanged since compile time
      * (write generations match) refills the slot from the compiled
-     * step image via entriesMut() and records it with noteMiss();
-     * anything else deopts before executing.
+     * step's entry image via entriesMut() and records it with
+     * noteMiss(); anything else deopts before executing.
      */
     ///@{
     Entry *
@@ -211,36 +248,14 @@ class PredecodeCache
     fill(Word iptr)
     {
         ++misses_;
-        if (entries_[indexOf(iptr)].length &&
-            entries_[indexOf(iptr)].tag == iptr)
+        Entry &slot = entries_[indexOf(iptr)];
+        if (slot.length && slot.tag == iptr)
             ++invalidations_; // same chain, stale generations
-        const WordShape &s = mem_->shape();
-        uint8_t buf[isa::maxChainBytes];
-        size_t n = 0;
-        while (n < isa::maxChainBytes &&
-               mem_->contains(s.truncate(iptr + n))) {
-            buf[n] = mem_->readByte(s.truncate(iptr + n));
-            ++n;
-        }
-        const isa::Predecoded d = isa::predecode(buf, n, s);
-        if (!d.complete())
+        Entry e;
+        if (!decode(iptr, e).complete())
             return nullptr;
-        Entry &e = entries_[indexOf(iptr)];
-        e.tag = iptr;
-        e.operand = d.operand;
-        e.gidx = static_cast<uint32_t>(mem_->blockIndex(iptr));
-        e.gidx2 = static_cast<uint32_t>(
-            mem_->blockIndex(lastByte(iptr, d.length)));
-        e.gen = gens_[e.gidx];
-        e.gen2 = gens_[e.gidx2];
-        e.length = d.length;
-        e.pfixes = d.pfixes;
-        e.nfixes = d.nfixes;
-        e.fn = static_cast<uint8_t>(d.fn);
-        e.flags = d.flags;
-        e.offChip = !mem_->isOnChip(iptr) ||
-                    !mem_->isOnChip(lastByte(iptr, d.length));
-        return &e;
+        slot = e;
+        return &slot;
     }
 
     mem::Memory *mem_;

@@ -18,6 +18,7 @@ Transputer::Transputer(sim::EventQueue &queue, const Config &cfg,
            cfg.externalWaits),
       icache_(mem_, cfg.icacheEntries),
       predecodeEnabled_(cfg.predecode),
+      blockCompileEnabled_(cfg.blockCompile),
       stepEvent_([](void *ctx) {
           static_cast<Transputer *>(ctx)->stepHandler();
       }, this),
@@ -40,8 +41,6 @@ Transputer::Transputer(sim::EventQueue &queue, const Config &cfg,
     mem_.writeWord(mem_.tptrLocAddr(1), notProcess());
     if (cfg.trace)
         setTraceEnabled(true);
-    if (cfg.blockCompile)
-        setBlockCompileEnabled(true); // no-op when the build can't
     if (cfg.flight)
         setFlightEnabled(true);
     if (cfg.profile)

@@ -46,11 +46,17 @@ namespace transputer::core
 
 namespace blockc
 {
-class BlockBackend;
 class BlockCache;
-class ThreadedBackend;
 struct Superblock;
+enum class Deopt : uint8_t;
 } // namespace blockc
+
+namespace sem
+{
+struct Core;
+struct Members;
+struct Hoisted;
+} // namespace sem
 
 /** Workspace slot offsets below Wptr (section 3.2.4). */
 namespace ws
@@ -75,8 +81,7 @@ struct Config
     bool predecode = true;         ///< use the predecoded instruction cache
     /** Compile hot predecoded regions into superblocks (core/blockc).
      *  Requires predecode; architecturally invisible, like the
-     *  predecode cache itself.  Ignored (forced off) when the build
-     *  disables the tier (TRANSPUTER_BLOCKC=OFF or no computed goto). */
+     *  predecode cache itself. */
     bool blockCompile = true;
     bool trace = false;            ///< record scheduler/channel/link events
     unsigned traceDepth = 16;      ///< log2 of the trace ring capacity
@@ -441,14 +446,12 @@ class Transputer
 
     /**
      * Toggle the block-compiler tier at runtime (architecturally
-     * invisible; the equivalence tests run both ways).  A no-op when
-     * the build cannot back the tier (see blockBackendUsable).
+     * invisible; the equivalence tests run both ways).  The block
+     * cache appears on first use, so merely enabling the tier keeps
+     * an idle node small.
      */
-    void setBlockCompileEnabled(bool on);
+    void setBlockCompileEnabled(bool on) { blockCompileEnabled_ = on; }
     bool blockCompileEnabled() const { return blockCompileEnabled_; }
-    /** True when this build can execute superblocks (TRANSPUTER_BLOCKC
-     *  and a computed-goto compiler). */
-    static bool blockBackendUsable();
     ///@}
 
     /** @name Checkpoint/restore (src/snap) */
@@ -486,10 +489,11 @@ class Transputer
     Word clockReg(int pri) const;
 
   private:
-    friend class ExecContext;
-    /** The threaded block backend mirrors runFused's hoisted-local
-     *  discipline over the private hot state (core/blockc.cc). */
-    friend class blockc::ThreadedBackend;
+    /** The instruction handlers' state policies (core/semantics.hh)
+     *  read and write the registers, clock and counters directly. */
+    friend struct sem::Core;
+    friend struct sem::Members;
+    friend struct sem::Hoisted;
 
     /** Record a trace event at an explicit timestamp.  Compiles to
      *  nothing without TRANSPUTER_OBS; otherwise one branch on a
@@ -550,11 +554,22 @@ class Transputer
      *  retired.  Heats (and compiles) cold entry points as a side
      *  effect.  Safe no-op when the tier is off. */
     int runBlocks(Tick bound, int budget);
+    /**
+     * Execute `sb` from its entry (iptr_ == sb.entry, Running, oreg
+     * 0).  Retires at most `budget` chains and never starts a chain
+     * with the local clock past `bound`.  Returns the chains retired,
+     * with `why` set to the exit reason; on return all CPU state is
+     * spilled and consistent at a chain boundary.  Primed: every
+     * step's icache slot provably holds its chain.
+     */
+    template <bool Primed>
+    int execBlock(blockc::Superblock &sb, Tick bound, int budget,
+                  blockc::Deopt &why);
     /** Promotion gate: compile only where the fused tier's observed
      *  mean run length says a superblock can win (blockc.cc). */
     bool blockPromotionAllowed() const;
-    /** Allocate the block cache and backend on first use (enabling
-     *  the tier alone keeps an idle node small). */
+    /** Allocate the block cache on first use (enabling the tier
+     *  alone keeps an idle node small). */
     void ensureBlockTier();
     /** runFused's bail probe at jump back-edges: true when a block
      *  exists (compiling it right now if the target just crossed the
@@ -566,7 +581,7 @@ class Transputer
      *  describe the pre-restore memory image) and overwrite the
      *  statistics with the snapshotted values. */
     void restoreBlockTier(const obs::BlockStats &s);
-    /** Host bytes of the block cache and backend, 0 while deferred. */
+    /** Host bytes of the block cache, 0 while deferred. */
     size_t blockTierFootprint() const;
     ///@}
     /** Off-chip fetch-wait charges for a whole predecoded chain. */
@@ -656,9 +671,8 @@ class Transputer
     mem::Memory mem_;
     PredecodeCache icache_;
     bool predecodeEnabled_;
-    // block-compiler tier (allocated only when enabled and usable)
+    // block-compiler tier (allocated on first use)
     std::unique_ptr<blockc::BlockCache> bcache_;
-    std::unique_ptr<blockc::BlockBackend> backend_;
     bool blockCompileEnabled_ = false;
     sim::StaticEvent stepEvent_; ///< allocation-free CPU-step event
 

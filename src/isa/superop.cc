@@ -3,83 +3,38 @@
 namespace transputer::isa::superop
 {
 
-namespace
-{
-
-/** Inlined-operation kind for a fast, defined operation. */
-Kind
-opKind(Op op)
-{
-    switch (op) {
-      case Op::ADD:  return Kind::OpAdd;
-      case Op::SUB:  return Kind::OpSub;
-      case Op::DIFF: return Kind::OpDiff;
-      case Op::SUM:  return Kind::OpSum;
-      case Op::GT:   return Kind::OpGt;
-      case Op::REV:  return Kind::OpRev;
-      case Op::WSUB: return Kind::OpWsub;
-      case Op::BSUB: return Kind::OpBsub;
-      case Op::AND:  return Kind::OpAnd;
-      case Op::OR:   return Kind::OpOr;
-      case Op::XOR:  return Kind::OpXor;
-      case Op::NOT:  return Kind::OpNot;
-      case Op::MINT: return Kind::OpMint;
-      case Op::DUP:  return Kind::OpDup;
-      case Op::LDPI: return Kind::OpLdpi;
-      default:       return Kind::OpGeneric;
-    }
-}
-
-} // namespace
-
-bool
-binopFusable(Op op)
-{
-    switch (op) {
-      case Op::ADD:
-      case Op::SUM:
-      case Op::DIFF:
-      case Op::GT:
-      case Op::AND:
-      case Op::OR:
-      case Op::XOR:
-        return true;
-      default:
-        return false;
-    }
-}
-
 Kind
 classify(const Predecoded &d)
 {
     if (!d.complete() || !d.fast())
         return Kind::kCount;
+#define TRANSPUTER_FN_CASE(name, kind, effects)                        \
+    case Fn::name:                                                     \
+        return Kind::kind;
+#define TRANSPUTER_OP_CASE(name, kind, effects)                        \
+    case Op::name:                                                     \
+        return Kind::kind;
     switch (d.fn) {
-      case Fn::J:     return Kind::J;
-      case Fn::LDLP:  return Kind::Ldlp;
-      case Fn::LDNL:  return Kind::Ldnl;
-      case Fn::LDC:   return Kind::Ldc;
-      case Fn::LDNLP: return Kind::Ldnlp;
-      case Fn::LDL:   return Kind::Ldl;
-      case Fn::ADC:   return Kind::Adc;
-      case Fn::CALL:  return Kind::Call;
-      case Fn::CJ:    return Kind::Cj;
-      case Fn::AJW:   return Kind::Ajw;
-      case Fn::EQC:   return Kind::Eqc;
-      case Fn::STL:   return Kind::Stl;
-      case Fn::STNL:  return Kind::Stnl;
+        TRANSPUTER_INLINED_BRANCHES(TRANSPUTER_FN_CASE)
+        TRANSPUTER_INLINED_DIRECT(TRANSPUTER_FN_CASE)
       case Fn::OPR:
-        if (!(d.flags & pflag::kOpDefined))
-            return Kind::kCount;
-        return opKind(static_cast<Op>(d.operand));
+        break;
       default:
         return Kind::kCount; // prefixes never end a chain
     }
+    if (!(d.flags & pflag::kOpDefined))
+        return Kind::kCount;
+    switch (static_cast<Op>(d.operand)) {
+        TRANSPUTER_INLINED_OPS(TRANSPUTER_OP_CASE)
+      default:
+        return Kind::OpGeneric;
+    }
+#undef TRANSPUTER_FN_CASE
+#undef TRANSPUTER_OP_CASE
 }
 
 Kind
-fuse(const Predecoded *chains, const Kind *solo, size_t i, size_t n,
-     bool cj_j_backedge)
+fuse(const Kind *solo, size_t i, size_t n, bool cj_j_backedge)
 {
     const Kind k0 = solo[i];
     const Kind k1 = i + 1 < n ? solo[i + 1] : Kind::kCount;
@@ -92,16 +47,11 @@ fuse(const Predecoded *chains, const Kind *solo, size_t i, size_t n,
         if (k0 == Kind::Ldl)
             return Kind::LdlAdcStl;
     }
-    if (k0 == Kind::Ldl && k1 == Kind::Ldl && i + 2 < n &&
-        chains[i + 2].fn == Fn::OPR &&
-        binopFusable(static_cast<Op>(chains[i + 2].operand)))
-        return Kind::LdlLdlBinop;
 
     if (k1 == Kind::Stl) {
         switch (k0) {
           case Kind::Ldc:  return Kind::LdcStl;
           case Kind::Ldlp: return Kind::LdlpStl;
-          case Kind::Ldl:  return Kind::LdlStl;
           case Kind::Adc:  return Kind::AdcStl;
           default: break;
         }

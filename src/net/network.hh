@@ -55,17 +55,6 @@ struct RunOptions
     /** Custom node -> shard map (Partition::Custom only). */
     std::vector<int> shardOf;
     /**
-     * Force the predecoded instruction cache on/off on every node for
-     * this run; unset leaves each node's own setting alone.
-     */
-    std::optional<bool> predecode;
-    /**
-     * Force the block-compiler execution tier on/off on every node
-     * for this run; unset leaves each node's own setting alone.
-     * Enabling is a no-op in builds that cannot back the tier.
-     */
-    std::optional<bool> blockCompile;
-    /**
      * Force event tracing on/off on every node for this run; unset
      * leaves each node's own setting alone.  Tracing never perturbs
      * the simulation (src/obs).

@@ -178,12 +178,6 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
 {
     auto &master = net.queue();
     const size_t n = net.size();
-    if (opts.predecode)
-        for (size_t i = 0; i < n; ++i)
-            net.node(i).setPredecodeEnabled(*opts.predecode);
-    if (opts.blockCompile)
-        for (size_t i = 0; i < n; ++i)
-            net.node(i).setBlockCompileEnabled(*opts.blockCompile);
     if (opts.trace)
         for (size_t i = 0; i < n; ++i)
             net.node(i).setTraceEnabled(*opts.trace);

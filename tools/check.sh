@@ -16,7 +16,9 @@
 # asan; its decoder/switch fuzzers (test_fuzz_route) run under asan.
 # The event-kernel and link suites (test_sim, test_link) run under
 # asan because the queue holds raw pointers into its owners, and so
-# does test_cpu_misc, whose wild-jump case once crashed the host.
+# does test_cpu_misc, whose wild-jump case once crashed the host, and
+# test_differential, which runs random guest code through both
+# instruction-handler state policies and all three execution tiers.
 #
 # Usage: tools/check.sh [--no-tsan] [--no-asan]
 set -eu
@@ -141,7 +143,7 @@ if want --no-asan; then
         --target test_fuzz_snap --target test_blockc \
         --target test_scale --target test_route \
         --target test_fuzz_route --target test_sim --target test_link \
-        --target test_cpu_misc
+        --target test_cpu_misc --target test_differential
 fi
 
 echo "== all checks passed =="
