@@ -369,7 +369,7 @@ Transputer::stepHandler()
         // yield once local time passes the earliest pending event
         // that can reach this CPU -- its own events bound it exactly,
         // while another node's can only act on it through a link,
-        // whose delivery lead the queue's topology map credits
+        // whose delivery lead the queue's per-node lookahead credits
         // (EventQueue::nextTimeFor) -- or the queue's horizon, beyond
         // which events from other shards may still arrive; equality
         // still executes (other agents' step events at the same tick

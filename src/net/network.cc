@@ -50,6 +50,7 @@ Network::dumpMetrics() const
     os << "{\n  \"simulated_ns\": " << q.now << ",\n"
        << "  \"nodes\": " << nodes_.size() << ",\n"
        << "  \"queue\": {\"dispatched\": " << q.dispatched
+       << ", \"dispatched_steps\": " << q.dispatchedSteps
        << ", \"dispatched_static\": " << q.dispatchedStatic
        << ", \"dispatched_typed\": " << q.dispatchedTyped
        << ", \"dispatched_closure\": " << q.dispatchedClosure
@@ -111,15 +112,8 @@ Network::refreshTopology()
 {
     topologyDirty_ = false;
     const int n = static_cast<int>(nodes_.size());
-    // The node-pair lead matrix is the serial queue's batching
-    // accelerator, not architectural state: above this size its
-    // quadratic memory and cubic closure cost more than they save, so
-    // large networks run the master queue untopologized (the
-    // shard-parallel engine computes its own shard-level matrix from
-    // the same wiring, and event order is identical either way).
-    constexpr int kTopologyNodeCap = 256;
-    if (n == 0 || n > kTopologyNodeCap) {
-        queue_.clearTopology();
+    if (n == 0) {
+        queue_.setTopology(nullptr);
         return;
     }
     uint32_t max_actor = 0;
@@ -134,34 +128,13 @@ Network::refreshTopology()
     // their host node's group, so their events bound the host exactly
     for (const auto &er : endpoints_)
         group[er.ep->actor()] = er.homeNode;
-    // all-pairs minimum link delivery lead (Floyd-Warshall; networks
-    // are small and the wiring only changes between runs).  A pair
-    // with no connecting path keeps maxTick: those nodes can never
-    // influence each other.
-    const auto at = [n](std::vector<Tick> &m, int i,
-                        int j) -> Tick & {
-        return m[static_cast<size_t>(i) * n + j];
-    };
-    std::vector<Tick> dist(static_cast<size_t>(n) * n, maxTick);
-    for (int i = 0; i < n; ++i)
-        at(dist, i, i) = 0;
-    for (const auto &lr : lines_) {
-        Tick &d = at(dist, lr.srcNode, lr.dstNode);
-        d = std::min(d, lr.line->minDeliveryLead());
-    }
-    for (int k = 0; k < n; ++k)
-        for (int i = 0; i < n; ++i) {
-            const Tick ik = at(dist, i, k);
-            if (ik == maxTick)
-                continue;
-            for (int j = 0; j < n; ++j) {
-                const Tick kj = at(dist, k, j);
-                if (kj == maxTick)
-                    continue;
-                Tick &ij = at(dist, i, j);
-                ij = std::min(ij, ik + kj);
-            }
-        }
+    std::vector<sim::Topology::Line> wires;
+    wires.reserve(lines_.size());
+    for (const auto &lr : lines_)
+        wires.push_back(sim::Topology::Line{
+            static_cast<uint32_t>(lr.srcNode),
+            static_cast<uint32_t>(lr.dstNode),
+            lr.line->minDeliveryLead()});
     // a CPU batch (chanStep) event only executes instructions, and
     // every instruction path to a wire claim charges the suspending
     // side's communication cost to the architectural clock before
@@ -174,8 +147,9 @@ Network::refreshTopology()
         step_extra = std::min(
             step_extra,
             isa::cycles::commSuspend * nd->config().cyclePeriod);
-    queue_.setTopology(std::move(group), n, std::move(dist),
-                       step_extra);
+    queue_.setTopology(sim::Topology::build(
+        std::move(group), static_cast<uint32_t>(n), std::move(wires),
+        step_extra));
 }
 
 std::vector<int>

@@ -206,8 +206,7 @@ class Network
     Tick
     run(Tick limit = maxTick)
     {
-        if (topologyDirty_)
-            refreshTopology();
+        topology();
         if (limit == maxTick) {
             queue_.runToQuiescence();
         } else {
@@ -396,14 +395,29 @@ class Network
     std::string dumpMetrics() const;
     ///@}
 
+    /**
+     * The per-node lookahead table of the current wiring
+     * (sim::Topology), rebuilt first if the wiring changed since it
+     * was last built.  The master queue holds it; a parallel run
+     * (src/par) hands the same table to every shard queue.
+     */
+    const std::shared_ptr<const sim::Topology> &
+    topology()
+    {
+        if (topologyDirty_)
+            refreshTopology();
+        return queue_.topology();
+    }
+
   private:
     /**
-     * Register the wiring with the master queue's per-actor lookahead
-     * map (sim::EventQueue::setTopology): every actor is grouped under
-     * its node (peripherals under their host node) and the group
-     * distance matrix is the all-pairs minimum link delivery lead, so
-     * a serial run can batch each CPU past other nodes' events by the
-     * lead of the wires between them.
+     * Build the lookahead table from lines_ and register it with the
+     * master queue (sim::EventQueue::setTopology): every actor is
+     * grouped under its node (peripherals under their host node), and
+     * each node lists the lines into it with their minimum delivery
+     * lead, so a run can batch each CPU past other nodes' events by
+     * the lead of the wires between them.  O(lines log lines), at any
+     * network size.
      */
     void refreshTopology();
 

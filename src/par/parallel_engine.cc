@@ -60,12 +60,7 @@ namespace transputer::par
 namespace
 {
 
-/** a + b clamped to maxTick (a, b >= 0). */
-Tick
-satAdd(Tick a, Tick b)
-{
-    return b >= maxTick - a ? maxTick : a + b;
-}
+using sim::satAdd;
 
 /** Shared round state (written before the spawn / at barriers). */
 struct Coord
@@ -214,9 +209,14 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
         return reached;
     }
 
+    // every shard bounds its CPUs with the network's one per-node
+    // lookahead table: a node's in-neighbours on other shards have no
+    // events in its queue, and the window horizon covers them
+    const auto &topo = net.topology();
     std::vector<std::unique_ptr<Shard>> shards;
     for (int s = 0; s < nshards; ++s) {
         shards.push_back(std::make_unique<Shard>());
+        shards.back()->queue.setTopology(topo);
         shards.back()->queue.setNow(master.now());
     }
     for (size_t i = 0; i < n; ++i)

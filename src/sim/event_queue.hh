@@ -20,7 +20,7 @@
  * through the legacy unkeyed API fall into actor 0 / channel 0 and
  * keep their classic FIFO-among-ties behaviour.
  *
- * Event kinds.  Every pending event is one compact heap entry carrying
+ * Event kinds.  Every pending event is one compact entry carrying
  * one of three payloads; the kind never affects the dispatch order.
  *  - static: a StaticEvent living inside its owner (CPU step and
  *    timer, link and switch-port watchdogs, hop timers), re-armed in
@@ -31,6 +31,14 @@
  *    cancel(EventId) applies to.  The cold path: tests, examples,
  *    peripheral latency, fault-plan node events, route flow timers.
  * The static and typed kinds allocate nothing per event.
+ *
+ * Lanes.  Pending events are kept apart per node: each group of
+ * actors (a node, see Topology) has one lane for its CPU steps and
+ * one for everything else, and two small top-level heaps order the
+ * lanes by their earliest entry.  The dispatch order is the same as
+ * one flat heap's; what the split buys is that every node's earliest
+ * event is at hand, so nextTimeFor costs the links of one node rather
+ * than a scan of the pending set.
  */
 
 #ifndef TRANSPUTER_SIM_EVENT_QUEUE_HH
@@ -40,6 +48,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -80,10 +89,108 @@ constexpr uint32_t chanFault = 3; ///< fault-plan events (src/fault)
 constexpr uint32_t chanLine = 8;  ///< + line id: wire deliveries
 ///@}
 
+/** a + b clamped to maxTick (a, b >= 0). */
+constexpr Tick
+satAdd(Tick a, Tick b)
+{
+    return b >= maxTick - a ? maxTick : a + b;
+}
+
+/**
+ * The per-node lookahead table of a wired network
+ * (net::Network::refreshTopology).
+ *
+ * Actors are grouped by node: a transputer, its link engines and the
+ * peripherals co-located with it form one group.  For every group the
+ * table lists its in-lines -- the wires that deliver into it from
+ * another group -- with each wire's minimum delivery lead: a byte
+ * cannot act on its receiver before its second bit has crossed the
+ * wire (the paper's Figure 1).  Immutable once built, so the serial
+ * queue and every shard queue of a parallel run share one copy.
+ */
+struct Topology
+{
+    /** A wire from one group to another, with its minimum lead. */
+    struct Line
+    {
+        uint32_t from;
+        uint32_t to;
+        Tick lead;
+    };
+
+    /** One wire into a group.  The lead is clamped to 32 bits: a
+     *  shorter credit is always a safe one. */
+    struct InLine
+    {
+        uint32_t from;
+        uint32_t lead;
+    };
+
+    /**
+     * Build the table.  group_of_actor maps an actor id to its group
+     * (-1, or an id past its end: a global actor, whose events count
+     * for every group at face value).  Lines may repeat a pair (the
+     * narrowest lead wins) and may loop inside a group (ignored: a
+     * group's own events already count at face value).  step_extra
+     * is the extra credit of another group's chanStep events (see
+     * EventQueue::nextTimeFor).
+     */
+    static std::shared_ptr<const Topology>
+    build(std::vector<int32_t> group_of_actor, uint32_t ngroups,
+          std::vector<Line> lines, Tick step_extra)
+    {
+        auto t = std::make_shared<Topology>();
+        t->groupOf = std::move(group_of_actor);
+        t->stepExtra = step_extra;
+        std::erase_if(lines, [](const Line &l) { return l.from == l.to; });
+        std::sort(lines.begin(), lines.end(),
+                  [](const Line &a, const Line &b) {
+                      if (a.to != b.to)
+                          return a.to < b.to;
+                      if (a.from != b.from)
+                          return a.from < b.from;
+                      return a.lead < b.lead;
+                  });
+        t->inBegin.assign(ngroups + 1, 0);
+        Tick least = maxTick;
+        for (size_t i = 0; i < lines.size(); ++i) {
+            const Line &l = lines[i];
+            TRANSPUTER_ASSERT(l.from < ngroups && l.to < ngroups &&
+                                  l.lead >= 0,
+                              "topology line out of range");
+            if (i > 0 && lines[i - 1].to == l.to &&
+                lines[i - 1].from == l.from)
+                continue; // a wider parallel wire
+            t->in.push_back(InLine{
+                l.from, static_cast<uint32_t>(
+                            std::min<Tick>(l.lead, UINT32_MAX))});
+            ++t->inBegin[l.to + 1];
+            least = std::min(least, l.lead);
+        }
+        for (uint32_t g = 0; g < ngroups; ++g)
+            t->inBegin[g + 1] += t->inBegin[g];
+        t->multiHop = satAdd(least, least);
+        return t;
+    }
+
+    uint32_t
+    groups() const
+    {
+        return static_cast<uint32_t>(inBegin.size() - 1);
+    }
+
+    std::vector<int32_t> groupOf;  ///< actor -> group, -1: global
+    /** Group g's in-lines are in[inBegin[g], inBegin[g + 1]). */
+    std::vector<uint32_t> inBegin;
+    std::vector<InLine> in;
+    Tick stepExtra = 0;      ///< extra lead of another group's step
+    Tick multiHop = maxTick; ///< least lead of a path of >= 2 lines
+};
+
 /**
  * A fire-and-forget event payload: dispatch calls fn(ctx, arg).
  *
- * Plain data, so it is copied into a heap entry -- or into a
+ * Plain data, so it is copied into a queue entry -- or into a
  * cross-shard mailbox record (src/par) -- without allocating.  A typed
  * event cannot be cancelled.
  */
@@ -120,15 +227,15 @@ class EventQueue;
  * The object lives inside its owner, carries a plain function pointer
  * + context instead of a std::function, and is re-armed in place
  * (EventQueue::scheduleStatic).  Cancelling (EventQueue::cancelStatic)
- * only clears the armed flag: the heap entry left behind is dead
- * because its id no longer matches the current arming.  A re-arming
- * on the same actor and channel, strictly later than the event's
- * newest entry still in the heap, pushes nothing -- that entry stands
- * in for it and, on reaching the top, re-queues the arming under its
- * exact (tick, key, id) -- so a watchdog pushed back on every byte
- * costs no heap traffic.  Dispatch order is unchanged:
- * the stand-in sorts before the arming it carries, so the arming is
- * back in the heap before anything after it can run.
+ * only clears the armed flag: the entry left behind is dead because
+ * its id no longer matches the current arming.  A re-arming on the
+ * same actor and channel, strictly later than the event's newest
+ * entry still queued, pushes nothing -- that entry stands in for it
+ * and, on reaching the head of its lane, re-queues the arming under
+ * its exact (tick, key, id) -- so a watchdog pushed back on every byte
+ * costs no queue traffic.  Dispatch order is unchanged: the stand-in
+ * sorts before the arming it carries, so the arming is back in the
+ * queue before anything after it can run.
  *
  * At most one arming may be outstanding; the owner re-arms it from
  * inside the fire callback (or later).  Migration between queues
@@ -169,20 +276,20 @@ class StaticEvent
     Tick when_ = 0;
     EventKey key_{};
     EventId id_ = invalidEventId;
-    EventQueue *home_ = nullptr; ///< queue whose heap names this event
+    EventQueue *home_ = nullptr; ///< queue whose entries name this event
     Tick headWhen_ = 0;          ///< tick of the newest entry pushed
-    uint32_t entries_ = 0;       ///< heap entries (live or dead) there
+    uint32_t entries_ = 0;       ///< entries (live or dead) there
     bool armed_ = false;
-    bool headValid_ = false; ///< that entry is still in the heap
+    bool headValid_ = false; ///< that entry is still queued
     bool deferred_ = false;  ///< armed, carried by an earlier entry
 };
 
 /**
  * A time-ordered queue of events.
  *
- * Cancellation is lazy: cancelled entries stay in the heap and are
- * skipped when popped, which keeps schedule/cancel O(log n) without a
- * decrease-key structure.
+ * Cancellation is lazy: cancelled entries stay queued and are skipped
+ * when they reach the head of their lane, which keeps schedule/cancel
+ * O(log n) without a decrease-key structure.
  *
  * Event ids are unique across every EventQueue instance in the
  * process, so an event migrated between queues (src/par shard
@@ -191,7 +298,10 @@ class StaticEvent
 class EventQueue
 {
   public:
-    EventQueue() : nextId_(s_idEpoch.fetch_add(1) << idEpochShift) {}
+    EventQueue()
+        : nextId_(s_idEpoch.fetch_add(1) << idEpochShift), lanes_(2)
+    {
+    }
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -226,7 +336,7 @@ class EventQueue
     Tick horizon() const { return horizon_; }
     void setHorizon(Tick h) { horizon_ = h; }
 
-    /** @name Topology-aware per-actor lookahead (net::Network)
+    /** @name Per-node lookahead (net::Network)
      *
      * The co-simulation bounds every CPU's instruction run-ahead at
      * the earliest pending event that could affect it.  The global
@@ -235,89 +345,101 @@ class EventQueue
      * this one through a link, whose delivery arrives at least the
      * wire's minimum lead after its cause -- the same lookahead
      * argument the shard-parallel engine applies across a cut
-     * (src/par), here applied per node inside one queue.  The network
-     * registers each actor's group (its node) and the minimum
-     * link-lead distance between groups; nextTimeFor(actor) then
-     * credits another group's events with the connecting distance
-     * while counting the actor's own group's events at face value.
-     * Without a registered topology it degrades to nextTime(), the
-     * exact legacy bound.
+     * (src/par), here applied per node inside one queue.  Without a
+     * registered Topology every actor is global and nextTimeFor is
+     * nextTime(), the exact legacy bound.
      */
     ///@{
     /**
-     * Register the actor->group map (indexed by actor id; -1 or out
-     * of range: a global actor whose events reach every group
-     * immediately) and the ngroups x ngroups matrix of minimum
-     * link-lead distances in ticks (row-major, dist[from][to];
-     * dist[g][g] must be 0).
-     *
-     * step_extra is an additional credit for another group's
-     * chanStep events on top of the wire lead: a CPU batch event
-     * only executes instructions, and every instruction path from
-     * execution to a wire claim charges the architectural clock
-     * first (channelOut/channelIn charge cyc::commSuspend before
-     * the engine sees the request -- see link::LinkEngine), so a
-     * foreign step at T cannot make its first claim before
-     * T + step_extra.  Engine, timer, and fault events keep the
-     * bare wire lead.
+     * Register the lookahead table (null: none).  Pending entries are
+     * re-filed into the new table's lanes; the dispatch order does not
+     * change.
      */
     void
-    setTopology(std::vector<int32_t> group_of_actor, int ngroups,
-                std::vector<Tick> dist, Tick step_extra = 0)
+    setTopology(std::shared_ptr<const Topology> topo)
     {
-        TRANSPUTER_ASSERT(dist.size() ==
-                              static_cast<size_t>(ngroups) * ngroups,
-                          "topology distance matrix size mismatch");
-        groupOf_ = std::move(group_of_actor);
-        ngroups_ = ngroups;
-        dist_ = std::move(dist);
-        stepExtra_ = step_extra;
+        std::vector<HeapEntry> all;
+        forEachEntry([&all](const HeapEntry &e) { all.push_back(e); });
+        resetLanes();
+        topo_ = std::move(topo);
+        groupOf_ = topo_ ? topo_->groupOf.data() : nullptr;
+        nactors_ = topo_ ? static_cast<uint32_t>(topo_->groupOf.size())
+                         : 0;
+        globalGroup_ = topo_ ? topo_->groups() : 0;
+        lanes_.assign(2 * (static_cast<size_t>(globalGroup_) + 1),
+                      Lane{});
+        for (const HeapEntry &e : all)
+            pushEntry(e);
     }
 
-    /** Drop the topology map: nextTimeFor reverts to nextTime(). */
-    void
-    clearTopology()
+    const std::shared_ptr<const Topology> &topology() const
     {
-        groupOf_.clear();
-        dist_.clear();
-        ngroups_ = 0;
-        stepExtra_ = 0;
+        return topo_;
     }
 
     /**
      * Earliest tick at which any pending event could act on the given
-     * actor's group.  Never earlier than now(), never later than the
-     * earliest pending event of the actor's own group.  Cancelled
-     * entries still in the heap are ignored: the bound must be a
-     * function of the live event set alone, which a restored snapshot
-     * reproduces exactly -- counting dead entries would make batch
-     * boundaries (and the step-event seq counters) depend on lazily
-     * cancelled garbage a restored run does not have.
+     * actor's group g: the minimum of
+     *  - g's own earliest event and any global actor's, at face value;
+     *  - for each in-line of g, its source group's earliest event plus
+     *    the line's lead, where a CPU step (chanStep) is credited
+     *    Topology::stepExtra on top: a step event only executes
+     *    instructions, and every instruction path from execution to a
+     *    wire claim charges the architectural clock first
+     *    (channelOut/channelIn charge cyc::commSuspend before the
+     *    engine sees the request -- see link::LinkEngine);
+     *  - the whole queue's earliest event, steps credited the same
+     *    way, plus Topology::multiHop: every path of two or more lines
+     *    is at least that long.
+     * Each term is at most the exact all-pairs shortest-lead bound, so
+     * the result is sound; it is never earlier than nextTime() and
+     * never later than g's own earliest event.  It is earlier than the
+     * exact bound when the event that sets it is two or more lines
+     * away along a path longer than two least leads; a CPU batch then
+     * ends sooner, which the guest cannot see, but the clock at which
+     * a run to quiescence stops follows the last batch.  Cancelled
+     * entries are ignored: the bound must be a function of the live
+     * event set alone, which a restored snapshot reproduces exactly --
+     * counting dead entries would make batch boundaries (and the
+     * step-event seq counters) depend on lazily cancelled garbage a
+     * restored run does not have.
      */
     Tick
     nextTimeFor(uint32_t actor)
     {
-        skipDead();
-        const int32_t me = ngroups_ == 0 ? -1 : groupOf(actor);
-        if (me < 0)
-            return heap_.empty() ? maxTick : heap_.front().when;
-        Tick best = maxTick;
-        for (const HeapEntry &e : heap_) {
-            Tick d = 0;
-            const int32_t g = groupOf(e.key.actor);
-            if (g >= 0 && g != me) {
-                d = dist_[static_cast<size_t>(g) * ngroups_ + me];
-                if (e.key.channel == chanStep)
-                    d += stepExtra_; // see setTopology
-            }
-            Tick t = d >= maxTick - e.when ? maxTick : e.when + d;
-            // liveness is checked only when the entry would lower the
-            // bound, so the common far-future entries cost no lookup
-            if (t >= best || !alive(e))
-                continue;
-            if (const StaticEvent *s = staticOf(e); s && s->deferred_)
-                t = d >= maxTick - s->when_ ? maxTick : s->when_ + d;
-            best = std::min(best, t);
+        const int32_t g = actor < nactors_ ? groupOf_[actor] : -1;
+        const uint32_t front = frontLane();
+        if (front == kNil)
+            return maxTick;
+        // no bound is earlier than the next event, which is the bound
+        // itself when it acts on this group or on every group
+        const Tick first = head(front).when;
+        const uint32_t own = 2 * static_cast<uint32_t>(g);
+        const uint32_t global = 2 * globalGroup_;
+        if (g < 0 || front >> 1 == own >> 1 || front >> 1 == globalGroup_)
+            return first;
+        const Topology &t = *topo_;
+        Tick best = std::min(std::min(liveWhen(own), liveWhen(own + 1)),
+                             std::min(liveWhen(global),
+                                      liveWhen(global + 1)));
+        // a lane can only lower the bound if even its head, dead or
+        // not, would: the rest are skipped without a liveness check
+        const auto credit = [&](uint32_t lane, Tick lead) {
+            if (lanes_[lane].root != kNil &&
+                satAdd(head(lane).when, lead) < best)
+                best = std::min(best, satAdd(liveWhen(lane), lead));
+        };
+        for (uint32_t i = t.inBegin[g];
+             i < t.inBegin[g + 1] && best > first; ++i) {
+            const Topology::InLine &in = t.in[i];
+            credit(2 * in.from, in.lead);
+            credit(2 * in.from + 1, satAdd(in.lead, t.stepExtra));
+        }
+        if (satAdd(first, t.multiHop) < best) {
+            const Tick other = rootWhen(0);
+            const Tick step = satAdd(rootWhen(1), t.stepExtra);
+            best = std::min(best, satAdd(std::min(other, step),
+                                         t.multiHop));
         }
         return best;
     }
@@ -336,7 +458,8 @@ class EventQueue
     uint64_t
     dispatched() const
     {
-        return dispatchedStatic_ + dispatchedTyped_ + dispatchedClosure_;
+        return dispatchedSteps_ + dispatchedStatic_ + dispatchedTyped_ +
+               dispatchedClosure_;
     }
     /** Largest live pending-event count ever observed. */
     size_t highWater() const { return highWater_; }
@@ -344,13 +467,16 @@ class EventQueue
     /** One coherent snapshot of the statistics above, for exporters
      *  that want the numbers as a value (tprof --json, time-series).
      *  The per-kind counts show how much traffic still takes the
-     *  allocating closure path. */
+     *  allocating closure path, and how often CPUs stopped to let the
+     *  queue catch up (static chanStep events, counted apart from the
+     *  other static events). */
     struct Stats
     {
         Tick now = 0;
         uint64_t dispatched = 0;
         size_t pending = 0;
         size_t highWater = 0;
+        uint64_t dispatchedSteps = 0;
         uint64_t dispatchedStatic = 0;
         uint64_t dispatchedTyped = 0;
         uint64_t dispatchedClosure = 0;
@@ -358,8 +484,13 @@ class EventQueue
     Stats
     stats() const
     {
-        return Stats{now_,        dispatched(),      pending(),
-                     highWater_,  dispatchedStatic_, dispatchedTyped_,
+        return Stats{now_,
+                     dispatched(),
+                     pending(),
+                     highWater_,
+                     dispatchedSteps_,
+                     dispatchedStatic_,
+                     dispatchedTyped_,
                      dispatchedClosure_};
     }
     ///@}
@@ -405,7 +536,7 @@ class EventQueue
         TRANSPUTER_ASSERT(when >= now_,
                           "event scheduled in the past");
         TRANSPUTER_ASSERT(ev.fn, "typed event without a handler");
-        pushHeap(HeapEntry{when, key, ++nextId_, ev});
+        pushEntry(HeapEntry{when, key, ++nextId_, ev});
         ++typedLive_;
         noteHighWater();
     }
@@ -422,7 +553,7 @@ class EventQueue
                           "event scheduled in the past");
         const EventId id = ++nextId_;
         live_.emplace(id, Live{std::move(fn), when, key});
-        pushHeap(HeapEntry{when, key, id, {}});
+        pushEntry(HeapEntry{when, key, id, {}});
         noteHighWater();
         return id;
     }
@@ -487,13 +618,14 @@ class EventQueue
     void
     clear()
     {
-        for (const HeapEntry &e : heap_)
+        forEachEntry([](const HeapEntry &e) {
             if (StaticEvent *s = staticOf(e)) {
                 s->armed_ = false;
                 s->deferred_ = false;
                 release(*s);
             }
-        heap_.clear();
+        });
+        resetLanes();
         live_.clear();
         staticLive_ = 0;
         typedLive_ = 0;
@@ -503,17 +635,12 @@ class EventQueue
     Tick
     nextTime()
     {
-        skipDead();
-        return heap_.empty() ? maxTick : heap_.front().when;
+        const uint32_t lane = frontLane();
+        return lane == kNil ? maxTick : head(lane).when;
     }
 
     /** True if no live events remain. */
-    bool
-    empty()
-    {
-        skipDead();
-        return heap_.empty();
-    }
+    bool empty() { return frontLane() == kNil; }
 
     /**
      * Dispatch the earliest pending event.
@@ -522,33 +649,10 @@ class EventQueue
     bool
     runOne()
     {
-        skipDead();
-        if (heap_.empty())
+        const uint32_t lane = frontLane();
+        if (lane == kNil)
             return false;
-        const HeapEntry e = heap_.front();
-        popHeap();
-        TRANSPUTER_ASSERT(e.when >= now_, "time went backwards");
-        now_ = e.when;
-        if (e.ev.fn) {
-            --typedLive_;
-            ++dispatchedTyped_;
-            e.ev.fn(e.ev.ctx, e.ev.arg);
-            return true;
-        }
-        if (StaticEvent *s = staticOf(e)) {
-            release(*s);
-            s->armed_ = false;
-            --staticLive_;
-            ++dispatchedStatic_;
-            s->fire_(s->ctx_);
-            return true;
-        }
-        auto it = live_.find(e.id);
-        TRANSPUTER_ASSERT(it != live_.end());
-        auto fn = std::move(it->second.fn);
-        live_.erase(it);
-        ++dispatchedClosure_;
-        fn();
+        dispatch(lane);
         return true;
     }
 
@@ -560,8 +664,10 @@ class EventQueue
     runUntil(Tick limit)
     {
         uint64_t n = 0;
-        while (nextTime() <= limit && runOne())
-            ++n;
+        for (uint32_t lane; (lane = frontLane()) != kNil &&
+                            head(lane).when <= limit;
+             ++n)
+            dispatch(lane);
         if (now_ < limit)
             now_ = limit;
         return n;
@@ -572,8 +678,9 @@ class EventQueue
     runToQuiescence(uint64_t max_events = UINT64_MAX)
     {
         uint64_t n = 0;
-        while (n < max_events && runOne())
-            ++n;
+        for (uint32_t lane; n < max_events && (lane = frontLane()) != kNil;
+             ++n)
+            dispatch(lane);
         return n;
     }
 
@@ -600,7 +707,7 @@ class EventQueue
     {
         std::vector<Pending> out;
         out.reserve(pending());
-        for (const HeapEntry &e : heap_) {
+        forEachEntry([this, &out](const HeapEntry &e) {
             if (e.ev.fn) {
                 out.push_back(Pending{e.when, e.key, e.id, nullptr, e.ev,
                                       {}});
@@ -610,7 +717,7 @@ class EventQueue
                     Pending{s->when_, s->key_, s->id_, s, {}, {}});
                 s->armed_ = false; // listed once; clear() releases it
             }
-        }
+        });
         for (auto &[id, ev] : live_)
             out.push_back(Pending{ev.when, ev.key, id, nullptr, {},
                                   std::move(ev.fn)});
@@ -635,10 +742,10 @@ class EventQueue
             return;
         }
         if (p.typed.fn) {
-            pushHeap(HeapEntry{p.when, p.key, p.id, p.typed});
+            pushEntry(HeapEntry{p.when, p.key, p.id, p.typed});
             ++typedLive_;
         } else {
-            pushHeap(HeapEntry{p.when, p.key, p.id, {}});
+            pushEntry(HeapEntry{p.when, p.key, p.id, {}});
             live_.emplace(p.id, Live{std::move(p.fn), p.when, p.key});
         }
         noteHighWater();
@@ -682,8 +789,6 @@ class EventQueue
             return id < o.id;
         }
     };
-    // nextTimeFor scans the whole heap on every CPU batch
-    static_assert(sizeof(HeapEntry) <= 64, "heap entry over 64 bytes");
 
     static StaticEvent *
     staticOf(const HeapEntry &e)
@@ -711,41 +816,200 @@ class EventQueue
             highWater_ = n;
     }
 
-    /** @name 4-ary min-heap over heap_ (front = earliest pending)
+    /** @name Lanes
      *
-     * A plain vector, so nextTimeFor can scan the pending set.  Four
-     * children per node halve the depth of a binary heap: a pop of a
-     * 100k-event heap (every node of a large network armed at once)
-     * touches half as many levels, and the four children of a node
-     * are adjacent in memory.
+     * Group g's step events go to lane 2g + 1, its other events to
+     * lane 2g; global actors (unmapped, actor 0) form the last group.
+     * A lane is a pairing heap of pool nodes: an insert is one
+     * comparison with the root, a node's handful of pending events
+     * keeps the pairing passes short, and a 100k-node network pays for
+     * its pending events rather than for a container per node.  Each
+     * non-empty lane sits in one of two 4-ary top-level heaps (step
+     * lanes apart, so the earliest step and the earliest other event
+     * are both at hand), keyed by its root's (tick, actor): two lanes
+     * in one top-level heap never share an actor, so that order is
+     * exact.
      */
     ///@{
+    static constexpr uint32_t kNil = UINT32_MAX;
     static constexpr size_t kArity = 4;
 
-    void
-    pushHeap(const HeapEntry &e)
+    /** A lane member; id == invalidEventId marks a free node. */
+    struct alignas(64) Node
     {
-        size_t i = heap_.size();
-        heap_.push_back(e);
-        while (i > 0) {
-            const size_t parent = (i - 1) / kArity;
-            if (!e.before(heap_[parent]))
-                break;
-            heap_[i] = heap_[parent];
-            i = parent;
+        HeapEntry e;
+        uint32_t child; ///< first child
+        uint32_t next;  ///< next sibling (free list: next free node)
+    };
+    static_assert(sizeof(Node) == 64, "lane node is one cache line");
+
+    struct Lane
+    {
+        uint32_t root = kNil;
+        uint32_t pos = kNil; ///< index in its top-level heap
+    };
+
+    struct TopEntry
+    {
+        Tick when;
+        uint32_t actor;
+        uint32_t lane;
+
+        bool
+        before(const TopEntry &o) const
+        {
+            if (when != o.when)
+                return when < o.when;
+            if (actor != o.actor)
+                return actor < o.actor;
+            return lane < o.lane;
         }
-        heap_[i] = e;
+    };
+
+    const HeapEntry &head(uint32_t lane) const
+    {
+        return pool_[lanes_[lane].root].e;
+    }
+
+    uint32_t
+    laneOf(const EventKey &key) const
+    {
+        const int32_t g = key.actor < nactors_ ? groupOf_[key.actor] : -1;
+        const uint32_t grp =
+            g < 0 ? globalGroup_ : static_cast<uint32_t>(g);
+        return 2 * grp + (key.channel == chanStep ? 1 : 0);
+    }
+
+    /** Visit every queued entry, live or dead. */
+    template <typename Fn>
+    void
+    forEachEntry(Fn &&fn) const
+    {
+        for (const Node &n : pool_)
+            if (n.e.id != invalidEventId)
+                fn(n.e);
     }
 
     void
-    popHeap()
+    pushEntry(const HeapEntry &e)
     {
-        const HeapEntry last = heap_.back();
-        heap_.pop_back();
-        const size_t n = heap_.size();
-        if (n == 0)
-            return;
-        size_t i = 0;
+        const uint32_t lane = laneOf(e.key);
+        uint32_t n;
+        if (free_ != kNil) {
+            n = free_;
+            free_ = pool_[n].next;
+            pool_[n] = Node{e, kNil, kNil};
+        } else {
+            n = static_cast<uint32_t>(pool_.size());
+            pool_.push_back(Node{e, kNil, kNil});
+        }
+        Lane &l = lanes_[lane];
+        if (l.root == kNil) {
+            l.root = n;
+            auto &top = top_[lane & 1];
+            top.emplace_back();
+            topSiftUp(lane & 1, top.size() - 1,
+                      TopEntry{e.when, e.key.actor, lane});
+        } else if (e.before(pool_[l.root].e)) {
+            pool_[n].child = l.root;
+            l.root = n;
+            topSiftUp(lane & 1, l.pos,
+                      TopEntry{e.when, e.key.actor, lane});
+        } else {
+            pool_[n].next = pool_[l.root].child;
+            pool_[l.root].child = n;
+        }
+    }
+
+    /** Remove a lane's root (the caller has copied it). */
+    void
+    popLane(uint32_t lane)
+    {
+        Lane &l = lanes_[lane];
+        const uint32_t r = l.root;
+        l.root = mergePairs(pool_[r].child);
+        pool_[r].e.id = invalidEventId;
+        pool_[r].next = free_;
+        free_ = r;
+        const int k = static_cast<int>(lane & 1);
+        if (l.root == kNil) {
+            topRemove(k, l.pos);
+            l.pos = kNil;
+        } else {
+            const HeapEntry &e = pool_[l.root].e;
+            topSiftDown(k, l.pos, TopEntry{e.when, e.key.actor, lane});
+        }
+    }
+
+    /** Link two roots: the later becomes the earlier's first child. */
+    uint32_t
+    meld(uint32_t a, uint32_t b)
+    {
+        if (pool_[b].e.before(pool_[a].e))
+            std::swap(a, b);
+        pool_[b].next = pool_[a].child;
+        pool_[a].child = b;
+        return a;
+    }
+
+    /** Two-pass pairing of a sibling list into one root. */
+    uint32_t
+    mergePairs(uint32_t first)
+    {
+        if (first == kNil || pool_[first].next == kNil)
+            return first;
+        uint32_t stack = kNil; // melded pairs, threaded through next
+        while (first != kNil) {
+            const uint32_t a = first, b = pool_[a].next;
+            if (b == kNil) {
+                pool_[a].next = stack;
+                stack = a;
+                break;
+            }
+            first = pool_[b].next;
+            pool_[a].next = pool_[b].next = kNil;
+            const uint32_t m = meld(a, b);
+            pool_[m].next = stack;
+            stack = m;
+        }
+        uint32_t root = stack;
+        stack = pool_[root].next;
+        pool_[root].next = kNil;
+        while (stack != kNil) {
+            const uint32_t s = stack;
+            stack = pool_[s].next;
+            pool_[s].next = kNil;
+            root = meld(root, s);
+        }
+        return root;
+    }
+
+    void
+    topPlace(int k, size_t i, const TopEntry &t)
+    {
+        top_[k][i] = t;
+        lanes_[t.lane].pos = static_cast<uint32_t>(i);
+    }
+
+    void
+    topSiftUp(int k, size_t i, const TopEntry &t)
+    {
+        auto &h = top_[k];
+        while (i > 0) {
+            const size_t parent = (i - 1) / kArity;
+            if (!t.before(h[parent]))
+                break;
+            topPlace(k, i, h[parent]);
+            i = parent;
+        }
+        topPlace(k, i, t);
+    }
+
+    void
+    topSiftDown(int k, size_t i, const TopEntry &t)
+    {
+        auto &h = top_[k];
+        const size_t n = h.size();
         while (true) {
             const size_t first = i * kArity + 1;
             if (first >= n)
@@ -753,62 +1017,162 @@ class EventQueue
             size_t best = first;
             const size_t end = std::min(first + kArity, n);
             for (size_t c = first + 1; c < end; ++c)
-                if (heap_[c].before(heap_[best]))
+                if (h[c].before(h[best]))
                     best = c;
-            if (!heap_[best].before(last))
+            if (!h[best].before(t))
                 break;
-            heap_[i] = heap_[best];
+            topPlace(k, i, h[best]);
             i = best;
         }
-        heap_[i] = last;
+        topPlace(k, i, t);
     }
 
-    /** Restore the heap property after arbitrary removals (a sorted
-     *  vector is a valid heap). */
     void
-    rebuildHeap()
+    topRemove(int k, size_t i)
     {
-        std::sort(heap_.begin(), heap_.end(),
-                  [](const HeapEntry &a, const HeapEntry &b) {
-                      return a.before(b);
-                  });
+        auto &h = top_[k];
+        const TopEntry last = h.back();
+        h.pop_back();
+        if (i == h.size())
+            return;
+        if (i > 0 && last.before(h[(i - 1) / kArity]))
+            topSiftUp(k, i, last);
+        else
+            topSiftDown(k, i, last);
+    }
+
+    /** Empty every lane (entries are dropped, not released). */
+    void
+    resetLanes()
+    {
+        for (auto &top : top_) {
+            for (const TopEntry &t : top)
+                lanes_[t.lane] = Lane{};
+            top.clear();
+        }
+        pool_.clear();
+        free_ = kNil;
+    }
+
+    /** True when a lane's root is the live arming it names; a
+     *  stand-in is not (dropHead re-queues what it carries). */
+    bool
+    headLive(uint32_t lane) const
+    {
+        const HeapEntry &e = head(lane);
+        if (e.ev.fn)
+            return true;
+        if (const StaticEvent *s = staticOf(e))
+            return s->armed_ && s->id_ == e.id;
+        return live_.count(e.id) != 0;
+    }
+
+    /** Drop a dead root, re-queueing the deferred arming a stand-in
+     *  carries (it lands in the same lane: same actor and channel). */
+    void
+    dropHead(uint32_t lane)
+    {
+        StaticEvent *s = staticOf(head(lane));
+        popLane(lane);
+        if (!s)
+            return;
+        release(*s);
+        if (s->deferred_) {
+            s->deferred_ = false;
+            pushStatic(*s);
+        }
+    }
+
+    /** Tick of a lane's earliest live event (maxTick: none). */
+    Tick
+    liveWhen(uint32_t lane)
+    {
+        while (lanes_[lane].root != kNil) {
+            if (headLive(lane))
+                return head(lane).when;
+            dropHead(lane);
+        }
+        return maxTick;
+    }
+
+    /** Tick of the earliest live event in top-level heap k. */
+    Tick
+    rootWhen(int k)
+    {
+        while (!top_[k].empty()) {
+            const TopEntry &t = top_[k][0];
+            if (headLive(t.lane))
+                return t.when;
+            dropHead(t.lane);
+        }
+        return maxTick;
+    }
+
+    /** The lane holding the next event to dispatch (kNil: none),
+     *  after dropping the dead entries ahead of it. */
+    uint32_t
+    frontLane()
+    {
+        while (true) {
+            uint32_t lane;
+            if (top_[0].empty()) {
+                if (top_[1].empty())
+                    return kNil;
+                lane = top_[1][0].lane;
+            } else if (top_[1].empty()) {
+                lane = top_[0][0].lane;
+            } else {
+                // same tick and actor: the step (channel 0) goes first
+                const TopEntry &o = top_[0][0], &s = top_[1][0];
+                lane = o.when != s.when    ? (o.when < s.when ? o.lane
+                                                              : s.lane)
+                       : o.actor != s.actor ? (o.actor < s.actor ? o.lane
+                                                                 : s.lane)
+                                            : s.lane;
+            }
+            if (headLive(lane))
+                return lane;
+            dropHead(lane);
+        }
+    }
+
+    /** Dispatch the root of a lane frontLane() returned. */
+    void
+    dispatch(uint32_t lane)
+    {
+        const HeapEntry e = head(lane);
+        popLane(lane);
+        TRANSPUTER_ASSERT(e.when >= now_, "time went backwards");
+        now_ = e.when;
+        if (e.ev.fn) {
+            --typedLive_;
+            ++dispatchedTyped_;
+            e.ev.fn(e.ev.ctx, e.ev.arg);
+            return;
+        }
+        if (StaticEvent *s = staticOf(e)) {
+            release(*s);
+            s->armed_ = false;
+            --staticLive_;
+            ++(e.key.channel == chanStep ? dispatchedSteps_
+                                         : dispatchedStatic_);
+            s->fire_(s->ctx_);
+            return;
+        }
+        auto it = live_.find(e.id);
+        TRANSPUTER_ASSERT(it != live_.end());
+        auto fn = std::move(it->second.fn);
+        live_.erase(it);
+        ++dispatchedClosure_;
+        fn();
     }
     ///@}
 
-    /** Group of an actor, -1 when unmapped (a global actor). */
-    int32_t
-    groupOf(uint32_t actor) const
-    {
-        return actor < groupOf_.size() ? groupOf_[actor] : -1;
-    }
-
-    /** Drop cancelled entries from the top of the heap, and re-queue
-     *  the deferred arming a stand-in at the top carries: afterwards
-     *  the top, if any, is the next event to dispatch. */
-    void
-    skipDead()
-    {
-        while (!heap_.empty()) {
-            const HeapEntry &top = heap_.front();
-            StaticEvent *s = staticOf(top);
-            if (s ? s->armed_ && s->id_ == top.id : alive(top))
-                return;
-            popHeap();
-            if (!s)
-                continue;
-            release(*s);
-            if (s->deferred_) {
-                s->deferred_ = false;
-                pushStatic(*s);
-            }
-        }
-    }
-
     /** @name StaticEvent bookkeeping
      *
-     * A static event's heap entries all live on its home queue; the
-     * entry count says when none are left, so neither side ever holds
-     * a pointer to the other after it is destroyed.
+     * A static event's entries all live on its home queue; the entry
+     * count says when none are left, so neither side ever holds a
+     * pointer to the other after it is destroyed.
      */
     ///@{
     void
@@ -818,8 +1182,8 @@ class EventQueue
         if (ev.home_ && ev.home_ != this)
             ev.home_->forget(ev);
         // strictly later than an entry still queued for the same actor
-        // and channel: that entry pops first, so it can stand in (and
-        // nextTimeFor credits it with the same lead)
+        // and channel: that entry -- in the same lane -- reaches the
+        // lane's head first, so it can stand in
         ev.deferred_ = ev.headValid_ && ev.headWhen_ < when &&
                        key.actor == ev.key_.actor &&
                        key.channel == ev.key_.channel;
@@ -841,12 +1205,12 @@ class EventQueue
         ++ev.entries_;
         ev.headWhen_ = ev.when_;
         ev.headValid_ = true;
-        pushHeap(HeapEntry{ev.when_, ev.key_, ev.id_,
-                           TypedEvent{nullptr, &ev, 0}});
+        pushEntry(HeapEntry{ev.when_, ev.key_, ev.id_,
+                            TypedEvent{nullptr, &ev, 0}});
     }
 
-    /** One heap entry naming ev has left the heap.  It may have been
-     *  the newest, so that one no longer stands in for a re-arming. */
+    /** One entry naming ev has left the queue.  It may have been the
+     *  newest, so that one no longer stands in for a re-arming. */
     static void
     release(StaticEvent &ev)
     {
@@ -855,8 +1219,8 @@ class EventQueue
             ev.home_ = nullptr;
     }
 
-    /** Remove every heap entry naming ev (it is being destroyed or
-     *  re-homed); O(heap), off every hot path. */
+    /** Remove every entry naming ev (it is being destroyed or
+     *  re-homed); O(pending), off every hot path. */
     void
     forget(StaticEvent &ev)
     {
@@ -864,10 +1228,14 @@ class EventQueue
             ev.armed_ = false;
             --staticLive_;
         }
-        std::erase_if(heap_, [&ev](const HeapEntry &e) {
-            return staticOf(e) == &ev;
+        std::vector<HeapEntry> keep;
+        forEachEntry([&](const HeapEntry &e) {
+            if (staticOf(e) != &ev)
+                keep.push_back(e);
         });
-        rebuildHeap();
+        resetLanes();
+        for (const HeapEntry &e : keep)
+            pushEntry(e);
         ev.entries_ = 0;
         ev.home_ = nullptr;
         ev.headValid_ = false;
@@ -881,20 +1249,26 @@ class EventQueue
 
     Tick now_ = 0;
     Tick horizon_ = maxTick;
+    uint64_t dispatchedSteps_ = 0;
     uint64_t dispatchedStatic_ = 0;
     uint64_t dispatchedTyped_ = 0;
     uint64_t dispatchedClosure_ = 0;
     size_t highWater_ = 0;
     EventId nextId_;
     uint64_t defaultSeq_ = 0;
-    std::vector<HeapEntry> heap_;
     std::unordered_map<EventId, Live> live_; ///< closure events
     size_t staticLive_ = 0;                  ///< armed static events
     size_t typedLive_ = 0;                   ///< pending typed events
-    std::vector<int32_t> groupOf_; ///< actor -> group (topology)
-    std::vector<Tick> dist_;       ///< group-to-group min link lead
-    Tick stepExtra_ = 0;           ///< extra lead for foreign steps
-    int ngroups_ = 0;              ///< 0: no topology registered
+
+    std::vector<Node> pool_; ///< lane nodes, free ones chained
+    uint32_t free_ = kNil;   ///< first free node
+    std::vector<Lane> lanes_;
+    std::vector<TopEntry> top_[2]; ///< [0]: other lanes, [1]: steps
+
+    std::shared_ptr<const Topology> topo_;
+    const int32_t *groupOf_ = nullptr; ///< topo_->groupOf, hot path
+    uint32_t nactors_ = 0;             ///< its size
+    uint32_t globalGroup_ = 0;         ///< group of unmapped actors
 };
 
 inline StaticEvent::~StaticEvent()

@@ -1,15 +1,17 @@
 /**
  * @file
- * Scale-regime coverage for the epoch-window parallel engine and the
- * compact node state: serial-vs-parallel bit-equality on a ~1k-node
- * torus (the flood/reduce workload, src/apps/flood.hh), the same
- * with link faults injected, and the per-node host-memory budget the
- * 100k runs depend on.
+ * Scale-regime coverage for the epoch-window parallel engine, the
+ * per-node lookahead and the compact node state: serial-vs-parallel
+ * bit-equality on a ~1k-node torus (the flood/reduce workload,
+ * src/apps/flood.hh), the same with link faults injected, how far a
+ * serial run of that size batches CPU instructions, and the per-node
+ * host-memory budget the 100k runs depend on.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "apps/flood.hh"
 #include "fault/fault.hh"
@@ -148,6 +150,63 @@ TEST(ScaleFlood, EpochWindowsMatchLegacyWithFewerRounds)
     // reduce the round count
     EXPECT_LE(se.rounds, sl.rounds);
     EXPECT_GT(epoch->answers().size(), 0u);
+}
+
+TEST(ScaleFlood, SerialLookaheadBatchesLargeNetworks)
+{
+    // 1024 nodes, serially: each node's CPU bounds its run-ahead by
+    // its own and its in-neighbours' events only, so nodes far apart
+    // no longer cut each other's instruction batches short
+    apps::FloodConfig cfg; // 32x32 grid, settled by the constructor
+    cfg.width = kW;
+    cfg.height = kH;
+    apps::Flood flood(cfg);
+    net::Network &net = flood.network();
+    const sim::EventQueue::Stats settled = net.queue().stats();
+    EXPECT_LE(settled.dispatchedSteps, 2 * net.size());
+
+    const Tick injected = net.queue().now();
+    const uint64_t bytes0 = net.counters().linkBytesOut;
+    flood.inject(1);
+    flood.runUntilAnswers(1, kLimit);
+    ASSERT_EQ(flood.answers().size(), 1u);
+    EXPECT_EQ(flood.answers()[0].count, flood.expectedCount());
+    // how far CPUs batch ahead is invisible to the guest: the answer
+    // lands as long after the inject as it always has
+    EXPECT_EQ(flood.answers()[0].when - injected, 924'900);
+    const uint64_t steps =
+        net.queue().stats().dispatchedSteps - settled.dispatchedSteps;
+    const uint64_t bytes = net.counters().linkBytesOut - bytes0;
+    EXPECT_EQ(bytes, 8188u);
+    EXPECT_LE(steps * 5, bytes * 6) << steps << " steps"; // <= 1.2/byte
+}
+
+TEST(ScaleFlood, SerialClocksOfSmallNetworksStayPut)
+{
+    // A run to quiescence ends at the last event it dispatched, and
+    // CPU batching decides when that is (ROADMAP, Correctness), so a
+    // change of lookahead could move these clocks.  Up to 256 nodes,
+    // where the serial queue already had lookahead, they are pinned:
+    // the settle clock, and the absolute time the first wave answers.
+    struct Case
+    {
+        int w, h;
+        Tick answer;
+    };
+    for (const Case &c : {Case{4, 4, 100'250}, Case{16, 8, 357'450},
+                          Case{16, 16, 454'250}}) {
+        SCOPED_TRACE(std::to_string(c.w) + "x" + std::to_string(c.h));
+        apps::FloodConfig cfg;
+        cfg.width = c.w;
+        cfg.height = c.h;
+        apps::Flood flood(cfg);
+        EXPECT_EQ(flood.network().queue().now(), 1'350);
+        flood.inject(1);
+        flood.runUntilAnswers(1, kLimit);
+        ASSERT_EQ(flood.answers().size(), 1u);
+        EXPECT_EQ(flood.answers()[0].count, flood.expectedCount());
+        EXPECT_EQ(flood.answers()[0].when, c.answer);
+    }
 }
 
 TEST(ScaleFlood, CompactNodeStateStaysSmall)

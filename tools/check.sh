@@ -104,12 +104,14 @@ mkdir -p "$snap_dir"
 ./build/tools/tsnap restore "$snap_dir/db-fault.tsnap" \
     --run-for 3000000 --verify | tail -1
 
-# scale-out smoke: a 10k-node flood under the epoch-window parallel
-# engine must reduce to exactly width*height (the example exits
-# nonzero otherwise), and the quick scale bench -- weak scaling minus
-# the 100k point, bytes/node, the A/B ratio gate -- must pass and
-# emit JSON that a strict parser accepts
+# scale-out smoke: a 10k-node flood, serially (the per-node lookahead
+# of a large serial queue) and under the epoch-window parallel engine,
+# must reduce to exactly width*height (the example exits nonzero
+# otherwise), and the quick scale bench -- weak scaling minus the 100k
+# point, bytes/node, the A/B ratio gate -- must pass and emit JSON
+# that a strict parser accepts
 echo "== scale-out: 10k-node flood + bench_scale --quick =="
+./build/examples/flood 100 100 1 1
 ./build/examples/flood 100 100 4 1
 scale_dir=build/scale-smoke
 mkdir -p "$scale_dir"
