@@ -338,6 +338,7 @@ DbSearch::runUntilAnswers(size_t n, Tick limit)
         if (!q.runOne())
             break;
     }
+    net_->settleLinks();
 }
 
 } // namespace transputer::apps

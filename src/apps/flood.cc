@@ -152,6 +152,7 @@ Flood::runUntilAnswers(size_t n, Tick limit)
         if (!q.runOne())
             break;
     }
+    net_->settleLinks();
 }
 
 } // namespace transputer::apps

@@ -141,6 +141,7 @@ RoutedQuery::runUntilAnswers(size_t n, Tick limit)
         if (!q.runOne())
             break;
     }
+    net_->settleLinks();
 }
 
 size_t

@@ -108,6 +108,7 @@ void
 Transputer::boot(Word iptr, Word wptr, int pri)
 {
     TRANSPUTER_ASSERT(wptr_ == notProcess(), "already booted");
+    queue_->touch(actorId_);
     time_ = std::max(time_, queue_->now());
     iptr_ = iptr;
     wptr_ = shape_.wordAlign(wptr);
@@ -188,6 +189,7 @@ Transputer::stall(Tick until)
 {
     if (state_ == CpuState::Halted)
         return;
+    queue_->touch(actorId_);
     trc(obs::Ev::FaultStall, wdesc(), static_cast<uint64_t>(until));
     stallUntil_ = std::max(stallUntil_, until);
     // when running, the local clock at a keyed event's dispatch is
@@ -203,6 +205,7 @@ Transputer::kill()
 {
     if (state_ == CpuState::Halted)
         return;
+    queue_->touch(actorId_);
     trc(obs::Ev::FaultKill, wdesc());
     killed_ = true;
     state_ = CpuState::Halted;
@@ -425,6 +428,8 @@ Transputer::wakeIfIdle()
 {
     if (state_ != CpuState::Idle)
         return;
+    // a link burst may hold this node's link state back (link/bursts.hh)
+    queue_->touch(actorId_);
     time_ = std::max({time_, queue_->now(), stallUntil_});
     // both ends of the idle span are architectural times (idleSince_
     // is the local clock at the idle transition; the wake lands at the

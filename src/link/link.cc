@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "link/bursts.hh"
+
 namespace transputer::link
 {
 
@@ -73,9 +75,22 @@ Line::scheduleDelivery(const InFlight &rec)
 void
 Line::deliver(Tick when, uint8_t kind, uint8_t byte)
 {
-    const InFlight rec{kind, byte, when, ++seq_};
+    lastWhen_ = when;
+    post(InFlight{kind, byte, when, ++seq_});
+}
+
+void
+Line::post(const InFlight &rec)
+{
     inFlight_.push_back(rec);
     scheduleDelivery(rec);
+}
+
+void
+Line::settle() const
+{
+    if (remote_)
+        queue_->touch(remote_->actor());
 }
 
 // ----- checkpoint/restore (src/snap) ---------------------------------
@@ -120,8 +135,11 @@ Line::importSnap(const LineSnap &s)
     dead_ = s.dead;
     deadSquelched_ = s.deadSquelched;
     inFlight_ = s.inFlight;
-    for (const InFlight &rec : inFlight_)
+    lastWhen_ = 0;
+    for (const InFlight &rec : inFlight_) {
+        lastWhen_ = std::max(lastWhen_, rec.when);
         scheduleDelivery(rec);
+    }
 }
 
 void
@@ -215,9 +233,12 @@ LinkEngine::LinkEngine(core::Transputer &cpu, int link_index,
 }
 
 void
-LinkEngine::connect(LinkEngine &a, LinkEngine &b)
+LinkEngine::connect(LinkEngine &a, LinkEngine &b, Bursts *bursts)
 {
     LinkEndpoint::join(a, b);
+    a.peer_ = &b;
+    b.peer_ = &a;
+    a.bursts_ = b.bursts_ = bursts;
     a.cpu_.attachOutputPort(a.linkIndex_, &a);
     a.cpu_.attachInputPort(a.linkIndex_, &a);
     b.cpu_.attachOutputPort(b.linkIndex_, &b);
@@ -450,6 +471,10 @@ LinkEngine::sendNextByte(Tick not_before)
     awaitingAck_ = true;
     cpu_.traceLink(obs::Ev::LinkByte, byte, flowOut(),
                    static_cast<uint32_t>(linkIndex_));
+    // a clean message between two idle nodes carries its remaining
+    // bytes as one burst (link/bursts.hh), timed exactly as below
+    if (bursts_ && bursts_->open(*this, not_before))
+        return;
     tx_.transmitData(not_before, byte);
 #ifdef TRANSPUTER_FAULT
     armOutWatchdog(not_before);
@@ -585,6 +610,7 @@ LinkEngine::inWatchdogFired()
 LinkEngine::EngineSnap
 LinkEngine::exportSnap() const
 {
+    queue_->touch(actor_);
     EngineSnap s;
     s.outActive = outActive_;
     s.awaitingAck = awaitingAck_;

@@ -64,6 +64,7 @@ struct WireConfig
 };
 
 class LinkEndpoint;
+class Bursts;
 
 /**
  * What the fault layer does to one packet about to be transmitted
@@ -129,7 +130,12 @@ class Line
      * a one-way latch -- a killed chip stays killed.
      */
     ///@{
-    void setDead() { dead_ = true; }
+    void
+    setDead()
+    {
+        settle();
+        dead_ = true;
+    }
     bool lineDead() const { return dead_; }
     /** Packets squelched because the line was dead. */
     uint64_t deadSquelched() const { return deadSquelched_; }
@@ -147,9 +153,24 @@ class Line
     ///@}
 
     /** Total ticks the line has spent transmitting. */
-    Tick busyTime() const { return busyTime_; }
-    uint64_t dataPackets() const { return dataPackets_; }
-    uint64_t ackPackets() const { return ackPackets_; }
+    Tick
+    busyTime() const
+    {
+        settle();
+        return busyTime_;
+    }
+    uint64_t
+    dataPackets() const
+    {
+        settle();
+        return dataPackets_;
+    }
+    uint64_t
+    ackPackets() const
+    {
+        settle();
+        return ackPackets_;
+    }
 
     /** @name Parallel-simulation plumbing (src/par, net::Network) */
     ///@{
@@ -176,7 +197,12 @@ class Line
     /** Sink for remote deliveries (a cross-shard inbox); null:
      *  schedule them on this line's queue. */
     using Router = sim::TypedSink;
-    void setRouter(Router *r) { route_ = r; }
+    void
+    setRouter(Router *r)
+    {
+        settle();
+        route_ = r;
+    }
     ///@}
 
     /** One packet on the wire, as in the paper's Figure 1. */
@@ -193,7 +219,12 @@ class Line
 
     /** @name Fault injection (src/fault; compile-gated, null = off) */
     ///@{
-    void setFaultTap(LineFaultTap *tap) { fault_ = tap; }
+    void
+    setFaultTap(LineFaultTap *tap)
+    {
+        settle();
+        fault_ = tap;
+    }
     LineFaultTap *faultTap() const { return fault_; }
     uint64_t dataDropped() const { return dataDropped_; }
     uint64_t acksDropped() const { return acksDropped_; }
@@ -262,15 +293,23 @@ class Line
     ///@}
 
   private:
+    friend class Bursts;
+
     Tick claim(Tick not_before, Tick duration);
     void deliver(Tick when, uint8_t kind, uint8_t byte);
+    /** Queue a delivery whose seq is already counted in seq_. */
+    void post(const InFlight &rec);
     void scheduleDelivery(const InFlight &rec);
+    /** Settle any link burst holding this line back (link::Bursts):
+     *  the receiving end's group covers both lines of its link. */
+    void settle() const;
 
     sim::EventQueue *queue_;
     const WireConfig cfg_;
     LinkEndpoint *remote_ = nullptr;
     uint32_t lineId_ = 0;
     uint64_t seq_ = 0; ///< FIFO sequence of this line's deliveries
+    Tick lastWhen_ = 0; ///< tick of the delivery numbered seq_
     Router *route_ = nullptr;
     Tick busyUntil_ = 0;
     Tick busyTime_ = 0;
@@ -403,8 +442,18 @@ class LinkEngine : public LinkEndpoint, public core::ChannelPort
     LinkEngine(core::Transputer &cpu, int link_index,
                const WireConfig &cfg, AckMode ack_mode = AckMode::Overlap);
 
-    /** Connect this engine to the other end and register with the CPU. */
-    static void connect(LinkEngine &a, LinkEngine &b);
+    /**
+     * Connect this engine to the other end and register with the CPU.
+     * With a burst table (net::Network passes its own), clean messages
+     * between the two engines may travel as bursts (link::Bursts).
+     */
+    static void connect(LinkEngine &a, LinkEngine &b,
+                        Bursts *bursts = nullptr);
+
+    /** The burst table of the queue the engine lives on (src/par
+     *  swaps in a shard's own); null for an engine that never bursts. */
+    Bursts *bursts() const { return bursts_; }
+    void setBursts(Bursts *b) { bursts_ = b; }
 
     /** @name ChannelPort (CPU side) */
     ///@{
@@ -433,8 +482,18 @@ class LinkEngine : public LinkEndpoint, public core::ChannelPort
     void onHostKilled() override;
     ///@}
 
-    uint64_t bytesSent() const { return bytesSent_; }
-    uint64_t bytesReceived() const { return bytesReceived_; }
+    uint64_t
+    bytesSent() const
+    {
+        queue_->touch(actor_);
+        return bytesSent_;
+    }
+    uint64_t
+    bytesReceived() const
+    {
+        queue_->touch(actor_);
+        return bytesReceived_;
+    }
     int linkIndex() const { return linkIndex_; }
     core::Transputer &cpu() { return cpu_; }
 
@@ -517,6 +576,8 @@ class LinkEngine : public LinkEndpoint, public core::ChannelPort
     ///@}
 
   private:
+    friend class Bursts;
+
     void sendNextByte(Tick not_before);
     bool receiverCanAccept() const;
     void sendAck(Tick not_before);
@@ -553,6 +614,8 @@ class LinkEngine : public LinkEndpoint, public core::ChannelPort
     core::Transputer &cpu_;
     const int linkIndex_;
     const AckMode ackMode_;
+    LinkEngine *peer_ = nullptr; ///< the engine at the other end, if any
+    Bursts *bursts_ = nullptr;   ///< see connect()
 
     // output state machine
     bool outActive_ = false;

@@ -46,6 +46,9 @@ std::string
 Network::dumpMetrics() const
 {
     const sim::EventQueue::Stats q = queue_.stats();
+    uint64_t link_bytes = 0;
+    for (const auto &e : engines_)
+        link_bytes += e->bytesSent();
     std::ostringstream os;
     os << "{\n  \"simulated_ns\": " << q.now << ",\n"
        << "  \"nodes\": " << nodes_.size() << ",\n"
@@ -56,6 +59,11 @@ Network::dumpMetrics() const
        << ", \"dispatched_closure\": " << q.dispatchedClosure
        << ", \"pending\": " << q.pending
        << ", \"high_water\": " << q.highWater << "},\n"
+       << "  \"links\": {\"bytes\": " << link_bytes
+       << ", \"burst_bytes\": " << bursts_.bytes()
+       << ", \"bursts\": " << bursts_.opened()
+       << ", \"bursts_settled_early\": " << bursts_.settledEarly()
+       << "},\n"
        << "  \"total\": " << obs::countersJson(counters()) << ",\n"
        << "  \"per_node\": {\n";
     for (size_t i = 0; i < nodes_.size(); ++i) {
@@ -111,9 +119,12 @@ void
 Network::refreshTopology()
 {
     topologyDirty_ = false;
+    // the burst lists are per node: none may be open across the change
+    settleLinks();
     const int n = static_cast<int>(nodes_.size());
     if (n == 0) {
         queue_.setTopology(nullptr);
+        bursts_.reset();
         return;
     }
     uint32_t max_actor = 0;
@@ -150,6 +161,7 @@ Network::refreshTopology()
     queue_.setTopology(sim::Topology::build(
         std::move(group), static_cast<uint32_t>(n), std::move(wires),
         step_extra));
+    bursts_.reset();
 }
 
 std::vector<int>

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/transputer.hh"
+#include "link/bursts.hh"
 #include "link/link.hh"
 #include "sim/event_queue.hh"
 #include "tasm/assembler.hh"
@@ -130,7 +131,7 @@ class Network
                                                      ack);
         ea->setActor(node(a).actor());
         eb->setActor(node(b).actor());
-        link::LinkEngine::connect(*ea, *eb);
+        link::LinkEngine::connect(*ea, *eb, &bursts_);
         registerLine(ea->tx(), a, b);
         registerLine(eb->tx(), b, a);
         endpoints_.push_back(EndpointRec{ea.get(), a});
@@ -199,7 +200,9 @@ class Network
     }
 
     /**
-     * Run the simulation.
+     * Run the simulation.  On return no link burst is open: host
+     * reads of node memory, snapshots and re-partitioning see the
+     * per-byte state (link/bursts.hh).
      * @param limit stop at this tick (default: run to quiescence).
      * @return the simulated time reached.
      */
@@ -218,10 +221,24 @@ class Network
             queue_.runUntil(limit);
             queue_.setHorizon(maxTick);
         }
+        settleLinks();
         if (postRun_)
             postRun_(*this);
         return queue_.now();
     }
+
+    /**
+     * Settle every open link burst at the queue's current point, so
+     * node memory and engine state read as the per-byte path leaves
+     * them.  run() does this before it returns; callers that drive
+     * queue() directly call it before reading node memory.
+     */
+    void settleLinks() { bursts_.settleAll(); }
+
+    /** The link bursts of the master queue; a parallel run gives each
+     *  shard queue its own (src/par). */
+    link::Bursts &bursts() { return bursts_; }
+    const link::Bursts &bursts() const { return bursts_; }
 
     /**
      * Run the simulation on opts.threads shards (conservative
@@ -443,6 +460,7 @@ class Network
     }
 
     sim::EventQueue queue_;
+    link::Bursts bursts_{queue_};
     std::vector<std::unique_ptr<core::Transputer>> nodes_;
     std::vector<std::unique_ptr<link::LinkEngine>> engines_;
     /** Indices into engines_ of each node's attached engines. */

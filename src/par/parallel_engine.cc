@@ -41,11 +41,21 @@
  * Determinism in both modes follows from the (tick, actor, channel,
  * seq) dispatch order, which is the same total order the serial
  * queue uses.
+ *
+ * Failure.  A guest error raised while a shard dispatches (SimFatal,
+ * SimPanic, ...) is caught on its worker thread.  The shard stops
+ * dispatching, every shard leaves the loop after the next barrier A
+ * (all of them read the flag only there, so all agree on the round),
+ * the shards merge back as on a normal return, and runParallel
+ * rethrows on the caller's thread -- the lowest-numbered shard's
+ * exception if several failed.
  */
 
 #include "par/parallel_engine.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -73,6 +83,9 @@ struct Coord
     Tick lookahead = maxTick; ///< legacy window width (maxTick: uncut)
     bool epoch = true;        ///< per-shard-pair epoch windows
     int nshards = 1;
+    /** Some shard caught an exception: all stop at the next barrier. */
+    std::atomic<bool> failed{false};
+    std::vector<std::exception_ptr> errors; ///< per shard
     /** All-pairs shortest cut-link lead, row-major [from][to]; the
      *  diagonal holds the shortest cycle through the shard (maxTick
      *  where no cut path exists). */
@@ -92,6 +105,8 @@ workerLoop(Shard &self, int sidx,
     std::vector<Tick> next(static_cast<size_t>(c.nshards), maxTick);
     while (true) {
         c.barrier.arriveAndWait(); // A: all deliveries posted
+        if (c.failed.load(std::memory_order_acquire))
+            return;
         self.inbox.drainTo(self.queue);
         self.localNext.store(self.queue.nextTime(),
                              std::memory_order_release);
@@ -132,9 +147,14 @@ workerLoop(Shard &self, int sidx,
         // matches the serial run's horizon)
         self.queue.setHorizon(std::min(window_end, c.limit));
         const uint64_t before = self.events;
-        while (self.queue.nextTime() < window_end) {
-            self.queue.runOne();
-            ++self.events;
+        try {
+            while (self.queue.nextTime() < window_end) {
+                self.queue.runOne();
+                ++self.events;
+            }
+        } catch (...) {
+            c.errors[static_cast<size_t>(sidx)] = std::current_exception();
+            c.failed.store(true, std::memory_order_release);
         }
         if (self.events == before)
             ++self.stalls;
@@ -184,6 +204,8 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
             net.node(i).setTimeseriesEnabled(*opts.timeseries);
     if (n == 0)
         return net.run(limit);
+    // every burst is re-homed with its nodes from the per-byte state
+    net.settleLinks();
 
     const std::vector<int> shard_of = computePartition(n, opts);
     const int nshards =
@@ -217,6 +239,7 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
     for (int s = 0; s < nshards; ++s) {
         shards.push_back(std::make_unique<Shard>());
         shards.back()->queue.setTopology(topo);
+        shards.back()->bursts.reset();
         shards.back()->queue.setNow(master.now());
     }
     for (size_t i = 0; i < n; ++i)
@@ -237,6 +260,11 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
         net.node(i).setQueue(shards[shard_of[i]]->queue);
     for (const auto &er : net.endpoints())
         er.ep->setHomeQueue(shards[shard_of[er.homeNode]]->queue);
+    // an engine pair inside a shard bursts on that shard's queue
+    net.forEachEngine([&](link::LinkEngine &e) {
+        if (e.bursts())
+            e.setBursts(&shards[shard_of_actor.at(e.actor())]->bursts);
+    });
     for (auto &p : master.extractPending()) {
         const auto it = shard_of_actor.find(p.key.actor);
         const int s = it == shard_of_actor.end() ? 0 : it->second;
@@ -284,6 +312,7 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
     coord.epoch = opts.epochWindows;
     coord.nshards = nshards;
     coord.dist = std::move(dist);
+    coord.errors.resize(ns);
 
     uint64_t rounds = 0, barriers = 0;
     std::vector<std::thread> workers;
@@ -298,21 +327,34 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
     // merge back: any undelivered (post-limit) deliveries first, then
     // every shard's remaining events, then the clock; finally restore
     // the serial wiring
+    const bool failed = coord.failed.load();
     Tick reached = master.now();
     for (auto &sh : shards) {
         sh->inbox.drainTo(sh->queue);
+        // the clock reaches the limit, as the serial run(limit)'s
+        // does, and open bursts close at the end of its tick
+        if (limit != maxTick && !failed)
+            sh->queue.setNow(std::max(sh->queue.now(), limit));
+        sh->bursts.settleAll();
         reached = std::max(reached, sh->queue.now());
         for (auto &p : sh->queue.extractPending())
             master.insertPending(std::move(p));
     }
-    if (limit != maxTick)
-        reached = std::max(master.now(), limit);
+    // a failed run stops where its shards did, before any event still
+    // pending on one of them
+    if (failed)
+        reached = std::max(master.now(),
+                           std::min(reached, master.nextTime()));
     master.setNow(reached);
 
     for (size_t i = 0; i < n; ++i)
         net.node(i).setQueue(master);
     for (const auto &er : net.endpoints())
         er.ep->setHomeQueue(master);
+    net.forEachEngine([&](link::LinkEngine &e) {
+        if (e.bursts())
+            e.setBursts(&net.bursts());
+    });
     for (const auto &lr : net.lines())
         lr.line->setRouter(nullptr);
 
@@ -325,8 +367,12 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
         for (const auto &sh : shards)
             stats->shards.push_back(ShardStats{
                 static_cast<int>(sh->nodes.size()), sh->events,
-                sh->inbox.pushes(), sh->stalls, sh->epochs});
+                sh->inbox.pushes(), sh->stalls, sh->epochs,
+                sh->bursts.opened()});
     }
+    for (const std::exception_ptr &e : coord.errors)
+        if (e)
+            std::rethrow_exception(e);
     return master.now();
 }
 

@@ -40,6 +40,7 @@ struct ShardStats
     uint64_t inboxPushes = 0; ///< cross-shard events posted to it
     uint64_t stalls = 0;      ///< rounds where it dispatched nothing
     uint64_t epochs = 0;      ///< rounds where it dispatched events
+    uint64_t bursts = 0;      ///< link bursts opened on its queue
 };
 
 struct RunStats

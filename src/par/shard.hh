@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "base/types.hh"
+#include "link/bursts.hh"
 #include "sim/event_queue.hh"
 
 namespace transputer::par
@@ -68,6 +69,9 @@ class Inbox final : public sim::TypedSink
 struct Shard
 {
     sim::EventQueue queue;
+    /** The bursts of the shard's internal links (a cut line's two
+     *  engines live on different queues and never burst). */
+    link::Bursts bursts{queue};
     Inbox inbox;
     /** This shard's next event time, published at the round barrier. */
     std::atomic<Tick> localNext{maxTick};

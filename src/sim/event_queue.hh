@@ -299,7 +299,8 @@ class EventQueue
 {
   public:
     EventQueue()
-        : nextId_(s_idEpoch.fetch_add(1) << idEpochShift), lanes_(2)
+        : nextId_(s_idEpoch.fetch_add(1) << idEpochShift), lanes_(2),
+          watch_(1, 0)
     {
     }
     EventQueue(const EventQueue &) = delete;
@@ -368,6 +369,7 @@ class EventQueue
         globalGroup_ = topo_ ? topo_->groups() : 0;
         lanes_.assign(2 * (static_cast<size_t>(globalGroup_) + 1),
                       Lane{});
+        watch_.assign(static_cast<size_t>(globalGroup_) + 1, 0);
         for (const HeapEntry &e : all)
             pushEntry(e);
     }
@@ -442,6 +444,81 @@ class EventQueue
                                          t.multiHop));
         }
         return best;
+    }
+    ///@}
+
+    /** @name Settle hook (link bursts, src/link)
+     *
+     * A representation that batches several actors' events into fewer
+     * queue entries (link::Bursts) registers one settle function and
+     * marks the groups whose state it is holding back.  Before any
+     * event acting on a marked group dispatches, and whenever touch()
+     * names an actor of a marked group, the function runs with the
+     * point -- (tick, key) -- at which that group is about to be acted
+     * upon, so it can apply everything ordered before it.  An event of
+     * a global actor may act on any group: it settles every group.
+     */
+    ///@{
+    using SettleFn = void (*)(void *ctx, uint32_t group, Tick when,
+                              const EventKey &key);
+
+    void
+    setSettle(SettleFn fn, void *ctx)
+    {
+        settleFn_ = fn;
+        settleCtx_ = ctx;
+    }
+
+    /** The group of an actor; groups() for a global actor. */
+    uint32_t
+    groupOf(uint32_t actor) const
+    {
+        const int32_t g = actor < nactors_ ? groupOf_[actor] : -1;
+        return g < 0 ? globalGroup_ : static_cast<uint32_t>(g);
+    }
+
+    /** Number of groups of the registered topology (0: none). */
+    uint32_t groups() const { return globalGroup_; }
+
+    /** Mark (delta 1) or unmark (-1) a group as held back. */
+    void
+    watch(uint32_t group, int delta)
+    {
+        watch_[group] += static_cast<uint32_t>(delta);
+        watch_[globalGroup_] += static_cast<uint32_t>(delta);
+    }
+
+    /** Settle the actor's group, if held back, at the current point:
+     *  the event being dispatched, or the end of tick now() between
+     *  dispatches. */
+    void
+    touch(uint32_t actor)
+    {
+        const uint32_t g = groupOf(actor);
+        if (watch_[g])
+            settleFn_(settleCtx_, g, now_, curKey_);
+    }
+
+    /** Key of the event being dispatched; endOfTick between
+     *  dispatches. */
+    const EventKey &currentKey() const { return curKey_; }
+
+    /** Orders after every key: the point that closes a tick. */
+    static constexpr EventKey endOfTick{UINT32_MAX, UINT32_MAX,
+                                        UINT64_MAX};
+
+    /** (a_when, a) before (b_when, b) in the dispatch order. */
+    static bool
+    keyBefore(Tick a_when, const EventKey &a, Tick b_when,
+              const EventKey &b)
+    {
+        if (a_when != b_when)
+            return a_when < b_when;
+        if (a.actor != b.actor)
+            return a.actor < b.actor;
+        if (a.channel != b.channel)
+            return a.channel < b.channel;
+        return a.seq < b.seq;
     }
     ///@}
 
@@ -874,10 +951,7 @@ class EventQueue
     uint32_t
     laneOf(const EventKey &key) const
     {
-        const int32_t g = key.actor < nactors_ ? groupOf_[key.actor] : -1;
-        const uint32_t grp =
-            g < 0 ? globalGroup_ : static_cast<uint32_t>(g);
-        return 2 * grp + (key.channel == chanStep ? 1 : 0);
+        return 2 * groupOf(key.actor) + (key.channel == chanStep ? 1 : 0);
     }
 
     /** Visit every queued entry, live or dead. */
@@ -1136,7 +1210,8 @@ class EventQueue
         }
     }
 
-    /** Dispatch the root of a lane frontLane() returned. */
+    /** Dispatch the root of a lane frontLane() returned, settling its
+     *  group first if it is held back (see setSettle). */
     void
     dispatch(uint32_t lane)
     {
@@ -1144,6 +1219,22 @@ class EventQueue
         popLane(lane);
         TRANSPUTER_ASSERT(e.when >= now_, "time went backwards");
         now_ = e.when;
+        if (watch_[lane >> 1]) [[unlikely]]
+            settleFn_(settleCtx_, lane >> 1, e.when, e.key);
+        curKey_ = e.key;
+        // between dispatches, also after a handler has thrown
+        struct Done
+        {
+            EventKey &key;
+            ~Done() { key = endOfTick; }
+        } done{curKey_};
+        fire(e);
+    }
+
+    /** Run a popped entry's payload. */
+    void
+    fire(const HeapEntry &e)
+    {
         if (e.ev.fn) {
             --typedLive_;
             ++dispatchedTyped_;
@@ -1264,6 +1355,13 @@ class EventQueue
     uint32_t free_ = kNil;   ///< first free node
     std::vector<Lane> lanes_;
     std::vector<TopEntry> top_[2]; ///< [0]: other lanes, [1]: steps
+
+    /** Per group (the global one last): held-back count; the global
+     *  entry counts every group's. */
+    std::vector<uint32_t> watch_;
+    SettleFn settleFn_ = nullptr;
+    void *settleCtx_ = nullptr;
+    EventKey curKey_ = endOfTick; ///< key of the event being dispatched
 
     std::shared_ptr<const Topology> topo_;
     const int32_t *groupOf_ = nullptr; ///< topo_->groupOf, hot path

@@ -418,6 +418,8 @@ peripheralConns(const std::vector<ConnTopo> &conns)
 Snapshot
 captureShell(net::Network &net, const SaveOptions &opts)
 {
+    // the format records per-byte link state only
+    net.settleLinks();
     auto &q = net.queue();
     Snapshot s;
     s.now = q.now();
@@ -644,6 +646,7 @@ restore(net::Network &net, const Snapshot &s, const RestoreOptions &opts)
     // to the captured instant; every component below re-schedules its
     // own pending events under their original keys.
     auto &q = net.queue();
+    net.settleLinks();
     q.clear();
     q.resetTime(s.now);
 

@@ -678,3 +678,50 @@ TEST(ParEquivalence, DbSearch128Nodes)
     EXPECT_GT(stats.totalEvents(), 0u);
     EXPECT_EQ(stats.lookahead, 200); // default wire, 2 bit times
 }
+
+TEST(ParFailure, GuestErrorOnAShardFailsAsTheSerialRunDoes)
+{
+    // a guest undefined operation on a node of shard 1: the parallel
+    // run must fail with the serial run's exception, on the caller's
+    // thread, and leave a network that can still be destroyed
+    const auto build = [](Network &net) {
+        buildPipeline(net, 4);
+        for (int i = 0; i < 4; ++i) {
+            auto &t = net.node(i);
+            const std::string bad =
+                i == 3 ? "  .byte #2F, #FF\n" : ""; // opr #FF
+            const auto img = tasm::assemble(
+                "start:\n ldc 200\n stl 1\n"
+                "spin:\n ldl 1\n adc -1\n stl 1\n ldl 1\n cj done\n"
+                " j spin\n"
+                "done:\n" + bad + " stopp\n",
+                t.memory().memStart(), t.shape());
+            net.bootImage(i, img);
+        }
+    };
+    std::string serial_what;
+    {
+        Network net;
+        build(net);
+        try {
+            net.run();
+        } catch (const SimFatal &e) {
+            serial_what = e.what();
+        }
+    }
+    ASSERT_FALSE(serial_what.empty()) << "the serial run did not fail";
+    Network net;
+    build(net);
+    RunOptions opts;
+    opts.threads = 2;
+    ASSERT_EQ(par::computePartition(4, opts)[3], 1);
+    std::string parallel_what;
+    try {
+        net.run(maxTick, opts);
+    } catch (const SimFatal &e) {
+        parallel_what = e.what();
+    }
+    EXPECT_EQ(parallel_what, serial_what);
+    // every node is back on the master queue
+    EXPECT_EQ(&net.node(3).queue(), &net.queue());
+}

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "apps/dbsearch.hh"
+#include "apps/flood.hh"
 #include "fault/fault.hh"
 #include "par/parallel_engine.hh"
 #include "par/snap_par.hh"
@@ -138,6 +139,58 @@ TEST(SnapRoundTrip, E7ContinuationMatchesUninterrupted)
     // same count on the restored queue as the baseline's delta would
     // not hold unless the event sequences were identical
     EXPECT_GT(b->queue().dispatched(), dispatched0);
+}
+
+TEST(SnapRoundTrip, FloodCapturedInsideAWaveMatchesUninterrupted)
+{
+    // a clean serial 8x8 flood moves its messages as link bursts;
+    // every run(limit) must leave none open, so a capture after it,
+    // restored and continued, matches a run that made the same
+    // run(limit) calls without capturing -- scheduler seqs included
+    apps::FloodConfig cfg;
+    cfg.width = 8;
+    cfg.height = 8;
+    apps::Flood plain(cfg), captured(cfg);
+    const Tick t0 = plain.network().queue().now();
+    std::vector<Tick> cuts;
+    for (int k = 1; k <= 10; ++k)
+        cuts.push_back(t0 + k * 15'000 + 3'357);
+    const Tick end = t0 + 1'000'000;
+    plain.inject(5);
+    captured.inject(5);
+    std::vector<snap::Snapshot> snaps;
+    snap::SaveOptions so;
+    so.peripherals = {&captured.host()};
+    for (const Tick t : cuts) {
+        plain.network().run(t);
+        captured.network().run(t);
+        snaps.push_back(snap::capture(captured.network(), so));
+    }
+    plain.network().run(end);
+    captured.network().run(end);
+    ASSERT_EQ(plain.answers().size(), 1u);
+    EXPECT_EQ(plain.answers()[0].count, plain.expectedCount());
+    EXPECT_GT(plain.network().bursts().opened(), 0u);
+    snap::SaveOptions po;
+    po.peripherals = {&plain.host()};
+    const snap::Snapshot want = snap::capture(plain.network(), po);
+    expectIdentical(want, snap::capture(captured.network(), so));
+    snap::DiffOptions opts;
+    opts.ignoreCacheStats = true; // a restored node re-decodes
+    for (size_t i = 0; i < snaps.size(); ++i) {
+        SCOPED_TRACE("capture " + std::to_string(i));
+        apps::Flood resumed(cfg);
+        snap::RestoreOptions ro;
+        ro.peripherals = {&resumed.host()};
+        snap::restore(resumed.network(), snaps[i], ro);
+        for (size_t j = i + 1; j < cuts.size(); ++j)
+            resumed.network().run(cuts[j]);
+        resumed.network().run(end);
+        snap::SaveOptions ro_save;
+        ro_save.peripherals = {&resumed.host()};
+        expectIdentical(want, snap::capture(resumed.network(), ro_save),
+                        opts);
+    }
 }
 
 TEST(SnapRoundTrip, WireFormatRoundTrips)

@@ -19,6 +19,7 @@
 # does test_cpu_misc, whose wild-jump case once crashed the host, and
 # test_differential, which runs random guest code through both
 # instruction-handler state policies and all three execution tiers.
+# test_link also runs under tsan: its burst cases run two shards.
 #
 # Usage: tools/check.sh [--no-tsan] [--no-asan]
 set -eu
@@ -84,9 +85,10 @@ for f in BENCH_*.json; do
 done
 
 # checkpoint/restore smoke: snapshot round-trips through tsnap for
-# the serial engine, the parallel engine (capture at a window barrier)
-# and a fault-injected run; --verify replays the whole history
-# uninterrupted and fails on any architectural divergence
+# the serial engine (e7, and dbsearch with link bursts), the parallel
+# engine (capture at a window barrier) and a fault-injected run;
+# --verify replays the whole history uninterrupted and fails on any
+# architectural divergence
 echo "== tsnap: snapshot round-trips (serial, parallel, faulty) =="
 snap_dir=build/snap-smoke
 mkdir -p "$snap_dir"
@@ -94,6 +96,12 @@ mkdir -p "$snap_dir"
     --run-for 5000000 --out "$snap_dir/e7.tsnap" > /dev/null
 ./build/tools/tsnap restore "$snap_dir/e7.tsnap" \
     --run-for 5000000 --verify | tail -1
+# the clean serial dbsearch is the one whose links carry bursts, and
+# its serial --verify compares scheduler seqs as well
+./build/tools/tsnap save --scenario dbsearch --queries 4 \
+    --run-for 2000000 --out "$snap_dir/db.tsnap" > /dev/null
+./build/tools/tsnap restore "$snap_dir/db.tsnap" \
+    --run-for 3000000 --verify | tail -1
 ./build/tools/tsnap save --scenario dbsearch --queries 4 --threads 4 \
     --run-for 2000000 --out "$snap_dir/db-par.tsnap" > /dev/null
 ./build/tools/tsnap restore "$snap_dir/db-par.tsnap" \
@@ -136,7 +144,8 @@ echo "BENCH_route.json validates"
 if want --no-tsan; then
     run_preset tsan --target test_par --target test_obs \
         --target test_profile --target test_fault --target test_snap \
-        --target test_blockc --target test_scale --target test_route
+        --target test_blockc --target test_scale --target test_route \
+        --target test_link
 fi
 
 if want --no-asan; then
