@@ -2,13 +2,17 @@
  * @file
  * Host-side microbenchmarks of the emulator itself (google-benchmark):
  * emulated instructions per second, event-queue operation rate (one
- * number per event kind: closure, static, typed), and link byte
+ * number per event kind: closure, static, typed), the cost of a CPU's
+ * lookahead bound (computed, and served again), and link byte
  * throughput.  These bound how large a network the
  * co-simulation can handle; the paper-facing results live in the
  * bench_e* harnesses.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <deque>
+#include <vector>
 
 #include "core/transputer.hh"
 #include "link/link.hh"
@@ -76,6 +80,56 @@ BM_EventQueueTyped(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueTyped);
+
+/**
+ * EventQueue::nextTimeFor on a 16x8 grid whose every node has a CPU
+ * step pending, as on the paper's 128-transputer search board: the
+ * bound a CPU reads before each batch (fresh: each query names another
+ * node, so none is served from the memo) and after each non-fast
+ * instruction that left the queue untouched (reused).
+ */
+void
+BM_NextTimeFor(benchmark::State &state, bool reused)
+{
+    constexpr uint32_t kCols = 16, kRows = 8, kNodes = kCols * kRows;
+    constexpr Tick kLead = 200;       // a wire's minimum delivery lead
+    constexpr Tick kStepExtra = 1000; // commSuspend: 20 cycles of 50 ns
+    std::vector<int32_t> group_of(kNodes + 1, -1); // actor 0: global
+    std::vector<sim::Topology::Line> lines;
+    for (uint32_t g = 0; g < kNodes; ++g) {
+        group_of[g + 1] = static_cast<int32_t>(g);
+        const uint32_t x = g % kCols, y = g / kCols;
+        if (x + 1 < kCols) {
+            lines.push_back({g, g + 1, kLead});
+            lines.push_back({g + 1, g, kLead});
+        }
+        if (y + 1 < kRows) {
+            lines.push_back({g, g + kCols, kLead});
+            lines.push_back({g + kCols, g, kLead});
+        }
+    }
+    sim::EventQueue q;
+    q.setTopology(sim::Topology::build(group_of, kNodes, lines,
+                                       kStepExtra));
+    std::deque<sim::StaticEvent> steps;
+    for (uint32_t g = 0; g < kNodes; ++g) {
+        steps.emplace_back([](void *) {}, nullptr);
+        q.scheduleStatic(static_cast<Tick>(g * 37 % 1200),
+                         sim::EventKey{g + 1, sim::chanStep, 1},
+                         steps.back());
+    }
+    uint32_t actor = 1;
+    Tick sum = 0;
+    for (auto _ : state) {
+        sum += q.nextTimeFor(actor);
+        if (!reused)
+            actor = actor % kNodes + 1;
+    }
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_NextTimeFor, fresh, false);
+BENCHMARK_CAPTURE(BM_NextTimeFor, reused, true);
 
 void
 BM_EmulatedArithmetic(benchmark::State &state)

@@ -115,7 +115,9 @@ BlockCache::compile(const PredecodeCache &icache, const WordShape &s,
     if (n < kMinSteps)
         return nullptr; // negatively cached via the saturated heat slot
 
-    Superblock &sb = blocks_[blockIndex(entry)];
+    if (!blocks_)
+        blocks_ = std::make_unique<std::array<Superblock, kBlocks>>();
+    Superblock &sb = (*blocks_)[blockIndex(entry)];
     sb.valid = false;
     sb.entry = entry;
     sb.nsteps = static_cast<uint16_t>(n);
@@ -728,6 +730,12 @@ Transputer::wantsBlockEntry(Word iptr)
         sb = bc.compile(icache_, shape_, cfg_.externalWaits, iptr);
     }
     return sb != nullptr;
+}
+
+bool
+Transputer::hasBlockTable() const
+{
+    return bcache_ && bcache_->hasTable();
 }
 
 bool

@@ -46,6 +46,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "base/types.hh"
@@ -161,7 +162,11 @@ struct Superblock
  * Per-transputer superblock cache: a direct-mapped block table plus a
  * heat table that promotes entry points once they have been reached
  * often enough.  Compilation failures are negatively cached so cold
- * or uncompilable addresses are not re-walked on every visit.
+ * or uncompilable addresses are not re-walked on every visit.  The
+ * block table (40 KiB) is allocated by the first compile, so a
+ * node whose code never earns a block -- the promotion gate declines
+ * short-run workloads -- carries only the heat table, and finding a
+ * block there costs one test.
  */
 class BlockCache
 {
@@ -177,9 +182,15 @@ class BlockCache
     Superblock *
     find(Word iptr)
     {
-        Superblock &sb = blocks_[blockIndex(iptr)];
+        if (!blocks_)
+            return nullptr;
+        Superblock &sb = (*blocks_)[blockIndex(iptr)];
         return (sb.valid && sb.entry == iptr) ? &sb : nullptr;
     }
+
+    /** The block table exists (something has been compiled since the
+     *  cache was made or last dropped everything). */
+    bool hasTable() const { return blocks_ != nullptr; }
 
     /**
      * Count a visit to a potential entry point.  @return true when
@@ -234,14 +245,12 @@ class BlockCache
             heatCount_[i] = 0;
     }
 
-    /** Drop every compiled block and all heat (snapshot restore). */
+    /** Drop every compiled block, with the table, and all heat
+     *  (snapshot restore). */
     void
     invalidateAll()
     {
-        for (Superblock &sb : blocks_) {
-            sb.valid = false;
-            sb.primed = false;
-        }
+        blocks_.reset();
         heatTag_.fill(~Word{0});
         heatCount_.fill(0);
     }
@@ -249,13 +258,17 @@ class BlockCache
     obs::BlockStats &stats() { return stats_; }
     const obs::BlockStats &stats() const { return stats_; }
 
-    /** Host bytes of the cache itself plus every compiled block's
-     *  step and cumulative-count arrays (scale accounting). */
+    /** Host bytes of the cache itself plus, once it exists, the block
+     *  table and every compiled block's step and cumulative-count
+     *  arrays (scale accounting). */
     size_t
     footprintBytes() const
     {
         size_t n = sizeof(*this);
-        for (const Superblock &sb : blocks_) {
+        if (!blocks_)
+            return n;
+        n += sizeof(*blocks_);
+        for (const Superblock &sb : *blocks_) {
             n += sb.steps.capacity() * sizeof(Step);
             n += sb.cum.capacity() * sizeof(Superblock::CumRow);
         }
@@ -279,7 +292,7 @@ class BlockCache
                (kHeatSlots - 1);
     }
 
-    std::array<Superblock, kBlocks> blocks_{};
+    std::unique_ptr<std::array<Superblock, kBlocks>> blocks_;
     std::array<Word, kHeatSlots> heatTag_{};
     std::array<uint16_t, kHeatSlots> heatCount_{};
     obs::BlockStats stats_;

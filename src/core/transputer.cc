@@ -376,7 +376,8 @@ Transputer::stepHandler()
         // (EventQueue::nextTimeFor) -- or the queue's horizon, beyond
         // which events from other shards may still arrive; equality
         // still executes (other agents' step events at the same tick
-        // would livelock us)
+        // would livelock us).  The queue answers from its memo while
+        // the instructions since the last read left it untouched.
         const Tick bound =
             std::min(queue_->nextTimeFor(actorId_), queue_->horizon());
         if (time_ > bound)

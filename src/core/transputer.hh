@@ -452,6 +452,9 @@ class Transputer
      */
     void setBlockCompileEnabled(bool on) { blockCompileEnabled_ = on; }
     bool blockCompileEnabled() const { return blockCompileEnabled_; }
+    /** The tier has a superblock table: its first compile made one
+     *  (a restore drops it again).  Defined in blockc.cc. */
+    bool hasBlockTable() const;
     ///@}
 
     /** @name Checkpoint/restore (src/snap) */

@@ -58,7 +58,9 @@ Network::dumpMetrics() const
        << ", \"dispatched_typed\": " << q.dispatchedTyped
        << ", \"dispatched_closure\": " << q.dispatchedClosure
        << ", \"pending\": " << q.pending
-       << ", \"high_water\": " << q.highWater << "},\n"
+       << ", \"high_water\": " << q.highWater
+       << ", \"bounds_computed\": " << q.boundsComputed
+       << ", \"bounds_reused\": " << q.boundsReused << "},\n"
        << "  \"links\": {\"bytes\": " << link_bytes
        << ", \"burst_bytes\": " << bursts_.bytes()
        << ", \"bursts\": " << bursts_.opened()

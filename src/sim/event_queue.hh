@@ -372,6 +372,7 @@ class EventQueue
         watch_.assign(static_cast<size_t>(globalGroup_) + 1, 0);
         for (const HeapEntry &e : all)
             pushEntry(e);
+        liveSetChanged();
     }
 
     const std::shared_ptr<const Topology> &topology() const
@@ -405,45 +406,27 @@ class EventQueue
      * counting dead entries would make batch boundaries (and the
      * step-event seq counters) depend on lazily cancelled garbage a
      * restored run does not have.
+     *
+     * Being a function of the live set and the topology, the answer is
+     * kept for the last actor asked and served again until one of the
+     * two changes: every operation that adds or removes a live event
+     * (schedule, arm, cancel, dispatch, migration, clear) and
+     * setTopology drop it; dropping dead heads does not.  A CPU
+     * re-reads its bound after every non-fast instruction, and most of
+     * those leave the queue untouched.
      */
     Tick
     nextTimeFor(uint32_t actor)
     {
-        const int32_t g = actor < nactors_ ? groupOf_[actor] : -1;
-        const uint32_t front = frontLane();
-        if (front == kNil)
-            return maxTick;
-        // no bound is earlier than the next event, which is the bound
-        // itself when it acts on this group or on every group
-        const Tick first = head(front).when;
-        const uint32_t own = 2 * static_cast<uint32_t>(g);
-        const uint32_t global = 2 * globalGroup_;
-        if (g < 0 || front >> 1 == own >> 1 || front >> 1 == globalGroup_)
-            return first;
-        const Topology &t = *topo_;
-        Tick best = std::min(std::min(liveWhen(own), liveWhen(own + 1)),
-                             std::min(liveWhen(global),
-                                      liveWhen(global + 1)));
-        // a lane can only lower the bound if even its head, dead or
-        // not, would: the rest are skipped without a liveness check
-        const auto credit = [&](uint32_t lane, Tick lead) {
-            if (lanes_[lane].root != kNil &&
-                satAdd(head(lane).when, lead) < best)
-                best = std::min(best, satAdd(liveWhen(lane), lead));
-        };
-        for (uint32_t i = t.inBegin[g];
-             i < t.inBegin[g + 1] && best > first; ++i) {
-            const Topology::InLine &in = t.in[i];
-            credit(2 * in.from, in.lead);
-            credit(2 * in.from + 1, satAdd(in.lead, t.stepExtra));
+        if (boundValid_ && boundActor_ == actor) {
+            ++boundsReused_;
+            return bound_;
         }
-        if (satAdd(first, t.multiHop) < best) {
-            const Tick other = rootWhen(0);
-            const Tick step = satAdd(rootWhen(1), t.stepExtra);
-            best = std::min(best, satAdd(std::min(other, step),
-                                         t.multiHop));
-        }
-        return best;
+        ++boundsComputed_;
+        bound_ = computeNextTimeFor(actor);
+        boundActor_ = actor;
+        boundValid_ = true;
+        return bound_;
     }
     ///@}
 
@@ -557,6 +540,10 @@ class EventQueue
         uint64_t dispatchedStatic = 0;
         uint64_t dispatchedTyped = 0;
         uint64_t dispatchedClosure = 0;
+        /** nextTimeFor answers computed, and served again unchanged
+         *  (the live set had not changed since the last question). */
+        uint64_t boundsComputed = 0;
+        uint64_t boundsReused = 0;
     };
     Stats
     stats() const
@@ -568,7 +555,9 @@ class EventQueue
                      dispatchedSteps_,
                      dispatchedStatic_,
                      dispatchedTyped_,
-                     dispatchedClosure_};
+                     dispatchedClosure_,
+                     boundsComputed_,
+                     boundsReused_};
     }
     ///@}
 
@@ -602,6 +591,7 @@ class EventQueue
         ev.armed_ = false;
         ev.deferred_ = false;
         --staticLive_;
+        liveSetChanged();
         return true;
     }
 
@@ -616,6 +606,7 @@ class EventQueue
         pushEntry(HeapEntry{when, key, ++nextId_, ev});
         ++typedLive_;
         noteHighWater();
+        liveSetChanged();
     }
 
     /**
@@ -632,6 +623,7 @@ class EventQueue
         live_.emplace(id, Live{std::move(fn), when, key});
         pushEntry(HeapEntry{when, key, id, {}});
         noteHighWater();
+        liveSetChanged();
         return id;
     }
 
@@ -660,7 +652,10 @@ class EventQueue
     bool
     cancel(EventId id)
     {
-        return live_.erase(id) != 0;
+        if (live_.erase(id) == 0)
+            return false;
+        liveSetChanged();
+        return true;
     }
 
     /** True while the closure event id is pending on this queue. */
@@ -706,6 +701,7 @@ class EventQueue
         live_.clear();
         staticLive_ = 0;
         typedLive_ = 0;
+        liveSetChanged();
     }
 
     /** Time of the earliest pending event, or maxTick if none. */
@@ -826,6 +822,7 @@ class EventQueue
             live_.emplace(p.id, Live{std::move(p.fn), p.when, p.key});
         }
         noteHighWater();
+        liveSetChanged();
     }
 
   private:
@@ -885,6 +882,10 @@ class EventQueue
         return live_.count(e.id) != 0;
     }
 
+    /** The live event set (or the topology) changed: the next
+     *  nextTimeFor recomputes. */
+    void liveSetChanged() { boundValid_ = false; }
+
     void
     noteHighWater()
     {
@@ -932,15 +933,18 @@ class EventQueue
         uint32_t actor;
         uint32_t lane;
 
-        bool
-        before(const TopEntry &o) const
+        /** (when, actor, lane) as one unsigned number (ticks are never
+         *  negative), so a comparison has no data-dependent branch. */
+        unsigned __int128
+        rank() const
         {
-            if (when != o.when)
-                return when < o.when;
-            if (actor != o.actor)
-                return actor < o.actor;
-            return lane < o.lane;
+            return static_cast<unsigned __int128>(
+                       static_cast<uint64_t>(when))
+                       << 64 |
+                   (static_cast<uint64_t>(actor) << 32 | lane);
         }
+
+        bool before(const TopEntry &o) const { return rank() < o.rank(); }
     };
 
     const HeapEntry &head(uint32_t lane) const
@@ -1088,12 +1092,18 @@ class EventQueue
             const size_t first = i * kArity + 1;
             if (first >= n)
                 break;
+            // the least child, picked by selects rather than branches:
+            // which child wins is a coin toss the predictor would lose
             size_t best = first;
+            unsigned __int128 least = h[first].rank();
             const size_t end = std::min(first + kArity, n);
-            for (size_t c = first + 1; c < end; ++c)
-                if (h[c].before(h[best]))
-                    best = c;
-            if (!h[best].before(t))
+            for (size_t c = first + 1; c < end; ++c) {
+                const unsigned __int128 r = h[c].rank();
+                const bool less = r < least;
+                best = less ? c : best;
+                least = less ? r : least;
+            }
+            if (least >= t.rank())
                 break;
             topPlace(k, i, h[best]);
             i = best;
@@ -1182,6 +1192,47 @@ class EventQueue
         return maxTick;
     }
 
+    /** nextTimeFor without the memo. */
+    Tick
+    computeNextTimeFor(uint32_t actor)
+    {
+        const int32_t g = actor < nactors_ ? groupOf_[actor] : -1;
+        const uint32_t front = frontLane();
+        if (front == kNil)
+            return maxTick;
+        // no bound is earlier than the next event, which is the bound
+        // itself when it acts on this group or on every group
+        const Tick first = head(front).when;
+        const uint32_t own = 2 * static_cast<uint32_t>(g);
+        const uint32_t global = 2 * globalGroup_;
+        if (g < 0 || front >> 1 == own >> 1 || front >> 1 == globalGroup_)
+            return first;
+        const Topology &t = *topo_;
+        Tick best = std::min(std::min(liveWhen(own), liveWhen(own + 1)),
+                             std::min(liveWhen(global),
+                                      liveWhen(global + 1)));
+        // a lane can only lower the bound if even its head, dead or
+        // not, would: the rest are skipped without a liveness check
+        const auto credit = [&](uint32_t lane, Tick lead) {
+            if (lanes_[lane].root != kNil &&
+                satAdd(head(lane).when, lead) < best)
+                best = std::min(best, satAdd(liveWhen(lane), lead));
+        };
+        for (uint32_t i = t.inBegin[g];
+             i < t.inBegin[g + 1] && best > first; ++i) {
+            const Topology::InLine &in = t.in[i];
+            credit(2 * in.from, in.lead);
+            credit(2 * in.from + 1, satAdd(in.lead, t.stepExtra));
+        }
+        if (satAdd(first, t.multiHop) < best) {
+            const Tick other = rootWhen(0);
+            const Tick step = satAdd(rootWhen(1), t.stepExtra);
+            best = std::min(best, satAdd(std::min(other, step),
+                                         t.multiHop));
+        }
+        return best;
+    }
+
     /** The lane holding the next event to dispatch (kNil: none),
      *  after dropping the dead entries ahead of it. */
     uint32_t
@@ -1217,6 +1268,7 @@ class EventQueue
     {
         const HeapEntry e = head(lane);
         popLane(lane);
+        liveSetChanged();
         TRANSPUTER_ASSERT(e.when >= now_, "time went backwards");
         now_ = e.when;
         if (watch_[lane >> 1]) [[unlikely]]
@@ -1286,6 +1338,7 @@ class EventQueue
         if (!ev.deferred_)
             pushStatic(ev);
         noteHighWater();
+        liveSetChanged();
     }
 
     /** Queue ev's current arming under its exact (tick, key, id). */
@@ -1331,6 +1384,7 @@ class EventQueue
         ev.home_ = nullptr;
         ev.headValid_ = false;
         ev.deferred_ = false;
+        liveSetChanged();
     }
     ///@}
 
@@ -1350,6 +1404,14 @@ class EventQueue
     std::unordered_map<EventId, Live> live_; ///< closure events
     size_t staticLive_ = 0;                  ///< armed static events
     size_t typedLive_ = 0;                   ///< pending typed events
+
+    /** The last nextTimeFor answer, valid until the live set or the
+     *  topology changes (liveSetChanged). */
+    Tick bound_ = 0;
+    uint32_t boundActor_ = 0;
+    bool boundValid_ = false;
+    uint64_t boundsComputed_ = 0;
+    uint64_t boundsReused_ = 0;
 
     std::vector<Node> pool_; ///< lane nodes, free ones chained
     uint32_t free_ = kNil;   ///< first free node

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/blockc.hh"
 #include "harness.hh"
 #include "isa/superop.hh"
 #include "obs/counters.hh"
@@ -282,6 +283,33 @@ TEST(BlockTier, HotLoopCompilesAndRetiresChains)
     EXPECT_GT(bc.meanRunLength(), 4.0);
 }
 
+TEST(BlockTier, TableAppearsAtTheFirstCompile)
+{
+    core::Config cfg;
+    cfg.maxBatch = 64; // several dispatches before the compile
+    SingleCpu t(cfg);
+    t.loadAsm(hotLoopSource(300));
+    t.wptr0 = t.bootWptr();
+    t.cpu.boot(t.img.symbol("start"), t.wptr0);
+    uint64_t compiles = 0;
+    size_t before = 0;
+    while (compiles == 0) {
+        EXPECT_FALSE(t.cpu.hasBlockTable());
+        before = t.cpu.footprintBytes();
+        ASSERT_TRUE(t.queue.runOne());
+        compiles = t.cpu.counters().blockc.compiles;
+    }
+    EXPECT_EQ(compiles, 1u);
+    EXPECT_TRUE(t.cpu.hasBlockTable());
+    // the footprint counts the table from the compile on
+    EXPECT_GE(t.cpu.footprintBytes() - before,
+              sizeof(core::blockc::Superblock) *
+                  core::blockc::BlockCache::kBlocks);
+    t.queue.runUntil(500'000'000);
+    EXPECT_EQ(t.local(30), 0u);
+    EXPECT_EQ(t.local(6), 10u);
+}
+
 TEST(BlockTier, TierOnOffBitIdenticalOnChip)
 {
     core::Config on_cfg, off_cfg;
@@ -498,7 +526,9 @@ TEST(BlockSnap, RestoreInvalidatesCompiledBlocks)
     // restoring boot-time state rewinds memory to the unpatched
     // bytes; a superblock surviving the restore would run ldc 7 on
     // the first phase (sum 2800)
+    EXPECT_TRUE(a.net->node(0).hasBlockTable());
     snap::restore(*a.net, s0);
+    EXPECT_FALSE(a.net->node(0).hasBlockTable());
     a.net->run(500'000'000);
     EXPECT_EQ(a.result(), 2400u);
 
@@ -605,6 +635,19 @@ expectSameDbSearch(apps::DbSearch &a, apps::DbSearch &b,
     EXPECT_GT(a.host().bytes().size(), 0u);
 }
 
+/** dbsearch never earns a block: nothing compiles, so no node has
+ *  allocated a superblock table. */
+void
+expectNoBlockTable(apps::DbSearch &db, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    net::Network &n = db.network();
+    EXPECT_EQ(n.counters().blockc.compiles, 0u);
+    for (size_t i = 0; i < n.size(); ++i)
+        EXPECT_FALSE(n.node(static_cast<int>(i)).hasBlockTable())
+            << "node " << i;
+}
+
 } // namespace
 
 TEST(BlockTierWorkloads, DbSearchTierOnOffBitIdentical)
@@ -619,6 +662,8 @@ TEST(BlockTierWorkloads, DbSearchTierOnOffBitIdentical)
     // profile (see BENCH_blockc.json)
     EXPECT_EQ(on->network().counters().blockc.enters, 0u);
     EXPECT_EQ(off->network().counters().blockc.enters, 0u);
+    expectNoBlockTable(*on, "tier on");
+    expectNoBlockTable(*off, "tier off");
 }
 
 TEST(BlockTierWorkloads, DbSearchTierShardedBitIdentical)
@@ -626,6 +671,8 @@ TEST(BlockTierWorkloads, DbSearchTierShardedBitIdentical)
     auto serial = runDbSearch(true, 1);
     auto sharded = runDbSearch(true, 3);
     expectSameDbSearch(*serial, *sharded, "3x3 dbsearch x3 shards");
+    expectNoBlockTable(*serial, "serial");
+    expectNoBlockTable(*sharded, "x3 shards");
 }
 
 #ifdef TRANSPUTER_FAULT

@@ -370,7 +370,8 @@ TEST(ObsExport, DumpMetricsCarriesCountersAndQueueStats)
     const std::string json = r.net.dumpMetrics();
     for (const char *key :
          {"\"simulated_ns\"", "\"queue\"", "\"dispatched\"",
-          "\"high_water\"", "\"total\"", "\"per_node\"",
+          "\"high_water\"", "\"bounds_computed\"",
+          "\"bounds_reused\"", "\"total\"", "\"per_node\"",
           "\"instructions\"", "\"icache_hit_rate\"",
           "\"link_bytes_out\"", "\"fn\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;

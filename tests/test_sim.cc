@@ -7,6 +7,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -500,7 +501,8 @@ struct Ledger
     };
     std::vector<Rec> typed, closures;
     std::deque<Probe> probes;
-    std::deque<StaticEvent> statics;
+    /** Emptied when the driver destroys an event, re-made on use. */
+    std::deque<std::optional<StaticEvent>> statics;
 
     std::vector<Rec>
     live() const
@@ -510,10 +512,65 @@ struct Ledger
             for (const Rec &r : *v)
                 if (!r.gone)
                     out.push_back(r);
-        for (const StaticEvent &s : statics)
-            if (s.pending())
-                out.push_back(Rec{s.scheduledAt(), s.scheduledKey()});
+        for (const std::optional<StaticEvent> &s : statics)
+            if (s && s->pending())
+                out.push_back(Rec{s->scheduledAt(), s->scheduledKey()});
         return out;
+    }
+
+    /** Static event i, made afresh if it was destroyed. */
+    StaticEvent &
+    staticAt(size_t i)
+    {
+        if (!statics[i])
+            statics[i].emplace(&Probe::fire, &probes[i]);
+        return *statics[i];
+    }
+};
+
+void
+markTyped(void *ctx, uint64_t i)
+{
+    static_cast<Ledger *>(ctx)->typed[i].gone = true;
+}
+
+/** nextTimeFor(actor) of a fresh queue holding one event at each of
+ *  recs' (tick, key)s: the bound is a function of those alone. */
+Tick
+freshBound(const std::shared_ptr<const Topology> &topo,
+           const std::vector<Ledger::Rec> &recs, uint32_t actor)
+{
+    EventQueue q;
+    q.setTopology(topo);
+    for (const Ledger::Rec &r : recs)
+        q.scheduleTyped(r.when, r.key,
+                        TypedEvent{[](void *, uint64_t) {}, nullptr, 0});
+    return q.nextTimeFor(actor);
+}
+
+/** The settle hook of the driver below: it posts one typed event for
+ *  an actor of the settled group, as a link burst posts the per-byte
+ *  deliveries it held back. */
+struct SettlePoster
+{
+    EventQueue *q = nullptr;
+    Ledger *led = nullptr;
+    std::vector<uint64_t> *seq = nullptr;
+    std::vector<uint32_t> actorOfGroup; ///< an actor of each group
+
+    static void
+    post(void *ctx, uint32_t group, Tick when, const EventKey &)
+    {
+        auto *p = static_cast<SettlePoster *>(ctx);
+        const uint32_t actor = group < p->actorOfGroup.size()
+                                   ? p->actorOfGroup[group]
+                                   : 0;
+        const EventKey key{actor, sim::chanLine + 2, ++(*p->seq)[actor]};
+        const Tick at = when + 1 + static_cast<Tick>(group % 7) * 40;
+        p->led->typed.push_back({at, key});
+        p->q->scheduleTyped(at, key,
+                            TypedEvent{markTyped, p->led,
+                                       p->led->typed.size() - 1});
     }
 };
 
@@ -568,16 +625,31 @@ TEST(EventQueueLookahead, NeverLaterThanTheAllPairsBoundNorMovedByMigration)
             return best;
         };
 
-        auto q = std::make_unique<EventQueue>();
+        // the same wiring without the step credit, to swap in
+        const auto flat = Topology::build(group_of, w.n, w.lines, 0);
+        std::shared_ptr<const Topology> cur = topo;
+
+        std::vector<uint64_t> seq(unmapped + 1, 0);
+        SettlePoster poster;
+        poster.led = &led;
+        poster.seq = &seq;
+        for (uint32_t g = 0; g < w.n; ++g)
+            poster.actorOfGroup.push_back(g + 1);
+        std::unique_ptr<EventQueue> q;
+        const auto adopt = [&](std::unique_ptr<EventQueue> next) {
+            next->setSettle(&SettlePoster::post, &poster);
+            poster.q = next.get();
+            q = std::move(next);
+        };
+        adopt(std::make_unique<EventQueue>());
         q->setTopology(topo);
         // two static events per mapped actor, moved between the step
         // and timer channels
         for (uint32_t a = 1; a <= peripheral; ++a)
             for (int k = 0; k < 2; ++k) {
                 led.probes.emplace_back();
-                led.statics.emplace_back(&Probe::fire, &led.probes.back());
+                led.statics.emplace_back();
             }
-        std::vector<uint64_t> seq(unmapped + 1, 0);
         const auto randomKey = [&] {
             const uint32_t actor =
                 static_cast<uint32_t>(rng() % (unmapped + 1));
@@ -585,9 +657,6 @@ TEST(EventQueueLookahead, NeverLaterThanTheAllPairsBoundNorMovedByMigration)
                 sim::chanStep, sim::chanTimer, sim::chanSelf,
                 sim::chanLine + 1};
             return EventKey{actor, channels[rng() % 4], ++seq[actor]};
-        };
-        const auto markTyped = [](void *ctx, uint64_t i) {
-            static_cast<Ledger *>(ctx)->typed[i].gone = true;
         };
 
         for (int round = 0; round < 8; ++round) {
@@ -600,7 +669,18 @@ TEST(EventQueueLookahead, NeverLaterThanTheAllPairsBoundNorMovedByMigration)
                 const Tick when =
                     q->now() +
                     static_cast<Tick>(rng() % static_cast<uint64_t>(spread));
-                switch (rng() % 6) {
+                // the memo: one actor's bound, asked before and after a
+                // single operation, must be what a fresh queue holding
+                // the live set answers
+                const uint32_t focus =
+                    static_cast<uint32_t>(rng() % (unmapped + 1));
+                const Tick before = q->nextTimeFor(focus);
+                const uint64_t reused = q->stats().boundsReused;
+                ASSERT_EQ(q->nextTimeFor(focus), before);
+                ASSERT_EQ(q->stats().boundsReused, reused + 1);
+                const int kind = static_cast<int>(rng() % 13);
+                SCOPED_TRACE("op kind " + std::to_string(kind));
+                switch (kind) {
                 case 0: {
                     const EventKey key = randomKey();
                     led.typed.push_back({when, key});
@@ -633,10 +713,12 @@ TEST(EventQueueLookahead, NeverLaterThanTheAllPairsBoundNorMovedByMigration)
                         r.gone = true;
                     break;
                 }
-                default: { // (re-)arm a static event, maybe pulled in
-                           // or pushed back (a deferred arming)
+                case 4:
+                case 5:
+                case 6: { // (re-)arm a static event, maybe pulled in
+                          // or pushed back (a deferred arming)
                     const size_t i = rng() % led.statics.size();
-                    StaticEvent &s = led.statics[i];
+                    StaticEvent &s = led.staticAt(i);
                     const uint32_t actor = 1 + static_cast<uint32_t>(i / 2);
                     const uint32_t channel =
                         rng() % 3 == 0 ? sim::chanTimer : sim::chanStep;
@@ -647,7 +729,62 @@ TEST(EventQueueLookahead, NeverLaterThanTheAllPairsBoundNorMovedByMigration)
                             s);
                     break;
                 }
+                case 7: // dispatch
+                    q->runOne();
+                    break;
+                case 8: { // a settle hook posts an event
+                    const uint32_t actor =
+                        static_cast<uint32_t>(rng() % (unmapped + 1));
+                    const uint32_t g = q->groupOf(actor);
+                    q->watch(g, 1);
+                    q->touch(actor);
+                    q->watch(g, -1);
+                    break;
                 }
+                case 9: { // migration, the bound asked after each insert
+                    auto next = std::make_unique<EventQueue>();
+                    next->setTopology(cur);
+                    ASSERT_EQ(next->nextTimeFor(focus), maxTick);
+                    auto moved = q->extractPending();
+                    ASSERT_EQ(q->nextTimeFor(focus), maxTick);
+                    std::vector<Ledger::Rec> in;
+                    for (auto &p : moved) {
+                        in.push_back({p.when, p.key});
+                        next->insertPending(std::move(p));
+                        ASSERT_EQ(next->nextTimeFor(focus),
+                                  freshBound(cur, in, focus));
+                    }
+                    next->setNow(q->now());
+                    adopt(std::move(next));
+                    break;
+                }
+                case 10: // a new lookahead table
+                    cur = rng() % 3 == 0 ? nullptr
+                          : cur == topo  ? flat
+                                         : topo;
+                    q->setTopology(cur);
+                    break;
+                case 11: { // an armed owner dies
+                    const size_t i = rng() % led.statics.size();
+                    led.statics[i].reset();
+                    break;
+                }
+                default: // the whole queue dropped, rarely
+                    if (rng() % 4 != 0)
+                        break;
+                    q->clear();
+                    for (auto *v : {&led.typed, &led.closures})
+                        for (Ledger::Rec &r : *v)
+                            r.gone = true;
+                    break;
+                }
+                ASSERT_EQ(q->nextTimeFor(focus),
+                          freshBound(cur, led.live(), focus))
+                    << "actor " << focus;
+            }
+            if (cur != topo) {
+                cur = topo;
+                q->setTopology(topo);
             }
 
             // the bound of every actor, checked against the reference
@@ -676,7 +813,7 @@ TEST(EventQueueLookahead, NeverLaterThanTheAllPairsBoundNorMovedByMigration)
             ASSERT_EQ(fresh->pending(), live);
             for (uint32_t a = 0; a <= unmapped; ++a)
                 ASSERT_EQ(fresh->nextTimeFor(a), bound[a]) << "actor " << a;
-            q = std::move(fresh);
+            adopt(std::move(fresh));
 
             // advance, leaving dead entries and stand-ins behind
             for (int k = static_cast<int>(rng() % (ops + 1)); k > 0; --k)
