@@ -6,8 +6,10 @@
  * transputers, section 4.2) with a burst of pipelined queries, run for
  * a fixed slice of simulated time.  The same workload is simulated
  * serially and with 1/2/4/8 shards; every run is bit-identical (the
- * engine's guarantee, checked here via the answer stream), so the only
- * thing that varies is wall-clock time.
+ * engine's guarantee, checked here via the answer stream), so only the
+ * host's work varies: wall-clock time, barrier rounds, and events
+ * dispatched -- the serial queue's count is the reference, and the
+ * "x serial" column is each run's ratio to it.
  *
  * Results go to stdout and to BENCH_par_scaling.json in the current
  * directory.  Note: on a single-core host the parallel runs cannot go
@@ -40,7 +42,6 @@ constexpr Tick sliceNs = 3'000'000; // 3 ms of simulated time
 struct Result
 {
     int threads; // 0: serial engine (no shards, no barriers)
-    bool epoch;  // per-shard-pair epoch windows (vs legacy global)
     double wall_ms;
     uint64_t events;
     uint64_t rounds;
@@ -67,14 +68,12 @@ struct Result
     std::string
     label() const
     {
-        if (threads == 0)
-            return "serial";
-        return fmt("{} shard", threads) + (epoch ? "" : " legacy");
+        return threads == 0 ? "serial" : fmt("{} shard", threads);
     }
 };
 
 Result
-runOnce(int threads, bool epoch = true)
+runOnce(int threads)
 {
     apps::DbSearchConfig cfg;
     cfg.width = gridW;
@@ -87,16 +86,15 @@ runOnce(int threads, bool epoch = true)
 
     Result r{};
     r.threads = threads;
-    r.epoch = epoch;
     const auto t0 = std::chrono::steady_clock::now();
     if (threads == 0) {
+        const uint64_t before = db->network().queue().dispatched();
         db->network().run(limit);
-        r.events = 0; // the serial queue does not count dispatches
+        r.events = db->network().queue().dispatched() - before;
     } else {
         net::RunOptions opts;
         opts.threads = threads;
         opts.partition = net::Partition::Contiguous;
-        opts.epochWindows = epoch;
         par::RunStats stats;
         par::runParallel(db->network(), limit, opts, &stats);
         r.events = stats.totalEvents();
@@ -128,10 +126,6 @@ main()
     results.push_back(runOnce(0)); // serial baseline
     for (int threads : {1, 2, 4, 8})
         results.push_back(runOnce(threads));
-    // the legacy global-window engine, for the epoch-batching A/B:
-    // same simulation, narrower windows, more barrier rounds
-    for (int threads : {2, 4})
-        results.push_back(runOnce(threads, false));
 
     const double serial_ms = results.front().wall_ms;
     bool identical = true;
@@ -141,13 +135,16 @@ main()
                     obs::sameArchitectural(r.ctrs,
                                            results.front().ctrs);
 
-    Table t({14, 12, 12, 10, 10, 10, 10});
-    t.row("engine", "wall (ms)", "events", "rounds", "barriers",
-          "balance", "speedup");
+    const double serial_events =
+        static_cast<double>(results.front().events);
+    Table t({14, 12, 12, 10, 10, 10, 10, 10});
+    t.row("engine", "wall (ms)", "events", "x serial", "rounds",
+          "barriers", "balance", "speedup");
     t.rule();
     for (const auto &r : results)
-        t.row(r.label(), r.wall_ms, r.events, r.rounds, r.barriers,
-              r.balance(), serial_ms / r.wall_ms);
+        t.row(r.label(), r.wall_ms, r.events,
+              static_cast<double>(r.events) / serial_events, r.rounds,
+              r.barriers, r.balance(), serial_ms / r.wall_ms);
     t.rule();
     std::cout << "\nall runs bit-identical: "
               << (identical ? "yes" : "NO") << "\n";
@@ -165,10 +162,10 @@ main()
     for (size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
         json << "    {\"threads\": " << r.threads
-             << ", \"epoch_windows\": "
-             << (r.epoch && r.threads ? "true" : "false")
              << ", \"wall_ms\": " << r.wall_ms
              << ", \"events\": " << r.events
+             << ", \"event_ratio\": "
+             << static_cast<double>(r.events) / serial_events
              << ", \"rounds\": " << r.rounds
              << ", \"barriers\": " << r.barriers
              << ", \"balance\": " << r.balance()

@@ -10,8 +10,8 @@
  * to its children, contributes 1, and the counts reduce back up the
  * tree, so the root reports exactly w*h per wave.  Outside the
  * travelling wavefront every node is idle (blocked on its parent
- * channel), which is precisely the regime the epoch-window parallel
- * engine (src/par) and the compact node state (lazy memory pages,
+ * channel), which is precisely the regime the parallel engine's shard
+ * windows (src/par) and the compact node state (lazy memory pages,
  * on-demand icache) are built for.
  *
  * Node programs are pure functions of the node's *position class*

@@ -72,18 +72,6 @@ struct RunOptions
     /** Force the metrics time-series on/off on every node for this
      *  run; unset leaves each node's own setting alone. */
     std::optional<bool> timeseries;
-    /**
-     * Per-shard-pair epoch windows (the conservative-DES lookahead
-     * bound, src/par/parallel_engine.hh): each shard's window end is
-     * computed from the other shards' published next-event times plus
-     * the all-pairs shortest link lead between the shards, so shards
-     * that are far apart in the topology (or idle) batch whole epochs
-     * of events per barrier round.  Off: every shard uses the legacy
-     * global window [globalNext, globalNext + minimum cut lead).
-     * Both modes are bit-identical to the serial engine; this switch
-     * exists so benchmarks can compare them.
-     */
-    bool epochWindows = true;
 };
 
 /** A collection of transputers wired by links, with one time base. */
@@ -404,10 +392,9 @@ class Network
 
     /**
      * Flat metrics JSON: the aggregate counters, per-node counters,
-     * and master event-queue statistics.  Consumed by the bench suite
-     * and tools/tprof.  NB the queue numbers describe the master
-     * queue: a shard-parallel run dispatches on shard-local queues and
-     * reports its own totals through par::RunStats instead.
+     * and event-queue statistics (a parallel run folds its shard
+     * queues' counts into the master queue's as it merges back).
+     * Consumed by the bench suite and tools/tprof.
      */
     std::string dumpMetrics() const;
     ///@}

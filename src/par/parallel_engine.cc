@@ -7,40 +7,35 @@
  *   barrier A  -- every shard has finished dispatching the previous
  *                 window, so every cross-shard delivery it produced
  *                 is in the destination inbox;
- *   (each shard drains its inbox and publishes its next event time)
+ *   (each shard drains its inbox and publishes its next event time
+ *    and its reach)
  *   barrier B  -- every shard has published;
  *   (every shard independently computes its window end from the
- *    published times, then dispatches its events inside the window)
+ *    published values, then dispatches its events inside the window)
  *
- * Safety, legacy global window (epochWindows = false).  Every event a
- * shard dispatches in a round has when >= globalNext.  A cross-shard
- * delivery it produces is timed at least Line::minDeliveryLead()
- * after its cause, so it lands at when >= globalNext + lookahead =
- * windowEnd: nothing a shard dispatches inside the window can be
- * affected by a delivery that has not yet been drained.
+ * Safety.  runParallel builds one sim::Topology with the shards as
+ * its groups and the cut lines as its lines.  Every shard publishes
+ * its reach (EventQueue::nextReach: its earliest event, a CPU step
+ * credited commSuspend, as the serial per-node rule credits it).
+ * Inboxes drain only at barrier A, so an event shard s has not yet
+ * received ends a causal chain that starts at some shard t's
+ * undispatched event and crosses at least one cut line: a single cut
+ * line t -> s adds at least its lead, and two or more -- a neighbour's
+ * bounce back at s included (a link acknowledge claims the reverse
+ * wire with no process wakeup in between) -- add at least multiHop,
+ * twice the narrowest cut lead.  So nothing can arrive before
  *
- * Safety, per-shard epoch windows (the default).  Let d(t, s) be the
- * narrowest lead of the cut lines from shard t to shard s, and D the
- * all-pairs shortest-path closure of d under addition (with
- * D[s][s] = the shortest cycle through s, never zero).  Inboxes drain
- * only at barrier A, so the earliest event shard s can ever receive
- * that is not already in its queue is the head of a causal chain
- * starting from some shard t's next undispatched event: it arrives at
+ *   earliestInput(s) = min( reach(t) + lead(t -> s), over the cut
+ *                           lines into s;
+ *                           min over all t of reach(t) + multiHop )
  *
- *   EIT(s) = min over all t of (localNext(t) + D[t][s])
+ * and each shard dispatches strictly below that.  An idle shard
+ * publishes maxTick and drops out of everyone's minimum.  Every cut
+ * lead is positive, so the shard holding the earliest event always
+ * makes progress.
  *
- * -- the t = s term covers responses bounced back by a neighbour
- * (e.g. a link acknowledge claims the reverse wire with no process
- * wakeup in between, so the round trip is d(s,t) + d(t,s) with no
- * slack).  Each shard dispatches strictly below its own EIT; a shard
- * with no incoming cut paths (or whose peers are idle) runs an
- * arbitrarily long epoch per round.  EIT(s) >= globalNext + narrowest
- * lead always, so epoch windows strictly contain the legacy windows
- * and a run never takes more rounds than the legacy mode.
- *
- * Determinism in both modes follows from the (tick, actor, channel,
- * seq) dispatch order, which is the same total order the serial
- * queue uses.
+ * Determinism follows from the (tick, actor, channel, seq) dispatch
+ * order, which is the same total order the serial queue uses.
  *
  * Failure.  A guest error raised while a shard dispatches (SimFatal,
  * SimPanic, ...) is caught on its worker thread.  The shard stops
@@ -79,17 +74,13 @@ struct Coord
 
     Barrier barrier;
     Tick limit = maxTick;
-    Tick limitCap = maxTick;  ///< satAdd(limit, 1): dispatch bound
-    Tick lookahead = maxTick; ///< legacy window width (maxTick: uncut)
-    bool epoch = true;        ///< per-shard-pair epoch windows
-    int nshards = 1;
+    Tick limitCap = maxTick; ///< satAdd(limit, 1): dispatch bound
+    /** The shards as the groups of a lookahead table whose lines are
+     *  the cut lines. */
+    std::shared_ptr<const sim::Topology> cut;
     /** Some shard caught an exception: all stop at the next barrier. */
     std::atomic<bool> failed{false};
     std::vector<std::exception_ptr> errors; ///< per shard
-    /** All-pairs shortest cut-link lead, row-major [from][to]; the
-     *  diagonal holds the shortest cycle through the shard (maxTick
-     *  where no cut path exists). */
-    std::vector<Tick> dist;
 };
 
 /**
@@ -102,7 +93,7 @@ workerLoop(Shard &self, int sidx,
            std::vector<std::unique_ptr<Shard>> &shards, Coord &c,
            uint64_t *rounds, uint64_t *barriers)
 {
-    std::vector<Tick> next(static_cast<size_t>(c.nshards), maxTick);
+    std::vector<Tick> reach(shards.size(), maxTick);
     while (true) {
         c.barrier.arriveAndWait(); // A: all deliveries posted
         if (c.failed.load(std::memory_order_acquire))
@@ -110,37 +101,26 @@ workerLoop(Shard &self, int sidx,
         self.inbox.drainTo(self.queue);
         self.localNext.store(self.queue.nextTime(),
                              std::memory_order_release);
+        self.localReach.store(self.queue.nextReach(),
+                              std::memory_order_release);
         c.barrier.arriveAndWait(); // B: all next times published
         if (barriers)
             *barriers += 2;
         Tick global_next = maxTick;
-        for (int t = 0; t < c.nshards; ++t) {
-            next[static_cast<size_t>(t)] =
-                shards[static_cast<size_t>(t)]->localNext.load(
-                    std::memory_order_acquire);
-            global_next =
-                std::min(global_next, next[static_cast<size_t>(t)]);
+        for (size_t t = 0; t < shards.size(); ++t) {
+            global_next = std::min(
+                global_next,
+                shards[t]->localNext.load(std::memory_order_acquire));
+            reach[t] =
+                shards[t]->localReach.load(std::memory_order_acquire);
         }
         if (global_next >= c.limitCap)
             return; // quiescent, or nothing left inside the limit
         if (rounds)
             ++*rounds;
-        Tick window_end;
-        if (c.epoch) {
-            // earliest possible not-yet-drained arrival at this shard
-            Tick eit = maxTick;
-            for (int t = 0; t < c.nshards; ++t)
-                eit = std::min(
-                    eit,
-                    satAdd(next[static_cast<size_t>(t)],
-                           c.dist[static_cast<size_t>(t) *
-                                      static_cast<size_t>(c.nshards) +
-                                  static_cast<size_t>(sidx)]));
-            window_end = std::min(eit, c.limitCap);
-        } else {
-            window_end =
-                std::min(satAdd(global_next, c.lookahead), c.limitCap);
-        }
+        const Tick window_end = std::min(
+            c.cut->earliestInput(static_cast<uint32_t>(sidx), reach),
+            c.limitCap);
         // CPUs may batch instructions ahead of dispatched events, but
         // not into the next window (another shard's delivery may land
         // there) and not past the limit (so the final run-ahead
@@ -223,7 +203,6 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
             stats->rounds = 0;
             stats->barriers = 0;
             stats->lookahead = maxTick;
-            stats->epochWindows = false;
             stats->shards = {ShardStats{static_cast<int>(n),
                                         master.dispatched() - before,
                                         0, 0}};
@@ -271,11 +250,9 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
         shards[s]->queue.insertPending(std::move(p));
     }
 
-    // route cut lines into the destination shard's inbox; the
-    // narrowest cut line sets the legacy lookahead and the cut leads
-    // seed the per-shard-pair distance matrix
-    const size_t ns = static_cast<size_t>(nshards);
-    std::vector<Tick> dist(ns * ns, maxTick);
+    // route cut lines into the destination shard's inbox; they are
+    // the lines of the shards' lookahead table
+    std::vector<sim::Topology::Line> cut_lines;
     Tick lookahead = maxTick;
     for (const auto &lr : net.lines()) {
         if (shard_of[lr.srcNode] == shard_of[lr.dstNode]) {
@@ -284,35 +261,20 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
         }
         const Tick lead = lr.line->minDeliveryLead();
         lookahead = std::min(lookahead, lead);
-        Tick &d = dist[static_cast<size_t>(shard_of[lr.srcNode]) * ns +
-                       static_cast<size_t>(shard_of[lr.dstNode])];
-        d = std::min(d, lead);
+        cut_lines.push_back(sim::Topology::Line{
+            static_cast<uint32_t>(shard_of[lr.srcNode]),
+            static_cast<uint32_t>(shard_of[lr.dstNode]), lead});
         lr.line->setRouter(&shards[shard_of[lr.dstNode]]->inbox);
     }
     TRANSPUTER_ASSERT(lookahead > 0, "cut line with zero lookahead");
 
-    // Floyd-Warshall closure over the shards (nshards is the thread
-    // count, so this is tiny).  The diagonal starts at maxTick, not
-    // zero, so dist[s][s] converges to the shortest cycle through s:
-    // the earliest a shard's own output can bounce back at it.
-    for (size_t k = 0; k < ns; ++k)
-        for (size_t i = 0; i < ns; ++i) {
-            const Tick ik = dist[i * ns + k];
-            if (ik == maxTick)
-                continue;
-            for (size_t j = 0; j < ns; ++j)
-                dist[i * ns + j] = std::min(
-                    dist[i * ns + j], satAdd(ik, dist[k * ns + j]));
-        }
-
     Coord coord(nshards);
     coord.limit = limit;
     coord.limitCap = satAdd(limit, 1);
-    coord.lookahead = lookahead;
-    coord.epoch = opts.epochWindows;
-    coord.nshards = nshards;
-    coord.dist = std::move(dist);
-    coord.errors.resize(ns);
+    coord.cut = sim::Topology::build({}, static_cast<uint32_t>(nshards),
+                                     std::move(cut_lines),
+                                     topo->stepExtra);
+    coord.errors.resize(static_cast<size_t>(nshards));
 
     uint64_t rounds = 0, barriers = 0;
     std::vector<std::thread> workers;
@@ -339,6 +301,7 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
         reached = std::max(reached, sh->queue.now());
         for (auto &p : sh->queue.extractPending())
             master.insertPending(std::move(p));
+        master.absorbStats(sh->queue.stats());
     }
     // a failed run stops where its shards did, before any event still
     // pending on one of them
@@ -362,7 +325,6 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
         stats->rounds = rounds;
         stats->barriers = barriers;
         stats->lookahead = lookahead;
-        stats->epochWindows = opts.epochWindows;
         stats->shards.clear();
         for (const auto &sh : shards)
             stats->shards.push_back(ShardStats{

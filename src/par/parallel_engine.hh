@@ -7,12 +7,11 @@
  * rounds.  A link's earliest remote effect trails its local cause by
  * at least Line::minDeliveryLead() (two bit times plus the
  * propagation delay), which bounds how far each shard can dispatch
- * without waiting for the others.  By default each shard gets its own
- * epoch window from the per-shard-pair lookahead bound (the all-pairs
- * shortest cut-link lead between shards, DESIGN.md section 4.8);
- * RunOptions::epochWindows = false falls back to the legacy global
- * window [globalNext, globalNext + narrowest cut lead).  Cross-shard
- * deliveries travel through lock-free inboxes and carry their
+ * without waiting for the others.  Each shard's window ends where the
+ * serial queue's per-node lookahead rule (DESIGN.md section 4.8) puts
+ * it, with the shards as the nodes and the cut lines as the wires
+ * (sim::Topology::earliestInput).  Cross-shard deliveries travel
+ * through lock-free inboxes and carry their
  * (tick, actor, channel, seq) dispatch keys, so each shard's queue
  * dispatches exactly the event sequence the single serial queue
  * would: an N-thread run is bit-identical to the serial run.  There
@@ -48,7 +47,6 @@ struct RunStats
     uint64_t rounds = 0;   ///< synchronization windows executed
     uint64_t barriers = 0; ///< barrier crossings (2 per round + exit)
     Tick lookahead = 0;    ///< narrowest cut lead (maxTick: uncut)
-    bool epochWindows = false; ///< per-shard-pair windows were used
     std::vector<ShardStats> shards;
 
     uint64_t

@@ -73,8 +73,10 @@ struct Shard
      *  engines live on different queues and never burst). */
     link::Bursts bursts{queue};
     Inbox inbox;
-    /** This shard's next event time, published at the round barrier. */
+    /** This shard's next event time and its reach
+     *  (sim::EventQueue::nextReach), published at the round barrier. */
     std::atomic<Tick> localNext{maxTick};
+    std::atomic<Tick> localReach{maxTick};
     /** Node indices assigned to this shard. */
     std::vector<int> nodes;
     /** Events dispatched by this shard (statistics). */

@@ -179,6 +179,24 @@ struct Topology
         return static_cast<uint32_t>(inBegin.size() - 1);
     }
 
+    /**
+     * Earliest tick at which other groups' pending events could act on
+     * group g, given each group's reach (EventQueue::nextReach): each
+     * in-line's source reach plus its lead, or any reach plus multiHop
+     * (a round trip back into g included).  EventQueue::nextTimeFor's
+     * rule over whole groups: src/par's shard windows end here.
+     */
+    Tick
+    earliestInput(uint32_t g, const std::vector<Tick> &reach) const
+    {
+        TRANSPUTER_ASSERT(reach.size() == groups(), "one reach per group");
+        Tick best =
+            satAdd(*std::min_element(reach.begin(), reach.end()), multiHop);
+        for (uint32_t i = inBegin[g]; i < inBegin[g + 1]; ++i)
+            best = std::min(best, satAdd(reach[in[i].from], in[i].lead));
+        return best;
+    }
+
     std::vector<int32_t> groupOf;  ///< actor -> group, -1: global
     /** Group g's in-lines are in[inBegin[g], inBegin[g + 1]). */
     std::vector<uint32_t> inBegin;
@@ -344,9 +362,9 @@ class EventQueue
      * nextTime() is a correct such bound, but tighter than physics
      * requires: an event acting on *another* node can only influence
      * this one through a link, whose delivery arrives at least the
-     * wire's minimum lead after its cause -- the same lookahead
-     * argument the shard-parallel engine applies across a cut
-     * (src/par), here applied per node inside one queue.  Without a
+     * wire's minimum lead after its cause.  The shard-parallel engine
+     * (src/par) applies the same rule to whole shards
+     * (Topology::earliestInput, nextReach).  Without a
      * registered Topology every actor is global and nextTimeFor is
      * nextTime(), the exact legacy bound.
      */
@@ -391,9 +409,8 @@ class EventQueue
      *    wire claim charges the architectural clock first
      *    (channelOut/channelIn charge cyc::commSuspend before the
      *    engine sees the request -- see link::LinkEngine);
-     *  - the whole queue's earliest event, steps credited the same
-     *    way, plus Topology::multiHop: every path of two or more lines
-     *    is at least that long.
+     *  - nextReach() plus Topology::multiHop: every path of two or
+     *    more lines is at least that long.
      * Each term is at most the exact all-pairs shortest-lead bound, so
      * the result is sound; it is never earlier than nextTime() and
      * never later than g's own earliest event.  It is earlier than the
@@ -427,6 +444,21 @@ class EventQueue
         boundActor_ = actor;
         boundValid_ = true;
         return bound_;
+    }
+
+    /**
+     * Earliest tick at which a pending event could act on another
+     * group, before any line's lead: the earliest live event, a CPU
+     * step credited Topology::stepExtra; maxTick when none.  A global
+     * actor's events (the legacy unkeyed ones share the step channel)
+     * count at face value.  Each shard publishes it (src/par).
+     */
+    Tick
+    nextReach()
+    {
+        return std::min({rootWhen(0),
+                         satAdd(rootWhen(1), topo_ ? topo_->stepExtra : 0),
+                         liveWhen(2 * globalGroup_ + 1)});
     }
     ///@}
 
@@ -558,6 +590,20 @@ class EventQueue
                      dispatchedClosure_,
                      boundsComputed_,
                      boundsReused_};
+    }
+
+    /** Add another queue's dispatch and bound counts to this one's
+     *  (src/par merges shard queues back); the larger high water. */
+    void
+    absorbStats(const Stats &s)
+    {
+        dispatchedSteps_ += s.dispatchedSteps;
+        dispatchedStatic_ += s.dispatchedStatic;
+        dispatchedTyped_ += s.dispatchedTyped;
+        dispatchedClosure_ += s.dispatchedClosure;
+        boundsComputed_ += s.boundsComputed;
+        boundsReused_ += s.boundsReused;
+        highWater_ = std::max(highWater_, s.highWater);
     }
     ///@}
 
@@ -1224,12 +1270,8 @@ class EventQueue
             credit(2 * in.from, in.lead);
             credit(2 * in.from + 1, satAdd(in.lead, t.stepExtra));
         }
-        if (satAdd(first, t.multiHop) < best) {
-            const Tick other = rootWhen(0);
-            const Tick step = satAdd(rootWhen(1), t.stepExtra);
-            best = std::min(best, satAdd(std::min(other, step),
-                                         t.multiHop));
-        }
+        if (satAdd(first, t.multiHop) < best)
+            best = std::min(best, satAdd(nextReach(), t.multiHop));
         return best;
     }
 

@@ -675,8 +675,33 @@ TEST(ParEquivalence, DbSearch128Nodes)
                        "dbsearch 16x8");
     EXPECT_EQ(stats.shards.size(), 4u);
     EXPECT_GT(stats.rounds, 0u);
+    // shard-pair closure windows without the step credit took
+    // 1,980 rounds here: busy CPUs publish their reach a
+    // commSuspend past their next step, as the serial bound credits it
+    EXPECT_LE(stats.rounds, 1980u);
     EXPECT_GT(stats.totalEvents(), 0u);
     EXPECT_EQ(stats.lookahead, 200); // default wire, 2 bit times
+}
+
+TEST(ParStats, ShardQueueCountsMergeIntoTheMasterQueue)
+{
+    // after a sharded run the master queue's statistics cover the
+    // shards' dispatches (Network::dumpMetrics reads them)
+    Rig r;
+    buildGridRig(r, 4, 3, 2);
+    const sim::EventQueue::Stats before = r.net.queue().stats();
+    par::RunStats stats;
+    par::runParallel(r.net, maxTick, options(4, Partition::Contiguous),
+                     &stats);
+    const sim::EventQueue::Stats after = r.net.queue().stats();
+    ASSERT_EQ(stats.shards.size(), 4u);
+    EXPECT_GT(stats.totalEvents(), 0u);
+    EXPECT_EQ(after.dispatched - before.dispatched, stats.totalEvents());
+    EXPECT_EQ(after.dispatchedSteps + after.dispatchedStatic +
+                  after.dispatchedTyped + after.dispatchedClosure,
+              after.dispatched);
+    EXPECT_GT(after.boundsComputed, before.boundsComputed);
+    EXPECT_GE(after.highWater, before.highWater);
 }
 
 TEST(ParFailure, GuestErrorOnAShardFailsAsTheSerialRunDoes)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Scale-regime coverage for the epoch-window parallel engine, the
- * per-node lookahead and the compact node state: serial-vs-parallel
+ * Scale-regime coverage for the shard-parallel engine, the per-node
+ * lookahead and the compact node state: serial-vs-parallel
  * bit-equality on a ~1k-node torus (the flood/reduce workload,
  * src/apps/flood.hh), the same with link faults injected, how far a
  * serial run of that size batches CPU instructions, and the per-node
@@ -101,8 +101,11 @@ TEST(ScaleFlood, TorusSerialVsParallelBitIdentical)
     ASSERT_EQ(serial->answers().size(), 1u);
     EXPECT_EQ(serial->answers().back().count, serial->expectedCount());
     expectSameFlood(*serial, *parallel, "1k torus flood");
-    EXPECT_TRUE(stats.epochWindows);
+    // the window rule's price in barrier rounds; a looser bound, or a
+    // step credit lost, shows here first.  Shard-pair closure windows
+    // without the step credit took 1,874 rounds on this wave.
     EXPECT_GT(stats.rounds, 0u);
+    EXPECT_LE(stats.rounds, 1874u);
     EXPECT_GT(stats.barriers, 0u);
 
     // the snapshot oracle: the full architectural state serializes
@@ -122,34 +125,6 @@ TEST(ScaleFlood, TorusSerialVsParallelBitIdentical)
     if (d)
         FAIL() << "snapshots diverge at " << d->where << ": " << d->a
                << " != " << d->b;
-}
-
-TEST(ScaleFlood, EpochWindowsMatchLegacyWithFewerRounds)
-{
-    auto epoch = makeFlood();
-    auto legacy = makeFlood();
-
-    for (auto *f : {epoch.get(), legacy.get()})
-        f->inject(1);
-
-    net::RunOptions opts;
-    opts.threads = 4;
-    par::RunStats se, sl;
-    opts.epochWindows = true;
-    par::runParallel(epoch->network(),
-                     epoch->network().queue().now() + kLimit, opts,
-                     &se);
-    opts.epochWindows = false;
-    par::runParallel(legacy->network(),
-                     legacy->network().queue().now() + kLimit, opts,
-                     &sl);
-
-    expectSameFlood(*epoch, *legacy, "epoch vs legacy windows");
-    // every epoch window contains the legacy window that the same
-    // published next-event times would produce, so batching can only
-    // reduce the round count
-    EXPECT_LE(se.rounds, sl.rounds);
-    EXPECT_GT(epoch->answers().size(), 0u);
 }
 
 TEST(ScaleFlood, SerialLookaheadBatchesLargeNetworks)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -488,6 +489,28 @@ randomWiring(std::mt19937_64 &rng)
     return w;
 }
 
+/** All-pairs shortest lead over w's lines between distinct groups
+ *  (Floyd-Warshall).  The diagonal is 0, or with `cycles` the
+ *  shortest path of at least one line back into the group. */
+std::vector<std::vector<Tick>>
+allPairs(const Wiring &w, bool cycles)
+{
+    std::vector<std::vector<Tick>> dist(w.n,
+                                        std::vector<Tick>(w.n, maxTick));
+    for (const Topology::Line &l : w.lines)
+        if (l.from != l.to)
+            dist[l.from][l.to] = std::min(dist[l.from][l.to], l.lead);
+    for (uint32_t k = 0; k < w.n; ++k)
+        for (uint32_t i = 0; i < w.n; ++i)
+            for (uint32_t j = 0; j < w.n; ++j)
+                dist[i][j] = std::min(dist[i][j],
+                                      sim::satAdd(dist[i][k], dist[k][j]));
+    if (!cycles)
+        for (uint32_t i = 0; i < w.n; ++i)
+            dist[i][i] = 0;
+    return dist;
+}
+
 /** Everything the test scheduled, to tell the live set without asking
  *  the queue. */
 struct Ledger
@@ -591,18 +614,8 @@ TEST(EventQueueLookahead, NeverLaterThanTheAllPairsBoundNorMovedByMigration)
         const auto topo =
             Topology::build(group_of, w.n, w.lines, kStepExtra);
 
-        // the reference: Floyd-Warshall closure of the wiring
-        std::vector<std::vector<Tick>> dist(
-            w.n, std::vector<Tick>(w.n, maxTick));
-        for (uint32_t i = 0; i < w.n; ++i)
-            dist[i][i] = 0;
-        for (const Topology::Line &l : w.lines)
-            dist[l.from][l.to] = std::min(dist[l.from][l.to], l.lead);
-        for (uint32_t k = 0; k < w.n; ++k)
-            for (uint32_t i = 0; i < w.n; ++i)
-                for (uint32_t j = 0; j < w.n; ++j)
-                    dist[i][j] = std::min(
-                        dist[i][j], sim::satAdd(dist[i][k], dist[k][j]));
+        // the reference: the closure of the wiring ...
+        const auto dist = allPairs(w, false);
         // ... and a scan of the live set
         Ledger led;
         const auto reference = [&](uint32_t actor) {
@@ -798,10 +811,17 @@ TEST(EventQueueLookahead, NeverLaterThanTheAllPairsBoundNorMovedByMigration)
                 ASSERT_LE(head, bound[a]) << "actor " << a;
                 ASSERT_LE(bound[a], reference(a)) << "actor " << a;
             }
-            Tick live_head = maxTick;
-            for (const Ledger::Rec &r : led.live())
+            Tick live_head = maxTick, live_reach = maxTick;
+            for (const Ledger::Rec &r : led.live()) {
                 live_head = std::min(live_head, r.when);
+                const bool step = r.key.channel == sim::chanStep &&
+                                  r.key.actor < group_of.size() &&
+                                  group_of[r.key.actor] >= 0;
+                live_reach = std::min(
+                    live_reach, sim::satAdd(r.when, step ? kStepExtra : 0));
+            }
             ASSERT_EQ(head, live_head);
+            ASSERT_EQ(q->nextReach(), live_reach);
 
             // the live events alone, in a fresh queue, bound the same
             const size_t live = q->pending();
@@ -818,6 +838,47 @@ TEST(EventQueueLookahead, NeverLaterThanTheAllPairsBoundNorMovedByMigration)
             // advance, leaving dead entries and stand-ins behind
             for (int k = static_cast<int>(rng() % (ops + 1)); k > 0; --k)
                 q->runOne();
+        }
+    }
+}
+
+TEST(EventQueueLookahead, EarliestInputBracketedByThePathsIntoAGroup)
+{
+    // the shard-parallel window bound (src/par): groups stand for
+    // shards, lines for cut lines, and each group's reach is what its
+    // shard published -- maxTick for an idle one
+    for (uint64_t seed = 1; seed <= 250; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        const Wiring w = randomWiring(rng);
+        const auto topo = Topology::build({}, w.n, w.lines, 1000);
+        const auto path = allPairs(w, true);
+        Tick least = maxTick;
+        for (const Topology::Line &l : w.lines)
+            if (l.from != l.to)
+                least = std::min(least, l.lead);
+
+        for (int trial = 0; trial < 8; ++trial) {
+            // up to three quarters of the groups idle; all in the last
+            const int idle = trial == 7 ? 4 : static_cast<int>(rng() % 4);
+            std::vector<Tick> reach(w.n);
+            for (Tick &r : reach)
+                r = static_cast<int>(rng() % 4) < idle
+                        ? maxTick
+                        : static_cast<Tick>(rng() % 3000);
+            const Tick low = *std::min_element(reach.begin(), reach.end());
+            for (uint32_t g = 0; g < w.n; ++g) {
+                const Tick bound = topo->earliestInput(g, reach);
+                // sound: no chain of one or more lines from any
+                // group's reach lands earlier
+                Tick exact = maxTick;
+                for (uint32_t t = 0; t < w.n; ++t)
+                    exact = std::min(exact,
+                                     sim::satAdd(reach[t], path[t][g]));
+                ASSERT_LE(bound, exact) << "group " << g;
+                // and never below one least lead past the least reach
+                ASSERT_GE(bound, sim::satAdd(low, least)) << "group " << g;
+            }
         }
     }
 }

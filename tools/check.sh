@@ -10,7 +10,7 @@
 # the simulator).  The block-compiler suite (test_blockc) carries both
 # labels, so the tier's guard/invalidation paths run under both
 # sanitizers, and so does the scale suite (test_scale): the 1k-node
-# epoch-window equality runs under tsan, the lossy variant under asan.
+# sharded equality runs under tsan, the lossy variant under asan.
 # The routing suite (test_route) also carries both: serial-vs-parallel
 # routed-fabric identity under tsan, kill/reroute/partition under
 # asan; its decoder/switch fuzzers (test_fuzz_route) run under asan.
@@ -113,11 +113,11 @@ mkdir -p "$snap_dir"
     --run-for 3000000 --verify | tail -1
 
 # scale-out smoke: a 10k-node flood, serially (the per-node lookahead
-# of a large serial queue) and under the epoch-window parallel engine,
-# must reduce to exactly width*height (the example exits nonzero
-# otherwise), and the quick scale bench -- weak scaling minus the 100k
-# point, bytes/node, the A/B ratio gate -- must pass and emit JSON
-# that a strict parser accepts
+# of a large serial queue) and on 4 shards, must reduce to exactly
+# width*height (the example exits nonzero otherwise), and the quick
+# scale bench -- weak scaling minus the 100k point, gated on exact
+# waves, barrier rounds within their ceilings and bytes/node -- must
+# pass and emit JSON that a strict parser accepts
 echo "== scale-out: 10k-node flood + bench_scale --quick =="
 ./build/examples/flood 100 100 1 1
 ./build/examples/flood 100 100 4 1
