@@ -11,6 +11,13 @@
  * dispatched -- the serial queue's count is the reference, and the
  * "x serial" column is each run's ratio to it.
  *
+ * Timing: one untimed serial run warms the process up, then every
+ * engine is timed kReps times in rotating order (round k starts at
+ * engine k), so no engine always runs first or cold.  Each row
+ * reports the median wall time with its min-max, and the speedup is
+ * the serial median over the engine's median.  Every timed run must
+ * match the serial reference bit for bit.
+ *
  * Results go to stdout and to BENCH_par_scaling.json in the current
  * directory.  Note: on a single-core host the parallel runs cannot go
  * faster than serial -- the barrier rounds only add overhead.  The
@@ -20,7 +27,10 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <iomanip>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -38,11 +48,13 @@ namespace
 constexpr int gridW = 16, gridH = 8;
 constexpr int queries = 4;
 constexpr Tick sliceNs = 3'000'000; // 3 ms of simulated time
+constexpr int kReps = 5;             // timed runs of each engine
 
 struct Result
 {
     int threads; // 0: serial engine (no shards, no barriers)
-    double wall_ms;
+    double wall_ms;            // one run's; the row's median at the end
+    std::vector<double> walls; // every timed run's wall_ms
     uint64_t events;
     uint64_t rounds;
     uint64_t barriers;
@@ -69,6 +81,45 @@ struct Result
     label() const
     {
         return threads == 0 ? "serial" : fmt("{} shard", threads);
+    }
+
+    double
+    median() const
+    {
+        std::vector<double> w = walls;
+        std::sort(w.begin(), w.end());
+        const size_t n = w.size();
+        return n % 2 ? w[n / 2] : (w[n / 2 - 1] + w[n / 2]) / 2;
+    }
+
+    double
+    minWall() const
+    {
+        return *std::min_element(walls.begin(), walls.end());
+    }
+
+    double
+    maxWall() const
+    {
+        return *std::max_element(walls.begin(), walls.end());
+    }
+
+    /** "min-max" of the timed runs, to 0.1 ms. */
+    std::string
+    spread() const
+    {
+        std::ostringstream os;
+        os << std::fixed << std::setprecision(1) << minWall() << "-"
+           << maxWall();
+        return os.str();
+    }
+
+    /** Same simulated outcome as `ref`: answers, clock, counters. */
+    bool
+    sameAs(const Result &ref) const
+    {
+        return counts == ref.counts && simulated == ref.simulated &&
+               obs::sameArchitectural(ctrs, ref.ctrs);
     }
 };
 
@@ -122,27 +173,37 @@ main()
     const unsigned cores = std::thread::hardware_concurrency();
     std::cout << "host hardware_concurrency: " << cores << "\n\n";
 
-    std::vector<Result> results;
-    results.push_back(runOnce(0)); // serial baseline
-    for (int threads : {1, 2, 4, 8})
-        results.push_back(runOnce(threads));
+    const Result ref = runOnce(0); // untimed warm-up and reference
+    const int engines[] = {0, 1, 2, 4, 8};
+    constexpr size_t kEngines = std::size(engines);
+    std::vector<Result> results(kEngines);
+    bool identical = true;
+    for (int rep = 0; rep < kReps; ++rep) {
+        for (size_t k = 0; k < kEngines; ++k) {
+            const size_t e = (static_cast<size_t>(rep) + k) % kEngines;
+            const Result r = runOnce(engines[e]);
+            identical = identical && r.sameAs(ref);
+            Result &row = results[e];
+            if (row.walls.empty())
+                row = r; // events, rounds and shards of the first run
+            row.walls.push_back(r.wall_ms);
+        }
+    }
+    for (auto &r : results)
+        r.wall_ms = r.median();
 
     const double serial_ms = results.front().wall_ms;
-    bool identical = true;
-    for (const auto &r : results)
-        identical = identical && r.counts == results.front().counts &&
-                    r.simulated == results.front().simulated &&
-                    obs::sameArchitectural(r.ctrs,
-                                           results.front().ctrs);
 
     const double serial_events =
         static_cast<double>(results.front().events);
-    Table t({14, 12, 12, 10, 10, 10, 10, 10});
-    t.row("engine", "wall (ms)", "events", "x serial", "rounds",
-          "barriers", "balance", "speedup");
+    std::cout << "wall: median of " << kReps
+              << " timed runs per engine, min-max beside it\n\n";
+    Table t({14, 12, 20, 12, 10, 10, 10, 10, 10});
+    t.row("engine", "wall (ms)", "min-max (ms)", "events", "x serial",
+          "rounds", "barriers", "balance", "speedup");
     t.rule();
     for (const auto &r : results)
-        t.row(r.label(), r.wall_ms, r.events,
+        t.row(r.label(), r.wall_ms, r.spread(), r.events,
               static_cast<double>(r.events) / serial_events, r.rounds,
               r.barriers, r.balance(), serial_ms / r.wall_ms);
     t.rule();
@@ -157,12 +218,15 @@ main()
          << "  \"nodes\": " << gridW * gridH << ",\n"
          << "  \"simulated_ns\": " << sliceNs << ",\n"
          << "  \"hardware_concurrency\": " << cores << ",\n"
+         << "  \"timed_runs_per_engine\": " << kReps << ",\n"
          << "  \"identical\": " << (identical ? "true" : "false")
          << ",\n  \"runs\": [\n";
     for (size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
         json << "    {\"threads\": " << r.threads
              << ", \"wall_ms\": " << r.wall_ms
+             << ", \"wall_ms_min\": " << r.minWall()
+             << ", \"wall_ms_max\": " << r.maxWall()
              << ", \"events\": " << r.events
              << ", \"event_ratio\": "
              << static_cast<double>(r.events) / serial_events

@@ -129,6 +129,10 @@ BlockCache::compile(const PredecodeCache &icache, const WordShape &s,
     sb.nguards = static_cast<uint8_t>(nguards);
     for (size_t i = 0; i < nguards; ++i)
         sb.guards[i] = {guard_set[i], icache.gensData()[guard_set[i]]};
+    const auto [lo, hi] = std::minmax_element(
+        guard_set.begin(), guard_set.begin() + nguards);
+    sb.codeLo = *lo;
+    sb.codeSpan = *hi - *lo;
     for (size_t i = 0; i < n; ++i) {
         sb.steps[i].e = ents[i];
         sb.steps[i].kind = sb.steps[i].solo = solo[i];
@@ -207,7 +211,8 @@ namespace fx = isa::superop::fx;
  * The step interpreter.  Primed=true is the steady state: every
  * step's slot provably holds its chain (entry protocol in runBlocks),
  * so the per-chain cache emulation reduces to banking a hit, and
- * stores re-check the block's guard generations instead.
+ * stores near the block's code re-check its guard generations
+ * instead.
  * Primed=false emulates the cache lookup per chain exactly as
  * PredecodeCache does, accumulating the visited mask that upgrades
  * the block.
@@ -236,6 +241,8 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
     lastInstrInterruptible_ = false;
     inExec_ = true;
     sem::Hoisted h(*this);
+    h.codeLo = sb.codeLo; // the window STORE_RECHECK watches
+    h.codeSpan = sb.codeSpan;
     const uint64_t cyc0 = h.cycles, icount0 = h.instructions;
     const blockc::Superblock::CumRow *const cum = sb.cum.data();
     PredecodeCache::Entry *const entries = icache_.entriesMut();
@@ -350,12 +357,24 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
 // caught a store into this block's code, so the guard generations
 // stand in for them.  The storing chain has already retired; the
 // deopt lands on the following chain boundary, exactly where the
-// interpreter would re-decode.
-#define STORE_RECHECK()                                                \
+// interpreter would re-decode.  GUARD_RECHECK reads the generations,
+// after the core's own stores (a generic operation, a timeslice
+// rotation at a jump), which take no note; STORE_RECHECK reads them
+// only when a handler store landed in the guards' block window
+// (sem::Hoisted::stored), since no store outside it can move one.
+#define GUARD_RECHECK()                                                \
     do {                                                               \
         if (Primed && !sb.guardsOk(gens)) {                            \
             why = Deopt::GuardStale;                                   \
             goto out;                                                  \
+        }                                                              \
+    } while (0)
+
+#define STORE_RECHECK()                                                \
+    do {                                                               \
+        if (Primed && h.nearCode) {                                    \
+            h.nearCode = false;                                        \
+            GUARD_RECHECK();                                           \
         }                                                              \
     } while (0)
 
@@ -444,12 +463,15 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
         RETIRE();
         FLUSH_SWEEP(); // the descheduling point runs core code
         const Word target = h.sh.truncate(h.iptr + st->e.operand);
+        const Word wp = h.wp;
         sem::j(h, st->e.operand);
         FOLD_OBS_BOUND();
         if (state_ != CpuState::Running) {
             why = Deopt::Deschedule;
             goto out;
         }
+        if (h.wp != wp)
+            GUARD_RECHECK(); // a rotation saved state through the core
         if (h.iptr == sb.entry) {
             LAP();
             NEXT();
@@ -498,7 +520,7 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
             why = Deopt::Deschedule;
             goto out;
         }
-        STORE_RECHECK();
+        GUARD_RECHECK();
         if (i < nsteps && h.iptr == steps[i].e.tag)
             NEXT();
         if (h.iptr == sb.entry) {
@@ -578,6 +600,7 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
 #undef SPILL
 #undef FOLD_OBS_BOUND
 #undef RETIRE
+#undef GUARD_RECHECK
 #undef STORE_RECHECK
 #undef HALT_CHECK
 #undef NEXT

@@ -147,6 +147,9 @@ struct Superblock
     static constexpr size_t kMaxGuards = 8;
     uint8_t nguards = 0;
     std::array<Guard, kMaxGuards> guards{};
+    /** The guards' block window: least gidx, and greatest minus
+     *  least.  A store outside it cannot move a guard generation. */
+    uint32_t codeLo = 0, codeSpan = 0;
 
     bool
     guardsOk(const uint32_t *gens) const

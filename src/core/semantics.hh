@@ -114,6 +114,9 @@ struct Members : Core
     }
 
     TRANSPUTER_SEM_INLINE void deschedulePoint() { cpu.timesliceCheck(); }
+
+    /** A store landed at addr (nothing to note here). */
+    TRANSPUTER_SEM_INLINE void stored(Word) {}
 };
 
 /** State policy: the hot state hoisted into locals. */
@@ -132,6 +135,13 @@ struct Hoisted : Core
     Tick time, lastStart;
     uint64_t cycles, instructions;
     bool err, haltOnError;
+
+    /** Write-generation blocks [codeLo, codeLo + codeSpan] that a
+     *  store must land in to set nearCode.  The block executor sets
+     *  the window of its superblock's guards; left unbounded (the
+     *  fused loop), nearCode is never read and the note folds away. */
+    size_t codeLo = 0, codeSpan = SIZE_MAX;
+    bool nearCode = false;
 
     /** Write the locals back (before anything reads the object). */
     TRANSPUTER_SEM_INLINE void
@@ -195,6 +205,14 @@ struct Hoisted : Core
         spill();
         cpu.timesliceCheck();
         reload();
+    }
+
+    /** A store landed at addr: note it if it hit the window. */
+    TRANSPUTER_SEM_INLINE void
+    stored(Word addr)
+    {
+        if (mem.blockIndex(addr) - codeLo <= codeSpan)
+            nearCode = true;
     }
 };
 
@@ -269,6 +287,7 @@ write(S &m, Word addr, Word v)
     if (const int w = m.mem.accessWaits(addr))
         m.charge(w);
     m.mem.writeWord(addr, v);
+    m.stored(addr);
 }
 
 /** The word address `n` words (signed) from `base`.  `n` needs no

@@ -342,14 +342,21 @@ class Memory
         return v;
     }
 
-    /** Write the word containing addr (byte selector ignored). */
+    /**
+     * Write the word containing addr (byte selector ignored).  The hot
+     * path is one compare: a word inside the backing is inside
+     * populated memory too, since the backing never exceeds the
+     * logical size, so only a store past the high-water mark takes
+     * the cold path (the fault, or the growth).
+     */
     void
     writeWord(Word addr, Word v)
     {
         const Word a = shape_.wordAlign(addr);
-        const size_t off = checkedOffset(a);
-        if (off + static_cast<size_t>(shape_.bytes) > bytes_.size())
-            ensureBacked(off + static_cast<size_t>(shape_.bytes) - 1);
+        const size_t off = offset(a);
+        const size_t end = off + static_cast<size_t>(shape_.bytes);
+        if (end > bytes_.size()) [[unlikely]]
+            backWord(a, end - 1);
         if (writeGens_)
             ++writeGens_[off >> invalBlockShift];
         markDirty(off);
@@ -399,6 +406,16 @@ class Memory
         const size_t want = (off + page) & ~(page - 1);
         const size_t grown = std::max(want, 2 * bytes_.size());
         bytes_.resize(std::min(grown, sizeBytes_), 0);
+    }
+
+    /** writeWord's cold path: fault outside populated memory, else
+     *  back the word whose last byte is at offset last.  Out of line,
+     *  so the store path inlines into every CPU tier. */
+    [[gnu::cold, gnu::noinline]] void
+    backWord(Word addr, size_t last)
+    {
+        checkedOffset(addr); // throws outside populated memory
+        ensureBacked(last);
     }
 
     /** Mark the snapshot page containing byte offset off as written.

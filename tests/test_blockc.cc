@@ -425,6 +425,249 @@ TEST(BlockTier, SelfModifyingStoreDemotesOffChip)
     expectSameCpu(on.cpu, off.cpu);
 }
 
+// ---------------------------------------------------------------------
+// a primed superblock rewriting its own body: the store re-check
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * A hot loop that, on one lap only, stores into its own body.  Each
+ * lap steps a pointer down a table of per-lap entries (filled before
+ * boot) and hands its entry to `store`, which stores through it:
+ * every lap but one the store lands in the workspace, far from the
+ * code; on lap kRewriteLap it lands on the seven-byte `adc 1` run
+ * that follows in the same lap (seven bytes always hold one whole
+ * aligned word), so the rewritten bytes run later in that lap and on
+ * every lap after.  The run adds 7 to `total` a lap as written; a
+ * word store makes four of its bytes `adc 2` (11 a lap), a byte store
+ * one (8 a lap).  With small dispatch batches the block is primed
+ * long before the rewrite, so only the primed block's re-check stands
+ * between the stale compiled run and the total.
+ */
+constexpr int kRewriteLaps = 300;
+constexpr int kRewriteLap = 200;  ///< 0-based lap that rewrites
+constexpr int kLapTable = 32;     ///< workspace word of entry 0
+constexpr int kDataSlot = 3;      ///< a workspace word nothing reads
+constexpr int kWsSlot = 20;       ///< the ldc; stl case's slot
+
+std::string
+rewriteLoopSource(const std::string &store, const std::string &restore)
+{
+    return "start:\n"
+           "  ldc " + std::to_string(kRewriteLaps) + "\n  stl 1\n"
+           "  ldlp " + std::to_string(kLapTable + kRewriteLaps) +
+           "\n  stl 2\n"
+           "  ldlp 0\n  ldc home\n  stnl 0\n"
+           "loop:\n"
+           "  ldl 2\n  adc -4\n  stl 2\n" + store +
+           "  ldc total\n  ldnl 0\n"
+           "run:\n"
+           "  adc 1\n  adc 1\n  adc 1\n  adc 1\n"
+           "  adc 1\n  adc 1\n  adc 1\n"
+           "  ldc total\n  stnl 0\n" + restore +
+           "  ldl 1\n  adc -1\n  stl 1\n"
+           "  ldl 1\n  cj done\n  j loop\n"
+           "done:\n  stopp\n"
+           // the data words sit past the code's last 64-byte block
+           ".align\n.space 128\n"
+           "total: .word 0\n"
+           "home: .word 0\n";
+}
+
+/** How a case stores, and what its lap-table entries hold. */
+struct RewriteCase
+{
+    std::string store;   ///< consumes the lap's entry (local 2 points at it)
+    std::string restore; ///< undoes what store did to the process
+    bool wholeWord;      ///< rewrites the run's aligned word, else a byte
+    bool workspace;      ///< entries are workspace pointers
+};
+
+/** A fused `ldc; stl` run in a borrowed workspace: on the rewrite
+ *  lap its slot kWsSlot overlaps the run. */
+RewriteCase
+fusedStlCase()
+{
+    return {"  ldl 2\n  ldnl 0\n  gajw\n"
+            "  ldc #82828282\n  stl " + std::to_string(kWsSlot) + "\n",
+            "  ldc home\n  ldnl 0\n  gajw\n", true, true};
+}
+
+/** A solo `stnl` through the lap's pointer. */
+RewriteCase
+stnlCase()
+{
+    return {"  ldc #82828282\n  ldl 2\n  ldnl 0\n  stnl 0\n", "", true,
+            false};
+}
+
+/** A generic `sb` (the core's own store path) through the pointer. */
+RewriteCase
+sbCase()
+{
+    return {"  ldc #82\n  ldl 2\n  ldnl 0\n  sb\n", "", false, false};
+}
+
+Word
+rewriteTotal(const RewriteCase &c)
+{
+    const int laps_after = kRewriteLaps - kRewriteLap;
+    return static_cast<Word>(7 * kRewriteLaps +
+                             (c.wholeWord ? 4 : 1) * laps_after);
+}
+
+core::Config
+rewriteConfig(bool block_compile, bool off_chip)
+{
+    core::Config cfg = off_chip ? offChipConfig(block_compile)
+                                : core::Config{};
+    cfg.blockCompile = block_compile;
+    cfg.maxBatch = 256; // several laps a dispatch: priming comes early
+    return cfg;
+}
+
+/** Assemble the case on-chip at MemStart or off-chip at the external
+ *  base, fill its lap table, boot and run. */
+void
+runRewrite(SingleCpu &t, const RewriteCase &c, bool off_chip)
+{
+    const auto &s = t.cpu.shape();
+    mem::Memory &m = t.cpu.memory();
+    const Word org = off_chip
+        ? s.truncate(s.mostNeg + t.cpu.config().onchipBytes)
+        : m.memStart();
+    t.img = tasm::assemble(rewriteLoopSource(c.store, c.restore), org, s);
+    m.load(t.img.origin, t.img.bytes.data(), t.img.bytes.size());
+    t.wptr0 = off_chip ? s.index(m.memStart(), 128) : t.bootWptr();
+    const Word run = t.img.symbol("run");
+    const Word target = c.wholeWord ? s.wordAlign(run + 3) : run + 3;
+    const Word normal =
+        c.workspace ? t.wptr0 : s.index(t.wptr0, kDataSlot);
+    const Word hit = c.workspace ? s.index(target, -kWsSlot) : target;
+    // lap L reads entry kRewriteLaps - 1 - L (the pointer walks down)
+    for (int e = 0; e < kRewriteLaps; ++e)
+        m.writeWord(s.index(t.wptr0, kLapTable + e),
+                    e == kRewriteLaps - 1 - kRewriteLap ? hit : normal);
+    t.cpu.boot(t.img.symbol("start"), t.wptr0);
+    t.queue.runUntil(500'000'000);
+}
+
+void
+expectPrimedRewriteCaught(const RewriteCase &c, bool off_chip)
+{
+    SingleCpu on(rewriteConfig(true, off_chip));
+    SingleCpu off(rewriteConfig(false, off_chip));
+    runRewrite(on, c, off_chip);
+    runRewrite(off, c, off_chip);
+    EXPECT_EQ(on.at("total"), rewriteTotal(c));
+    EXPECT_EQ(off.at("total"), rewriteTotal(c));
+    expectSameCpu(on.cpu, off.cpu);
+    const obs::BlockStats bc = on.cpu.counters().blockc;
+    EXPECT_GT(bc.compiles, 0u);
+    EXPECT_GT(bc.deopts[static_cast<size_t>(
+                  core::blockc::Deopt::GuardStale)],
+              0u);
+}
+
+} // namespace
+
+TEST(BlockTier, PrimedFusedStlRewritesItsOwnLoopOnChip)
+{
+    expectPrimedRewriteCaught(fusedStlCase(), false);
+}
+
+TEST(BlockTier, PrimedFusedStlRewritesItsOwnLoopOffChip)
+{
+    expectPrimedRewriteCaught(fusedStlCase(), true);
+}
+
+TEST(BlockTier, PrimedStnlRewritesItsOwnLoopOnChip)
+{
+    expectPrimedRewriteCaught(stnlCase(), false);
+}
+
+TEST(BlockTier, PrimedStnlRewritesItsOwnLoopOffChip)
+{
+    expectPrimedRewriteCaught(stnlCase(), true);
+}
+
+TEST(BlockTier, PrimedGenericSbRewritesItsOwnLoopOnChip)
+{
+    expectPrimedRewriteCaught(sbCase(), false);
+}
+
+TEST(BlockTier, PrimedGenericSbRewritesItsOwnLoopOffChip)
+{
+    expectPrimedRewriteCaught(sbCase(), true);
+}
+
+namespace
+{
+
+/**
+ * Two low-priority processes share one store-free hot loop and rotate
+ * at its back-edge.  Process A's workspace sits just past the code,
+ * so the state a rotation saves through the core (A's Iptr on the way
+ * out, its link word while queued) lands in the loop's last 64-byte
+ * block: a guard generation moves although no handler stored, and a
+ * primed block that laps on into process B must re-check.
+ */
+const char *kRotationSrc =
+    "loop:\n"
+    "  ldc 1\n  adc 1\n  adc 1\n  adc 1\n  adc 1\n  adc 1\n  adc 1\n"
+    "  adc 1\n  adc 1\n  adc 1\n  adc 1\n  adc 1\n  adc 1\n  adc 1\n"
+    "  j loop\n"
+    "past:\n";
+
+void
+runRotation(SingleCpu &t, bool off_chip)
+{
+    const auto &s = t.cpu.shape();
+    mem::Memory &m = t.cpu.memory();
+    const Word org = off_chip
+        ? s.truncate(s.mostNeg + t.cpu.config().onchipBytes)
+        : m.memStart();
+    t.img = tasm::assemble(kRotationSrc, org, s);
+    m.load(t.img.origin, t.img.bytes.data(), t.img.bytes.size());
+    const Word past = t.img.symbol("past");
+    t.wptr0 = s.index(s.wordAlign(past + 3), 2);
+    ASSERT_EQ(m.blockIndex(s.index(t.wptr0, -2)), m.blockIndex(past - 1));
+    t.cpu.boot(t.img.symbol("loop"), t.wptr0);
+    t.cpu.addProcess(t.img.symbol("loop"), s.index(t.wptr0, 64), 1);
+    t.queue.runUntil(20'000'000);
+}
+
+void
+expectRotationCaught(bool off_chip)
+{
+    core::Config on_cfg = rewriteConfig(true, off_chip);
+    core::Config off_cfg = rewriteConfig(false, off_chip);
+    on_cfg.timesliceCycles = off_cfg.timesliceCycles = 2000;
+    SingleCpu on(on_cfg), off(off_cfg);
+    runRotation(on, off_chip);
+    runRotation(off, off_chip);
+    expectSameCpu(on.cpu, off.cpu);
+    const obs::Counters c = on.cpu.counters();
+    EXPECT_GT(c.timeslices, 100u);
+    EXPECT_GT(c.blockc.deopts[static_cast<size_t>(
+                  core::blockc::Deopt::GuardStale)],
+              0u);
+}
+
+} // namespace
+
+TEST(BlockTier, RotationAtThePrimedBackEdgeRechecksGuardsOnChip)
+{
+    expectRotationCaught(false);
+}
+
+TEST(BlockTier, RotationAtThePrimedBackEdgeRechecksGuardsOffChip)
+{
+    expectRotationCaught(true);
+}
+
 TEST(BlockTier, RuntimeToggleMidProgramStaysCorrect)
 {
     // the tier holds no architecture: flipping it between runs of the

@@ -18,7 +18,9 @@
 # asan because the queue holds raw pointers into its owners, and so
 # does test_cpu_misc, whose wild-jump case once crashed the host, and
 # test_differential, which runs random guest code through both
-# instruction-handler state policies and all three execution tiers.
+# instruction-handler state policies and all three execution tiers,
+# and test_mem and test_predecode, which pin the store path's edges
+# and the predecode cache's guest-indexed arrays.
 # test_link also runs under tsan: its burst cases run two shards.
 #
 # Usage: tools/check.sh [--no-tsan] [--no-asan]
@@ -154,7 +156,8 @@ if want --no-asan; then
         --target test_fuzz_snap --target test_blockc \
         --target test_scale --target test_route \
         --target test_fuzz_route --target test_sim --target test_link \
-        --target test_cpu_misc --target test_differential
+        --target test_cpu_misc --target test_differential \
+        --target test_mem --target test_predecode
 fi
 
 echo "== all checks passed =="
