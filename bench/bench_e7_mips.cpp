@@ -12,6 +12,7 @@
  * occam compiler generates.
  */
 
+#include "apps/e7.hh"
 #include "net/occam_boot.hh"
 
 #include "util.hh"
@@ -36,14 +37,7 @@ measureAsm(const char *name, const std::string &body,
            const std::string &data = "")
 {
     AsmRig rig;
-    rig.run("start:\n"
-            "  ldc 2000\n stl 30\n"
-            "outer:\n" +
-                body +
-                "  ldl 30\n adc -1\n stl 30\n"
-                "  ldl 30\n cj done\n  j outer\n"
-                "done: stopp\n" +
-                data);
+    rig.run(apps::countedLoop(2000, body) + data);
     const double cycles = static_cast<double>(rig.cpu.cycles());
     const double instr = static_cast<double>(rig.cpu.instructions());
     // a logical operation is an instruction with its prefix chain
@@ -73,15 +67,8 @@ main()
     t.rule();
 
     std::vector<Mix> mixes;
-    mixes.push_back(measureAsm(
-        "single-cycle instructions",
-        []() {
-            std::string b;
-            for (int r = 0; r < 6; ++r)
-                b += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                     "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-            return b;
-        }()));
+    mixes.push_back(
+        measureAsm("single-cycle instructions", apps::e7Body()));
     mixes.push_back(measureAsm(
         "loads/stores/constants",
         "  ldc 5\n stl 1\n ldl 1\n stl 2\n ldc 9\n stl 3\n"

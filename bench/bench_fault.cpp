@@ -1,19 +1,17 @@
 /**
  * @file
- * Fault-injection cost guard and reliable-transport goodput.
+ * The price of link watchdogs and reliable-transport goodput.
  *
  * Two questions, answered in one harness (results to stdout and
  * BENCH_fault.json):
  *
- *   1. What does the fault machinery cost when it is NOT in use?
- *      The CPU fast path never touches fault code, so the guard is
- *      the same acceptance bar PR 3 set: the e7 loop must still run
- *      >= 2x faster with the predecode cache on.  The link-level
- *      numbers (untapped link stream, and the same stream with
- *      watchdog timers armed) are reported for the record; arming a
- *      watchdog schedules a real timer event per transfer step, so
- *      its cost is a feature price, not idle overhead, and carries no
- *      bar.
+ *   1. What does arming link watchdogs cost?  A two-node link stream
+ *      runs bare and with watchdog timers armed (never firing), by
+ *      bench/report.hh's protocol: one untimed round, then 5 rounds
+ *      in rotating order, the price being the median of per-round
+ *      ratios.  Arming a watchdog schedules a real timer event per
+ *      transfer step, so this is a feature price, reported without a
+ *      bar; the CPU path runs no fault code at all.
  *
  *   2. What goodput does the occam ReliableChannel sustain as the
  *      injected byte-loss rate rises?  A two-node rig streams
@@ -26,9 +24,6 @@
  */
 
 #include <cstdint>
-#include <ctime>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,7 +33,7 @@
 #include "net/occam_boot.hh"
 #include "net/peripherals.hh"
 
-#include "util.hh"
+#include "report.hh"
 
 using namespace transputer;
 using namespace transputer::bench;
@@ -46,108 +41,53 @@ using namespace transputer::bench;
 namespace
 {
 
-constexpr int reps = 5; ///< take the best time of these
+constexpr int kRounds = 5;
 
-double
-cpuSeconds()
+// ----- 1. the watchdog feature price ---------------------------------
+
+struct StreamRun
 {
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
+    double seconds = 0;
+    obs::Counters ctrs;
+};
 
-// ----- 1a. the e7 fast-path bar (identical shape to bench_interp) ----
-
-std::string
-e7LoopSource(int iterations)
-{
-    std::string body;
-    for (int r = 0; r < 6; ++r)
-        body += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-    return "start:\n"
-           "  ldc " + std::to_string(iterations) + "\n stl 30\n"
-           "outer:\n" + body +
-           "  ldl 30\n adc -1\n stl 30\n"
-           "  ldl 30\n cj done\n  j outer\n"
-           "done: stopp\n";
-}
-
-double
-e7Ips(bool predecode)
-{
-    double best = 0;
-    for (int r = 0; r < reps; ++r) {
-        core::Config cfg;
-        cfg.predecode = predecode;
-        AsmRig rig(cfg);
-        const double t0 = cpuSeconds();
-        rig.run(e7LoopSource(200'000));
-        const double secs = cpuSeconds() - t0;
-        const double ips =
-            static_cast<double>(rig.cpu.instructions()) / secs;
-        if (ips > best)
-            best = ips;
-    }
-    return best;
-}
-
-// ----- 1b. idle link-machinery overhead ------------------------------
-
-/** Host seconds to simulate a 4096-word link stream. */
-double
-linkStreamSeconds(bool watchdogs)
+/** A 4096-word link stream, bare (variant 0) or with watchdog timers
+ *  armed (variant 1). */
+StreamRun
+linkStream(size_t watchdogs)
 {
     constexpr int words = 4096;
-    double best = 1e30;
-    for (int r = 0; r < reps; ++r) {
-        net::Network net;
-        core::Config cfg;
-        cfg.onchipBytes = 8192;
-        const int a = net.addTransputer(cfg);
-        const int b = net.addTransputer(cfg);
-        net.connect(a, net::dir::east, b, net::dir::west);
-        if (watchdogs)
-            net.setLinkWatchdogs(10'000'000); // armed, never fires
-        net::bootOccamSource(
-            net, a,
-            "CHAN out:\nPLACE out AT LINK1OUT:\n"
-            "SEQ i = [1 FOR " + std::to_string(words) + "]\n"
-            "  out ! i\n");
-        net::bootOccamSource(
-            net, b,
-            "CHAN in:\nPLACE in AT LINK3IN:\n"
-            "VAR x:\n"
-            "SEQ i = [1 FOR " + std::to_string(words) + "]\n"
-            "  in ? x\n");
-        const double t0 = cpuSeconds();
-        net.run();
-        const double secs = cpuSeconds() - t0;
-        if (secs < best)
-            best = secs;
-    }
-    return best;
+    net::Network net;
+    core::Config cfg;
+    cfg.onchipBytes = 8192;
+    const int a = net.addTransputer(cfg);
+    const int b = net.addTransputer(cfg);
+    net.connect(a, net::dir::east, b, net::dir::west);
+    if (watchdogs)
+        net.setLinkWatchdogs(10'000'000); // armed, never fires
+    net::bootOccamSource(
+        net, a,
+        "CHAN out:\nPLACE out AT LINK1OUT:\n"
+        "SEQ i = [1 FOR " + std::to_string(words) + "]\n"
+        "  out ! i\n");
+    net::bootOccamSource(
+        net, b,
+        "CHAN in:\nPLACE in AT LINK3IN:\n"
+        "VAR x:\n"
+        "SEQ i = [1 FOR " + std::to_string(words) + "]\n"
+        "  in ? x\n");
+    const double t0 = cpuSeconds();
+    net.run();
+    return {cpuSeconds() - t0, net.counters()};
 }
 
 // ----- 2. goodput vs injected loss -----------------------------------
 
-struct GoodputPoint
-{
-    double loss;        ///< per-direction byte/ack loss probability
-    int delivered;      ///< payload words that reached the console
-    bool correct;       ///< delivered prefix is exact: in order, no
-                        ///< dupes, no corruption
-    bool completed;     ///< all words arrived (else: link declared
-                        ///< dead after maxRetries -- by design)
-    double simMs;       ///< simulated time to the last delivered byte
-    double wordsPerMs;  ///< delivered / simMs
-    uint64_t dropped;   ///< injected data-packet drops
-    uint64_t aborts;    ///< watchdog-aborted transfers (retries)
-};
-
-GoodputPoint
-measureGoodput(double loss)
+/** Stream 40 words at `loss`; `allExact` keeps whether every
+ *  delivered prefix so far was exact: in order, no duplicates, no
+ *  corruption. */
+Row
+measureGoodput(double loss, bool &allExact)
 {
     constexpr int words = 40;
     net::Network net;
@@ -211,23 +151,30 @@ measureGoodput(double loss)
     console.onByte = [&](uint8_t) { lastByte = net.queue().now(); };
     net.run(start + 4'000'000'000); // 4 s budget
 
-    GoodputPoint p;
-    p.loss = loss;
     const std::vector<Word> got = console.words();
-    p.delivered = static_cast<int>(got.size());
-    p.completed = p.delivered == words;
-    p.correct = true;
-    for (int i = 0; i < p.delivered && p.correct; ++i)
-        p.correct = got[static_cast<size_t>(i)] ==
-                    static_cast<Word>(1000 + i * 7);
-    p.simMs = static_cast<double>(lastByte - start) / 1e6;
-    p.wordsPerMs = p.simMs > 0 ? p.delivered / p.simMs : 0.0;
-    p.dropped = injector.stats().dataDropped;
-    p.aborts = 0;
+    const int delivered = static_cast<int>(got.size());
+    bool exact = true;
+    for (int i = 0; i < delivered && exact; ++i)
+        exact = got[static_cast<size_t>(i)] ==
+                static_cast<Word>(1000 + i * 7);
+    allExact = allExact && exact;
+    const double simMs = static_cast<double>(lastByte - start) / 1e6;
+    uint64_t aborts = 0; // watchdog-aborted transfers (retries)
     net.forEachEngine([&](link::LinkEngine &e) {
-        p.aborts += e.outAborts() + e.inAborts();
+        aborts += e.outAborts() + e.inAborts();
     });
-    return p;
+    // not completed: the link was declared dead after maxRetries, by
+    // design
+    return Row()
+        .col("loss", "loss", loss)
+        .col("delivered", "delivered", delivered)
+        .col("exact", "exact", exact)
+        .col("done", "completed", delivered == words)
+        .col("sim (ms)", "sim_ms", simMs)
+        .col("words/ms", "words_per_ms",
+             simMs > 0 ? delivered / simMs : 0.0)
+        .col("drops", "data_drops", injector.stats().dataDropped)
+        .col("aborts", "link_aborts", aborts);
 }
 
 } // namespace
@@ -235,73 +182,38 @@ measureGoodput(double loss)
 int
 main()
 {
-    heading("fault machinery: cost when idle, goodput under loss");
+    heading("fault machinery: watchdog price, goodput under loss");
 
-    // -- 1a: the e7 fast-path bar (PR 3 acceptance must still hold)
-    const double on = e7Ips(true), off = e7Ips(false);
-    const double e7_speedup = on / off;
-    const bool pass_e7 = e7_speedup >= 2.0;
-    std::cout << "e7 loop: " << on / 1e6 << " M instr/s (cache on), "
-              << "speedup " << e7_speedup
-              << " (bar: >= 2x, as before the fault layer)\n";
-
-    // -- 1b: link stream bare vs watchdog timers armed (for the
-    //        record; an armed watchdog schedules a real timer event
-    //        per transfer step, so this is a feature price, no bar)
-    const double wd_off = linkStreamSeconds(false);
-    const double wd_on = linkStreamSeconds(true);
-    const double armed_pct = 100.0 * (wd_on / wd_off - 1.0);
-    std::cout << "link stream: " << wd_off * 1e3 << " ms host (bare), "
-              << wd_on * 1e3 << " ms (watchdogs armed): +"
-              << armed_pct << "% (feature price, informational)\n\n";
+    // -- 1: link stream bare vs watchdog timers armed (for the
+    //       record; an armed watchdog schedules a real timer event
+    //       per transfer step, so this is a feature price, no bar)
+    const auto stream = runRounds(
+        2, kRounds, linkStream, [](const StreamRun &x, const StreamRun &y) {
+            return obs::sameArchitectural(x.ctrs, y.ctrs);
+        });
+    const double bareMs = stream.time(0).median * 1e3;
+    const double armedMs = stream.time(1).median * 1e3;
+    const double armedPct = 100.0 * (1.0 / stream.ratio(1) - 1.0);
+    std::cout << "link stream: " << bareMs << " ms host (bare), "
+              << armedMs << " ms (watchdogs armed): +" << armedPct
+              << "% (median of per-round ratios; feature price, "
+                 "informational)\n\n";
 
     // -- 2: goodput vs loss
-    const double losses[] = {0.0, 0.01, 0.02, 0.05, 0.10};
-    std::vector<GoodputPoint> points;
-    Table t({10, 11, 9, 9, 10, 12, 9, 9});
-    t.row("loss (%)", "delivered", "exact", "done", "sim (ms)",
-          "words/ms", "drops", "aborts");
-    t.rule();
-    bool all_correct = true;
-    for (const double loss : losses) {
-        points.push_back(measureGoodput(loss));
-        const auto &p = points.back();
-        t.row(100.0 * p.loss, p.delivered, p.correct ? "yes" : "NO",
-              p.completed ? "yes" : "gave up", p.simMs, p.wordsPerMs,
-              p.dropped, p.aborts);
-        all_correct = all_correct && p.correct;
-    }
-    t.rule();
-
-    const bool pass = pass_e7 && all_correct;
+    bool allExact = true;
+    std::vector<Row> points;
+    for (const double loss : {0.0, 0.01, 0.02, 0.05, 0.10})
+        points.push_back(measureGoodput(loss, allExact));
+    Report report;
+    report.add("bench", "fault_overhead_and_goodput")
+        .add("link_stream_host_ms_bare", bareMs)
+        .add("link_stream_host_ms_watchdogs", armedMs)
+        .add("watchdog_feature_price_pct", armedPct)
+        .add("identical", stream.identical)
+        .add("all_exact", allExact);
+    report.table("goodput", points);
     std::cout << "\nevery delivered prefix exact: "
-              << (all_correct ? "yes" : "NO") << "\n";
-
-    std::ofstream json("BENCH_fault.json");
-    json << "{\n  \"bench\": \"fault_overhead_and_goodput\",\n"
-         << "  \"e7_ips_on\": " << on << ",\n"
-         << "  \"e7_speedup\": " << e7_speedup << ",\n"
-         << "  \"pass_e7_bar_2x\": " << (pass_e7 ? "true" : "false")
-         << ",\n"
-         << "  \"link_stream_host_ms_bare\": " << wd_off * 1e3 << ",\n"
-         << "  \"link_stream_host_ms_watchdogs\": " << wd_on * 1e3
-         << ",\n"
-         << "  \"watchdog_feature_price_pct\": " << armed_pct << ",\n"
-         << "  \"all_exact\": " << (all_correct ? "true" : "false")
-         << ",\n  \"goodput\": [\n";
-    for (size_t i = 0; i < points.size(); ++i) {
-        const auto &p = points[i];
-        json << "    {\"loss\": " << p.loss
-             << ", \"delivered\": " << p.delivered
-             << ", \"exact\": " << (p.correct ? "true" : "false")
-             << ", \"completed\": " << (p.completed ? "true" : "false")
-             << ", \"sim_ms\": " << p.simMs
-             << ", \"words_per_ms\": " << p.wordsPerMs
-             << ", \"data_drops\": " << p.dropped
-             << ", \"link_aborts\": " << p.aborts << "}"
-             << (i + 1 < points.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote BENCH_fault.json\n";
-    return pass ? 0 : 1;
+              << (allExact ? "yes" : "NO") << "\n";
+    report.write("BENCH_fault.json");
+    return allExact && stream.identical ? 0 : 1;
 }

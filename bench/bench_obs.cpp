@@ -12,31 +12,29 @@
  * and the flight recorder to a null-pointer test per scheduler
  * event -- so the acceptance bars are
  *
- *   - everything off vs seed-style run: indistinguishable (the
- *     baseline itself, reported for reference);
+ *   - everything off: the baseline, reported for reference;
  *   - flight recorder on (the shipping default): <= 2% overhead;
  *   - profiler on at the default 4096-cycle interval: <= 5%;
  *   - time-series on at the default tick: <= 5%.
  *
- * Expected overheads are within host noise, so pass/fail compares
- * BEST-OF throughput: host noise is one-sided (steal, frequency
- * ramps, cache pollution only ever slow a run), so the fastest of N
- * repetitions is the robust estimator of true throughput and the
- * best-of ratio isolates the real cost where a median of 25%-spread
- * samples cannot resolve a 2% bar.  The per-repetition paired-ratio
- * median (the bench_interp idiom) is still reported in the artifact
- * for transparency.  Results go to stdout plus BENCH_obs.json.
+ * The variants run by bench/report.hh's protocol (one untimed round,
+ * then 9 rounds in rotating order).  Expected overheads are within
+ * host noise, so pass/fail compares BEST-OF throughput: host noise is
+ * one-sided (steal, frequency ramps, cache pollution only ever slow a
+ * run), so the fastest of N runs is the robust estimator of true
+ * throughput and the best-of ratio isolates the real cost where a
+ * median of 25%-spread samples cannot resolve a 2% bar.  The median
+ * of per-round ratios is reported beside it.  Results go to stdout
+ * plus BENCH_obs.json.
  */
 
-#include <algorithm>
-#include <ctime>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "apps/e7.hh"
 #include "core/transputer.hh"
 
-#include "util.hh"
+#include "report.hh"
 
 using namespace transputer;
 using namespace transputer::bench;
@@ -44,8 +42,7 @@ using namespace transputer::bench;
 namespace
 {
 
-constexpr int warmup = 2;
-constexpr int reps = 9;
+constexpr int kRounds = 9;
 
 /** The observability variants under comparison. */
 struct Variant
@@ -54,7 +51,7 @@ struct Variant
     bool flight;
     bool profile;
     bool timeseries;
-    double bar; ///< max tolerated median overhead (ratio - 1)
+    double bar; ///< max tolerated best-of overhead (ratio - 1)
 };
 
 constexpr Variant kVariants[] = {
@@ -63,82 +60,36 @@ constexpr Variant kVariants[] = {
     {"profile", true, true, false, 0.05},
     {"timeseries", true, false, true, 0.05},
 };
-constexpr size_t kNumVariants =
-    sizeof(kVariants) / sizeof(kVariants[0]);
 
-double
-cpuSeconds()
+struct Run
 {
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-std::string
-e7LoopSource(int iterations)
-{
-    std::string body;
-    for (int r = 0; r < 6; ++r)
-        body += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-    return "start:\n"
-           "  ldc " + std::to_string(iterations) + "\n stl 30\n"
-           "outer:\n" + body +
-           "  ldl 30\n adc -1\n stl 30\n"
-           "  ldl 30\n cj done\n  j outer\n"
-           "done: stopp\n";
-}
-
-struct Measure
-{
-    double ips = 0;
+    double seconds = 0;
     uint64_t instructions = 0;
     uint64_t cycles = 0;
     uint64_t samples = 0;
     uint64_t tsPoints = 0;
 };
 
-Measure
-runOnce(const Variant &v)
+Run
+runOnce(size_t variant)
 {
+    const Variant &v = kVariants[variant];
     core::Config cfg;
     cfg.flight = v.flight;
-    cfg.profile = v.profile;     // default 4096-cycle interval
+    cfg.profile = v.profile;       // default 4096-cycle interval
     cfg.timeseries = v.timeseries; // default 1 ms tick
     AsmRig rig(cfg);
     const double t0 = cpuSeconds();
-    rig.run(e7LoopSource(1'000'000));
-    const double secs = cpuSeconds() - t0;
-    Measure m;
-    m.instructions = rig.cpu.counters().instructions;
-    m.cycles = rig.cpu.counters().cycles;
-    m.ips = static_cast<double>(m.instructions) / secs;
+    rig.run(apps::e7LoopSource(1'000'000));
+    Run r;
+    r.seconds = cpuSeconds() - t0;
+    r.instructions = rig.cpu.counters().instructions;
+    r.cycles = rig.cpu.counters().cycles;
     if (const obs::Profiler *p = rig.cpu.profiler())
-        m.samples = p->totalSamples();
+        r.samples = p->totalSamples();
     if (const obs::TimeSeries *ts = rig.cpu.timeSeries())
-        m.tsPoints = ts->total();
-    return m;
-}
-
-double
-medianOf(std::vector<double> s)
-{
-    std::sort(s.begin(), s.end());
-    const size_t n = s.size();
-    return n == 0 ? 0.0
-                  : n % 2 ? s[n / 2]
-                          : (s[n / 2 - 1] + s[n / 2]) / 2.0;
-}
-
-double
-spreadOf(const std::vector<double> &v)
-{
-    if (v.empty())
-        return 0.0;
-    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-    const double med = medianOf(v);
-    return med ? (*hi - *lo) / med : 0.0;
+        r.tsPoints = ts->total();
+    return r;
 }
 
 } // namespace
@@ -149,89 +100,48 @@ main()
     heading("observability overhead: sampling profiler, time-series, "
             "flight recorder on the E7 loop");
 
-    // per rep: run every variant back to back, ratio against that
-    // rep's own baseline
-    std::vector<double> ips[kNumVariants];
-    std::vector<double> overhead[kNumVariants]; // ratio - 1 vs baseline
-    Measure best[kNumVariants];
-    uint64_t baseInstr = 0, baseCycles = 0;
-    bool identical = true;
-    for (int r = -warmup; r < reps; ++r) {
-        Measure m[kNumVariants];
-        // rotate the execution order per rep: slow host phases
-        // (frequency ramps, steal bursts) would otherwise always hit
-        // the same variant's slot in the group
-        for (size_t i = 0; i < kNumVariants; ++i) {
-            const size_t v =
-                (static_cast<size_t>(r + warmup) + i) % kNumVariants;
-            m[v] = runOnce(kVariants[v]);
-        }
-        if (r < 0)
-            continue;
-        if (baseInstr == 0) {
-            baseInstr = m[0].instructions;
-            baseCycles = m[0].cycles;
-        }
-        for (size_t v = 0; v < kNumVariants; ++v) {
-            ips[v].push_back(m[v].ips);
-            if (m[v].ips > best[v].ips)
-                best[v] = m[v];
-            if (m[v].ips > 0)
-                overhead[v].push_back(m[0].ips / m[v].ips - 1.0);
-            // observation must never change the simulated outcome
-            identical = identical &&
-                        m[v].instructions == baseInstr &&
-                        m[v].cycles == baseCycles;
-        }
+    // observation must never change the simulated outcome
+    const auto r = runRounds(
+        std::size(kVariants), kRounds, runOnce,
+        [](const Run &a, const Run &b) {
+            return a.instructions == b.instructions &&
+                   a.cycles == b.cycles;
+        });
+
+    bool pass = r.identical;
+    const Spread base = r.time(0);
+    std::vector<Row> rows;
+    for (size_t v = 0; v < std::size(kVariants); ++v) {
+        const Spread s = r.time(v);
+        const Run &first = r.runs[v].front();
+        const double instr = static_cast<double>(first.instructions);
+        const double over = s.min / base.min - 1.0;
+        pass = pass && over <= kVariants[v].bar;
+        Row row;
+        row.col("variant", "name", kVariants[v].name)
+            .col("i/s best", "ips_best", instr / s.min)
+            .col("i/s median", "ips_median", instr / s.median)
+            .add("ips_spread", s.relative())
+            .col("overhead", "overhead_best", over)
+            .add("overhead_median", 1.0 / r.ratio(v) - 1.0)
+            .col("bar", "bar", kVariants[v].bar)
+            .col("samples", "samples", first.samples)
+            .col("ts points", "ts_points", first.tsPoints)
+            .add("instructions", first.instructions);
+        rows.push_back(row);
     }
 
-    Table t({12, 13, 13, 11, 11, 10, 11});
-    t.row("variant", "i/s best", "i/s median", "overhead", "bar",
-          "samples", "ts points");
-    t.rule();
-    bool pass = identical;
-    double med[kNumVariants], over[kNumVariants];
-    for (size_t v = 0; v < kNumVariants; ++v) {
-        med[v] = medianOf(overhead[v]);
-        over[v] = best[v].ips > 0
-                      ? best[0].ips / best[v].ips - 1.0
-                      : 0.0;
-        const bool met = v == 0 || over[v] <= kVariants[v].bar;
-        t.row(kVariants[v].name, best[v].ips, medianOf(ips[v]),
-              v == 0 ? std::string("--")
-                     : std::to_string(over[v] * 100.0) + "%",
-              v == 0 ? std::string("--")
-                     : std::to_string(kVariants[v].bar * 100.0) + "%",
-              best[v].samples, best[v].tsPoints);
-        pass = pass && met;
-    }
-    t.rule();
-    std::cout << (identical ? ""
-                            : "simulated outcome DIFFERS across "
-                              "variants\n")
+    Report report;
+    report.add("bench", "obs_overhead")
+        .add("workload", "e7_mips_loop")
+        .add("median_of", kRounds)
+        .add("identical", r.identical);
+    report.table("variants", rows);
+    std::cout << (r.identical ? ""
+                              : "simulated outcome DIFFERS across "
+                                "variants\n")
               << (pass ? "all bars met\n" : "bars MISSED\n");
-
-    std::ofstream json("BENCH_obs.json");
-    json << "{\n  \"bench\": \"obs_overhead\",\n"
-         << "  \"workload\": \"e7_mips_loop\",\n"
-         << "  \"median_of\": " << reps << ",\n"
-         << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
-         << "  \"identical\": " << (identical ? "true" : "false")
-         << ",\n  \"variants\": [\n";
-    for (size_t v = 0; v < kNumVariants; ++v) {
-        json << "    {\"name\": \"" << kVariants[v].name
-             << "\", \"ips_best\": " << best[v].ips
-             << ", \"ips_median\": " << medianOf(ips[v])
-             << ", \"ips_spread\": " << spreadOf(ips[v])
-             << ", \"overhead_best\": " << (v == 0 ? 0.0 : over[v])
-             << ", \"overhead_median\": " << (v == 0 ? 0.0 : med[v])
-             << ", \"bar\": " << kVariants[v].bar
-             << ", \"samples\": " << best[v].samples
-             << ", \"ts_points\": " << best[v].tsPoints
-             << ", \"instructions\": " << best[v].instructions << "}"
-             << (v + 1 < kNumVariants ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote BENCH_obs.json\n";
+    report.add("pass", pass);
+    report.write("BENCH_obs.json");
     return pass ? 0 : 1;
 }

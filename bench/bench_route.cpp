@@ -26,8 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,7 +33,7 @@
 #include "apps/routedquery.hh"
 #include "fault/fault.hh"
 
-#include "util.hh"
+#include "report.hh"
 
 using namespace transputer;
 using namespace transputer::bench;
@@ -43,37 +41,13 @@ using namespace transputer::bench;
 namespace
 {
 
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 constexpr Tick waveBudget = 30'000'000'000; ///< sim ns per wave
 
-struct ScenarioResult
+/** What later scenarios are compared with. */
+struct Wave
 {
-    std::string name;
-    int liveTerminals = 0;
-    int killedTerminals = 0;
-    double deliveryPct = 0;  ///< live replies / live terminals (w2)
-    bool exact = false;      ///< every reply payload right, no dupes
-    bool resolved = false;   ///< every killed dest noticed in wave 2
-    double wave1Ms = 0;      ///< inject -> last answer, faults landing
-    double wave2Ms = 0;      ///< inject -> last live reply, steady
-    double avgHops = 0;      ///< routeHops / routeDelivered
-    double hopStretch = 0;   ///< avgHops / clean avgHops
-    uint64_t reroutes = 0;
-    uint64_t linkFloods = 0;
-    uint64_t retransmits = 0;
-    uint64_t undeliverable = 0;
-    uint64_t congestionDrops = 0;
-    uint64_t hopDrops = 0;
-    uint64_t ttlDrops = 0;
-    double hostSecs = 0;
+    double hops = 0; ///< mean hops of a delivered packet
+    double ms = 0;   ///< steady state: inject -> last live reply
 };
 
 /** Answers [from, end) split per source node. */
@@ -86,12 +60,14 @@ perNode(const std::vector<apps::RoutedAnswer> &answers, size_t from)
     return out;
 }
 
-ScenarioResult
+/** Run one scenario and add its row to `rows`; `clean` is the clean
+ *  run's wave (none for the clean run itself), and `pass` keeps the
+ *  robustness bar. */
+Wave
 runScenario(const std::string &name, bool loss,
-            const std::vector<int> &victims)
+            const std::vector<int> &victims, const Wave &clean,
+            std::vector<Row> &rows, bool &pass)
 {
-    ScenarioResult r;
-    r.name = name;
     const double host0 = cpuSeconds();
 
     apps::RoutedQueryConfig cfg;
@@ -130,7 +106,7 @@ runScenario(const std::string &name, bool loss,
     Tick last1 = t1;
     for (const auto &a : rq.answers())
         last1 = std::max(last1, a.when);
-    r.wave1Ms = static_cast<double>(last1 - t1) / 1e6;
+    const double wave1Ms = static_cast<double>(last1 - t1) / 1e6;
 
     // wave 2: the fabric has rerouted; this is the steady state the
     // delivery and latency bars apply to
@@ -148,34 +124,34 @@ runScenario(const std::string &name, bool loss,
     }
 
     Tick lastLive = t2;
-    r.exact = true;
+    bool exact = true; // every reply payload right, no dupes
     const auto w2 = perNode(rq.answers(), wave1End);
     std::map<Word, int> notices;
     for (size_t i = wave1End; i < rq.answers().size(); ++i) {
         const auto &a = rq.answers()[i];
         if (a.vchan == 0) {
             if (a.word != key2 + 1)
-                r.exact = false;
+                exact = false;
             lastLive = std::max(lastLive, a.when);
         } else {
             ++notices[a.src];
         }
     }
-    int liveReplies = 0;
-    r.resolved = true;
+    int liveReplies = 0, liveTerminals = 0, killedTerminals = 0;
+    bool resolved = true; // every killed dest noticed in wave 2
     for (int t = 1; t < rq.nodes(); ++t) {
         const bool killed = fab.cpu(t).killed();
         const int got = w2.count(t) ? w2.at(t) : 0;
         if (killed) {
-            ++r.killedTerminals;
+            ++killedTerminals;
             if (!notices.count(t))
-                r.resolved = false;
+                resolved = false;
         } else {
-            ++r.liveTerminals;
+            ++liveTerminals;
             if (got == 1 && !notices.count(t)) {
                 ++liveReplies;
             } else {
-                r.exact = false; // silence, duplicate, or a notice
+                exact = false; // silence, duplicate, or a notice
                 std::cout << name << ": live terminal " << t
                           << " resolved " << got << " times in wave 2"
                           << (notices.count(t) ? " (incl. a notice)"
@@ -184,25 +160,38 @@ runScenario(const std::string &name, bool loss,
             }
         }
     }
-    r.deliveryPct = r.liveTerminals
-                        ? 100.0 * liveReplies / r.liveTerminals
-                        : 0.0;
-    r.wave2Ms = static_cast<double>(lastLive - t2) / 1e6;
+    const double deliveryPct =
+        liveTerminals ? 100.0 * liveReplies / liveTerminals : 0.0;
+    pass = pass && exact && resolved && deliveryPct == 100.0;
 
     const obs::Counters c = fab.counters();
-    r.avgHops = c.routeDelivered
-                    ? static_cast<double>(c.routeHops) /
-                          static_cast<double>(c.routeDelivered)
-                    : 0.0;
-    r.reroutes = c.routeReroutes;
-    r.linkFloods = c.routeLinkFloods;
-    r.retransmits = c.routeRetransmits;
-    r.undeliverable = c.routeUndeliverable;
-    r.congestionDrops = c.routeCongestionDrops;
-    r.hopDrops = c.routeHopDrops;
-    r.ttlDrops = c.routeTtlDrops;
-    r.hostSecs = cpuSeconds() - host0;
-    return r;
+    Wave w;
+    w.ms = static_cast<double>(lastLive - t2) / 1e6;
+    w.hops = c.routeDelivered ? static_cast<double>(c.routeHops) /
+                                    static_cast<double>(c.routeDelivered)
+                              : 0.0;
+    const double cleanHops = clean.hops > 0 ? clean.hops : w.hops;
+    rows.push_back(Row()
+                       .col("scenario", "name", name)
+                       .add("live_terminals", liveTerminals)
+                       .add("killed_terminals", killedTerminals)
+                       .col("delivery", "delivery_pct", deliveryPct)
+                       .col("exact", "exact", exact)
+                       .add("killed_resolved", resolved)
+                       .add("wave1_ms", wave1Ms)
+                       .col("w2 (ms)", "wave2_ms", w.ms)
+                       .col("hops/pkt", "avg_hops", w.hops)
+                       .col("stretch", "hop_stretch",
+                            cleanHops > 0 ? w.hops / cleanHops : 0.0)
+                       .col("reroute", "reroutes", c.routeReroutes)
+                       .col("floods", "link_floods", c.routeLinkFloods)
+                       .col("rexmit", "retransmits", c.routeRetransmits)
+                       .add("undeliverable", c.routeUndeliverable)
+                       .add("congestion_drops", c.routeCongestionDrops)
+                       .add("hop_drops", c.routeHopDrops)
+                       .add("ttl_drops", c.routeTtlDrops)
+                       .add("host_secs", cpuSeconds() - host0));
+    return w;
 }
 
 } // namespace
@@ -212,72 +201,30 @@ main()
 {
     heading("routing fabric: delivery, reroute latency, hop-stretch");
 
-    std::vector<ScenarioResult> rs;
-    rs.push_back(runScenario("clean", false, {}));
-    rs.push_back(runScenario("loss10", true, {}));
-    rs.push_back(runScenario("loss10_kill3", true, {18, 27, 45}));
-    const double cleanHops = rs[0].avgHops;
-    const double cleanWave = rs[0].wave2Ms;
-    for (auto &r : rs)
-        r.hopStretch = cleanHops > 0 ? r.avgHops / cleanHops : 0.0;
-
-    Table t({14, 10, 9, 10, 10, 9, 9, 9, 9});
-    t.row("scenario", "delivery", "exact", "w2 (ms)", "hops/pkt",
-          "stretch", "reroute", "floods", "rexmit");
-    t.rule();
     bool pass = true;
-    for (const auto &r : rs) {
-        t.row(r.name, r.deliveryPct, r.exact ? "yes" : "NO", r.wave2Ms,
-              r.avgHops, r.hopStretch, r.reroutes, r.linkFloods,
-              r.retransmits);
-        pass = pass && r.exact && r.resolved &&
-               r.deliveryPct == 100.0;
-    }
-    t.rule();
+    std::vector<Row> rows;
+    const Wave clean = runScenario("clean", false, {}, {}, rows, pass);
+    runScenario("loss10", true, {}, clean, rows, pass);
+    const Wave k = runScenario("loss10_kill3", true, {18, 27, 45}, clean,
+                               rows, pass);
+    Report report;
+    report.add("bench", "route_fabric_robustness")
+        .add("topology", "torus8x8")
+        .add("clean_avg_hops", clean.hops)
+        .add("clean_wave_ms", clean.ms);
+    report.table("scenarios", rows);
 
-    const auto &k = rs[2];
-    std::cout << "\nreroute latency: steady-state wave "
-              << k.wave2Ms << " ms with 3 dead nodes vs " << cleanWave
+    std::cout << "\nreroute latency: steady-state wave " << k.ms
+              << " ms with 3 dead nodes vs " << clean.ms
               << " ms clean (+"
-              << (cleanWave > 0
-                      ? 100.0 * (k.wave2Ms / cleanWave - 1.0)
-                      : 0.0)
-              << "%), hop-stretch " << k.hopStretch << "\n"
+              << (clean.ms > 0 ? 100.0 * (k.ms / clean.ms - 1.0) : 0.0)
+              << "%), hop-stretch "
+              << (clean.hops > 0 ? k.hops / clean.hops : 0.0) << "\n"
               << "robustness bar (100% live delivery, exact, every "
               << "killed dest noticed): " << (pass ? "yes" : "NO")
               << "\n";
 
-    std::ofstream json("BENCH_route.json");
-    json << "{\n  \"bench\": \"route_fabric_robustness\",\n"
-         << "  \"topology\": \"torus8x8\",\n"
-         << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
-         << "  \"clean_avg_hops\": " << cleanHops << ",\n"
-         << "  \"clean_wave_ms\": " << cleanWave << ",\n"
-         << "  \"scenarios\": [\n";
-    for (size_t i = 0; i < rs.size(); ++i) {
-        const auto &r = rs[i];
-        json << "    {\"name\": \"" << r.name << "\""
-             << ", \"live_terminals\": " << r.liveTerminals
-             << ", \"killed_terminals\": " << r.killedTerminals
-             << ", \"delivery_pct\": " << r.deliveryPct
-             << ", \"exact\": " << (r.exact ? "true" : "false")
-             << ", \"killed_resolved\": "
-             << (r.resolved ? "true" : "false")
-             << ", \"wave1_ms\": " << r.wave1Ms
-             << ", \"wave2_ms\": " << r.wave2Ms
-             << ", \"avg_hops\": " << r.avgHops
-             << ", \"hop_stretch\": " << r.hopStretch
-             << ", \"reroutes\": " << r.reroutes
-             << ", \"link_floods\": " << r.linkFloods
-             << ", \"retransmits\": " << r.retransmits
-             << ", \"undeliverable\": " << r.undeliverable
-             << ", \"congestion_drops\": " << r.congestionDrops
-             << ", \"hop_drops\": " << r.hopDrops
-             << ", \"ttl_drops\": " << r.ttlDrops
-             << ", \"host_secs\": " << r.hostSecs << "}"
-             << (i + 1 < rs.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    std::cout << "wrote BENCH_route.json\n";
+    report.add("pass", pass);
+    report.write("BENCH_route.json");
     return pass ? 0 : 1;
 }

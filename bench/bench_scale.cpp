@@ -26,8 +26,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -35,7 +33,7 @@
 #include "apps/flood.hh"
 #include "par/parallel_engine.hh"
 
-#include "util.hh"
+#include "report.hh"
 
 using namespace transputer;
 using namespace transputer::bench;
@@ -46,32 +44,11 @@ namespace
 constexpr int kThreads = 4;
 constexpr Tick kLimit = 60'000'000'000; // generous; runs quiesce
 
-struct Result
-{
-    std::string label;
-    int width, height;
-    uint64_t maxRounds; // the gate's ceiling
-    double build_s;   // construct + compile + boot
-    double run_s;     // start-up + one wave, parallel engine
-    uint64_t rounds;
-    uint64_t barriers;
-    uint64_t epochs;
-    size_t bytesMean; // footprintBytes() per node after the run
-    size_t bytesMax;
-    bool ok;          // the wave reduced to exactly width*height
-
-    int nodes() const { return width * height; }
-    double
-    nodesPerSecPerCore(unsigned cores) const
-    {
-        const double used =
-            std::max(1u, std::min<unsigned>(kThreads, cores));
-        return nodes() / run_s / used;
-    }
-};
-
-Result
-runOnce(const std::string &label, int w, int h, uint64_t max_rounds)
+/** One weak-scaling point: a wave on a w x h array; `ok` gets the
+ *  gate's verdict. */
+Row
+runOnce(const std::string &label, int w, int h, uint64_t maxRounds,
+        unsigned cores, bool &ok)
 {
     apps::FloodConfig cfg;
     cfg.width = w;
@@ -79,32 +56,26 @@ runOnce(const std::string &label, int w, int h, uint64_t max_rounds)
     cfg.settle = false;
     cfg.node = apps::FloodConfig::scaleNodeConfig();
 
-    Result r{};
-    r.label = label;
-    r.width = w;
-    r.height = h;
-    r.maxRounds = max_rounds;
-
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = wallSeconds();
     apps::Flood flood(cfg);
-    const auto t1 = std::chrono::steady_clock::now();
+    const double t1 = wallSeconds();
     flood.inject(1);
     net::RunOptions opts;
     opts.threads = kThreads;
     opts.partition = net::Partition::Contiguous;
     par::RunStats stats;
     par::runParallel(flood.network(), kLimit, opts, &stats);
-    const auto t2 = std::chrono::steady_clock::now();
+    const double runS = wallSeconds() - t1;
 
-    r.build_s = std::chrono::duration<double>(t1 - t0).count();
-    r.run_s = std::chrono::duration<double>(t2 - t1).count();
-    r.rounds = stats.rounds;
-    r.barriers = stats.barriers;
+    uint64_t epochs = 0;
     for (const auto &s : stats.shards)
-        r.epochs += s.epochs;
-    r.ok = flood.answers().size() == 1 &&
-           flood.answers().back().count == flood.expectedCount();
+        epochs += s.epochs;
+    // the wave reduced to exactly width*height
+    const bool exact =
+        flood.answers().size() == 1 &&
+        flood.answers().back().count == flood.expectedCount();
 
+    // footprintBytes() per node after the run
     size_t sum = 0, most = 0;
     net::Network &net = flood.network();
     for (size_t i = 0; i < net.size(); ++i) {
@@ -112,9 +83,27 @@ runOnce(const std::string &label, int w, int h, uint64_t max_rounds)
         sum += b;
         most = std::max(most, b);
     }
-    r.bytesMean = sum / net.size();
-    r.bytesMax = most;
-    return r;
+    ok = ok && exact && stats.rounds <= maxRounds && most <= 1024;
+
+    const int nodes = w * h;
+    const double used =
+        std::max(1u, std::min<unsigned>(kThreads, cores));
+    return Row()
+        .col("run", "label", label)
+        .col("nodes", "nodes", nodes)
+        .add("width", w)
+        .add("height", h)
+        .col("build (s)", "build_s", t1 - t0) // construct+compile+boot
+        .col("run (s)", "run_s", runS) // start-up + one wave
+        .col("nodes/s/core", "nodes_per_sec_per_core",
+             nodes / runS / used)
+        .col("rounds", "rounds", stats.rounds)
+        .col("ceiling", "max_rounds", maxRounds)
+        .add("barriers", stats.barriers)
+        .add("epochs", epochs)
+        .add("bytes_per_node_mean", sum / net.size())
+        .col("B/node max", "bytes_per_node_max", most)
+        .col("ok", "ok", exact);
 }
 
 /** footprintBytes() of a node that was wired but never booted: the
@@ -131,26 +120,6 @@ idleNodeBytes()
     return most;
 }
 
-void
-emitRun(std::ofstream &json, const Result &r, unsigned cores,
-        bool last)
-{
-    json << "    {\"label\": \"" << r.label << "\""
-         << ", \"nodes\": " << r.nodes() << ", \"width\": " << r.width
-         << ", \"height\": " << r.height
-         << ", \"build_s\": " << r.build_s
-         << ", \"run_s\": " << r.run_s
-         << ", \"nodes_per_sec_per_core\": "
-         << r.nodesPerSecPerCore(cores) << ", \"rounds\": " << r.rounds
-         << ", \"max_rounds\": " << r.maxRounds
-         << ", \"barriers\": " << r.barriers
-         << ", \"epochs\": " << r.epochs
-         << ", \"bytes_per_node_mean\": " << r.bytesMean
-         << ", \"bytes_per_node_max\": " << r.bytesMax
-         << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
-         << (last ? "" : ",") << "\n";
-}
-
 } // namespace
 
 int
@@ -165,41 +134,26 @@ main(int argc, char **argv)
 
     // weak scaling; the ceilings are the rounds shard-pair closure
     // windows took on these waves
-    std::vector<Result> scaling;
-    scaling.push_back(runOnce("1k", 32, 32, 1855));
-    scaling.push_back(runOnce("10k", 100, 100, 6902));
-    if (!quick)
-        scaling.push_back(runOnce("100k", 320, 313, 22952));
-
     const size_t idle = idleNodeBytes();
-
-    Table t({10, 10, 12, 12, 10, 12, 12, 12, 12});
-    t.row("run", "nodes", "build (s)", "run (s)", "rounds", "ceiling",
-          "nodes/s/core", "B/node max", "ok");
-    t.rule();
     bool ok = idle <= 1024;
-    for (const auto &r : scaling) {
-        t.row(r.label, r.nodes(), r.build_s, r.run_s, r.rounds,
-              r.maxRounds, r.nodesPerSecPerCore(cores), r.bytesMax,
-              r.ok ? "yes" : "NO");
-        ok = ok && r.ok && r.rounds <= r.maxRounds && r.bytesMax <= 1024;
-    }
-    t.rule();
+    std::vector<Row> scaling;
+    scaling.push_back(runOnce("1k", 32, 32, 1855, cores, ok));
+    scaling.push_back(runOnce("10k", 100, 100, 6902, cores, ok));
+    if (!quick)
+        scaling.push_back(runOnce("100k", 320, 313, 22952, cores, ok));
+
+    Report report;
+    report.add("workload", "flood_reduce")
+        .add("threads", kThreads)
+        .add("hardware_concurrency", cores)
+        .add("idle_bytes_per_node", idle);
+    report.table("weak_scaling", scaling);
     std::cout << "\nidle (never-executed) node: " << idle
               << " bytes of side structures\n";
     std::cout << "gate (exact waves, rounds <= ceiling, <= 1 KiB per "
                  "node): "
               << (ok ? "PASS" : "FAIL") << "\n";
-
-    std::ofstream json("BENCH_scale.json");
-    json << "{\n  \"workload\": \"flood_reduce\",\n"
-         << "  \"threads\": " << kThreads << ",\n"
-         << "  \"hardware_concurrency\": " << cores << ",\n"
-         << "  \"idle_bytes_per_node\": " << idle << ",\n"
-         << "  \"weak_scaling\": [\n";
-    for (size_t i = 0; i < scaling.size(); ++i)
-        emitRun(json, scaling[i], cores, i + 1 == scaling.size());
-    json << "  ],\n  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
-    std::cout << "wrote BENCH_scale.json\n";
+    report.add("pass", ok);
+    report.write("BENCH_scale.json");
     return ok ? 0 : 1;
 }

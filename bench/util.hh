@@ -77,6 +77,12 @@ class Table
     {
         std::vector<std::string> v;
         (v.push_back(render(cells)), ...);
+        row(v);
+    }
+
+    void
+    row(const std::vector<std::string> &v)
+    {
         std::ostringstream os;
         for (size_t i = 0; i < v.size(); ++i) {
             const int w = i < widths_.size() ? widths_[i] : 12;

@@ -719,7 +719,6 @@ Transputer::runBlocks(Tick bound, int budget)
         n = execBlock<false>(*sb, bound, budget, why);
     }
     ++bc.stats().deopts[static_cast<size_t>(why)];
-#ifdef TRANSPUTER_OBS
     // flight ring only (not the trace ring), and only the abnormal
     // reasons: Bound/Budget/End are how every batched dispatch ends,
     // and recording them would evict the scheduler history a
@@ -730,7 +729,6 @@ Transputer::runBlocks(Tick bound, int budget)
         recordFlight(time_, obs::Ev::Deopt,
                      static_cast<uint64_t>(why),
                      static_cast<uint64_t>(n), 0);
-#endif
     if (why == blockc::Deopt::GuardStale)
         bc.invalidate(*sb); // self-modified: re-heat and recompile
     return n;

@@ -333,14 +333,10 @@ class Transputer
     void
     traceLink(obs::Ev ev, uint64_t a, uint64_t b = 0, uint32_t c = 0)
     {
-#ifdef TRANSPUTER_OBS
         if (obsTrace_)
             obsTrace_->record(queue_->now(), ev, a, b, c);
         if (flightOn_ && obs::flightWorthy(ev))
             recordFlight(queue_->now(), ev, a, b, c);
-#else
-        (void)ev; (void)a; (void)b; (void)c;
-#endif
     }
 
     /** One link byte moved through an attached engine (called by the
@@ -498,21 +494,16 @@ class Transputer
     friend struct sem::Members;
     friend struct sem::Hoisted;
 
-    /** Record a trace event at an explicit timestamp.  Compiles to
-     *  nothing without TRANSPUTER_OBS; otherwise one branch on a
+    /** Record a trace event at an explicit timestamp: one branch on a
      *  pointer when tracing is off. */
     void
     trcAt(Tick when, obs::Ev ev, uint64_t a, uint64_t b = 0,
           uint32_t c = 0)
     {
-#ifdef TRANSPUTER_OBS
         if (obsTrace_)
             obsTrace_->record(when, ev, a, b, c);
         if (flightOn_ && obs::flightWorthy(ev))
             recordFlight(when, ev, a, b, c);
-#else
-        (void)when; (void)ev; (void)a; (void)b; (void)c;
-#endif
     }
 
     /**

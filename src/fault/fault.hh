@@ -20,10 +20,9 @@
  *     actor (sim::chanFault), which the parallel engine migrates to
  *     the right shard like any other pending event.
  *
- * Gating follows src/obs: a compile-time switch (TRANSPUTER_FAULT,
- * default ON) and a runtime null-pointer gate (a line with no tap
- * costs one branch per packet; an engine with watchdog 0 costs one
- * branch per transfer step).
+ * The hooks are always compiled in and gated at run time by a null
+ * pointer, as in src/obs: a line with no tap costs one branch per
+ * packet, and an engine with watchdog 0 one branch per transfer step.
  */
 
 #ifndef TRANSPUTER_FAULT_FAULT_HH
@@ -96,17 +95,6 @@ struct FaultPlan
     {
         const auto it = lines.find({src, dst});
         return it == lines.end() ? allLines : it->second;
-    }
-
-    bool
-    anyLineFaults() const
-    {
-        if (allLines.any())
-            return true;
-        for (const auto &kv : lines)
-            if (kv.second.any())
-                return true;
-        return false;
     }
 };
 

@@ -163,11 +163,9 @@ Line::transmitData(Tick not_before, uint8_t byte)
         return;
     }
     FaultAction fa;
-#ifdef TRANSPUTER_FAULT
     if (fault_)
         fa = fault_->onDataPacket(std::max(not_before, busyUntil_),
                                   byte);
-#endif
     const Tick bit = cfg_.bitTime();
     // jitter is modelled as extra lead-in on the wire: the packet's
     // first bit leaves late, so every delivery is only ever delayed
@@ -202,10 +200,8 @@ Line::transmitAck(Tick not_before)
         return;
     }
     FaultAction fa;
-#ifdef TRANSPUTER_FAULT
     if (fault_)
         fa = fault_->onAckPacket(std::max(not_before, busyUntil_));
-#endif
     const Tick bit = cfg_.bitTime();
     const Tick start =
         claim(not_before, fa.jitter + 2 * bit) + fa.jitter;
@@ -312,9 +308,7 @@ LinkEngine::requestInput(Word wdesc, Word pointer, Word count)
             cpu_.completeInput(inWdesc_);
             return;
         }
-#ifdef TRANSPUTER_FAULT
         armInWatchdog(cpu_.localTime());
-#endif
     }
     if (inActive_ && peerDead_) {
         // nothing further can ever arrive: complete the message short
@@ -356,10 +350,8 @@ LinkEngine::reset()
     bufferValid_ = false;
     ackSentForCurrent_ = false;
     altEnabled_ = false;
-#ifdef TRANSPUTER_FAULT
     disarmOutWatchdog();
     disarmInWatchdog();
-#endif
 }
 
 // ----- wire side ------------------------------------------------------
@@ -398,17 +390,13 @@ LinkEngine::onDataEnd(uint8_t byte)
         ackSentForCurrent_ = false;
         if (inReceived_ == inCount_) {
             inActive_ = false;
-#ifdef TRANSPUTER_FAULT
             disarmInWatchdog();
-#endif
             cpu_.traceLink(obs::Ev::LinkMsgIn, inWdesc_, flowIn(),
                            static_cast<uint32_t>(linkIndex_));
             cpu_.completeInput(inWdesc_);
             return;
         }
-#ifdef TRANSPUTER_FAULT
         armInWatchdog(queue_->now());
-#endif
         return;
     }
     // no process: the single-byte buffer takes it; the deferred ack
@@ -444,9 +432,7 @@ LinkEngine::onAckEnd()
         return;
     }
     awaitingAck_ = false;
-#ifdef TRANSPUTER_FAULT
     disarmOutWatchdog();
-#endif
     if (!outActive_)
         return;
     if (outSent_ == outCount_) {
@@ -476,9 +462,7 @@ LinkEngine::sendNextByte(Tick not_before)
     if (bursts_ && bursts_->open(*this, not_before))
         return;
     tx_.transmitData(not_before, byte);
-#ifdef TRANSPUTER_FAULT
     armOutWatchdog(not_before);
-#endif
 }
 
 // ----- link health (src/fault) ---------------------------------------

@@ -11,12 +11,11 @@
  * increment and a struct store, and readers (exporters) only run
  * after the simulation has stopped.
  *
- * Gating is two-level.  Compile-time: the recording helpers compile
- * to nothing unless TRANSPUTER_OBS is defined (it is, by default --
- * see the top-level CMakeLists option).  Run-time: Transputer keeps a
- * raw TraceBuffer pointer that is null until tracing is enabled
- * (Config::trace / setTraceEnabled / RunOptions::trace), so the
- * disabled path is one branch on a bool-like pointer.  Tracing never
+ * The recording hooks are always compiled in and gated at run time:
+ * Transputer keeps a raw TraceBuffer pointer that is null until
+ * tracing is enabled (Config::trace / setTraceEnabled /
+ * RunOptions::trace), so the disabled path is one branch on a
+ * bool-like pointer.  Tracing never
  * touches architectural state or event ordering; a traced run is
  * bit-identical to an untraced one (tests/test_obs.cc).
  */

@@ -918,8 +918,6 @@ TEST(BlockTierWorkloads, DbSearchTierShardedBitIdentical)
     expectNoBlockTable(*sharded, "x3 shards");
 }
 
-#ifdef TRANSPUTER_FAULT
-
 #include "fault/fault.hh"
 #include "net/occam_boot.hh"
 #include "net/peripherals.hh"
@@ -1012,5 +1010,3 @@ TEST(BlockTierWorkloads, FaultInjectedRunTierOnOffBitIdentical)
                   stats.dataCorrupted,
               0u);
 }
-
-#endif // TRANSPUTER_FAULT

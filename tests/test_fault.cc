@@ -195,8 +195,6 @@ consoleWords(const ConsoleSink &console)
 
 } // namespace
 
-#ifdef TRANSPUTER_FAULT
-
 // ---------------------------------------------------------------------
 // determinism: seeded faulty runs are engine-independent
 // ---------------------------------------------------------------------
@@ -589,8 +587,6 @@ TEST(DegradedDbSearch, KilledLeafShardRecoversOnSurvivors)
     EXPECT_EQ(db.degradedSearch(key), db.expectedCount(key));
     EXPECT_EQ(db.backupHolder(victim), victim - 1);
 }
-
-#endif // TRANSPUTER_FAULT
 
 // ---------------------------------------------------------------------
 // occam generator shape (independent of the fault hooks)

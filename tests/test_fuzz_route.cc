@@ -169,8 +169,6 @@ TEST(FuzzRouteDecoder, ValidStreamSurvivesInterleavedGarbage)
     EXPECT_GE(dec.stats().packets, sent);
 }
 
-#ifdef TRANSPUTER_FAULT
-
 TEST(FuzzRouteSwitch, ForgedPacketsNeverCrashALiveSwitch)
 {
     // hostile mid-route traffic: packets with arbitrary field values
@@ -243,5 +241,3 @@ TEST(FuzzRouteSwitch, HostileWireBytesMidRouteStayExact)
     }
     EXPECT_GT(rejected, 0u);
 }
-
-#endif // TRANSPUTER_FAULT

@@ -375,7 +375,6 @@ TEST(Link, EndOfByteAckSetsThirteenBitPacketSpacing)
     }
 }
 
-#ifdef TRANSPUTER_FAULT
 TEST(Link, WireReconfigurationMidMessage)
 {
     // AckMode edge case: the wire's behaviour changes *during* a
@@ -423,7 +422,6 @@ TEST(Link, WireReconfigurationMidMessage)
     EXPECT_EQ(wire->dataPackets(), 64u);
     EXPECT_EQ(wire->dataDropped(), 0u);
 }
-#endif // TRANSPUTER_FAULT
 
 // ---------------------------------------------------------------------
 // Message-level bursts (link/bursts.hh) must be exact.  Every scenario

@@ -306,7 +306,6 @@ TEST(ObsTrace, TracingLeavesArchitecturalStateBitIdentical)
         EXPECT_TRUE(obs::sameArchitectural(a.counters(), b.counters()));
     }
     EXPECT_EQ(plain.console->bytes(), traced.console->bytes());
-#ifdef TRANSPUTER_OBS
     // and the traced side really traced
     uint64_t records = 0;
     for (size_t i = 0; i < traced.net.size(); ++i) {
@@ -315,7 +314,6 @@ TEST(ObsTrace, TracingLeavesArchitecturalStateBitIdentical)
         records += buf ? buf->total() : 0;
     }
     EXPECT_GT(records, 0u);
-#endif
 }
 
 // ---------------------------------------------------------------------
@@ -352,11 +350,9 @@ TEST(ObsExport, ChromeTraceHasSlicesAndFlows)
     const std::string json = obs::chromeTrace(r.net);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);
-#ifdef TRANSPUTER_OBS
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
-#endif
 }
 
 TEST(ObsExport, DumpMetricsCarriesCountersAndQueueStats)

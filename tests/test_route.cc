@@ -428,8 +428,6 @@ TEST(RouteFabric, SerialVsParallelBitIdenticalClean)
     expectSameSnapshots(serial, parallel, nullptr, nullptr);
 }
 
-#ifdef TRANSPUTER_FAULT
-
 namespace
 {
 
@@ -702,5 +700,3 @@ TEST(RouteFault, KillsAndWatchdogAbortsAreNamedInTheFlightRecorder)
                             ab.node == fab.netNode(2);
     EXPECT_TRUE(abortOnDeadTrunk);
 }
-
-#endif // TRANSPUTER_FAULT

@@ -78,13 +78,28 @@ if ./build/tools/tprof --scenario nope 2> /dev/null; then
 fi
 echo "trace + metrics + time-series + profile outputs validate"
 
-# every committed benchmark artifact must stay parseable
-echo "== benchmark artifacts parse =="
+# every committed benchmark artifact must stay parseable and name the
+# host and build it was measured on (bench/report.hh's env stamp)
+echo "== benchmark artifacts parse and carry env =="
 for f in BENCH_*.json; do
     [ -e "$f" ] || continue
-    python3 -m json.tool "$f" > /dev/null
+    python3 -c 'import json, sys
+env = json.load(open(sys.argv[1])).get("env", {})
+for k in ("hardware_concurrency", "compiler", "build_type"):
+    if k not in env:
+        sys.exit(sys.argv[1] + ": no env." + k)' "$f"
     echo "  $f ok"
 done
+
+# tier smoke: the execution-tier bench must pass its gates (identical
+# outcomes, the e7 tier ratios and block coverage, no dbsearch
+# compiles) and emit JSON that a strict parser accepts
+echo "== execution tiers: bench_interp =="
+interp_dir=build/interp-smoke
+mkdir -p "$interp_dir"
+(cd "$interp_dir" && ../bench/bench_interp)
+python3 -m json.tool "$interp_dir/BENCH_blockc.json" > /dev/null
+echo "BENCH_blockc.json validates"
 
 # checkpoint/restore smoke: snapshot round-trips through tsnap for
 # the serial engine (e7, and dbsearch with link bursts), the parallel

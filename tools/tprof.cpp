@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "apps/dbsearch.hh"
+#include "apps/e7.hh"
 #include "isa/disasm.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/flight.hh"
@@ -106,22 +107,6 @@ parseInt(const char *argv0, const std::string &flag, const char *s,
                              std::to_string(lo) + ", " +
                              std::to_string(hi) + "]");
     return v;
-}
-
-/** The E7 MIPS straight-line loop (bench/bench_interp.cpp). */
-std::string
-e7LoopSource(long iterations)
-{
-    std::string body;
-    for (int r = 0; r < 6; ++r)
-        body += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-    return "start:\n"
-           "  ldc " + std::to_string(iterations) + "\n stl 30\n"
-           "outer:\n" + body +
-           "  ldl 30\n adc -1\n stl 30\n"
-           "  ldl 30\n cj done\n  j outer\n"
-           "done: stopp\n";
 }
 
 /** Top PCs by profile samples, summed over processes and annotated
@@ -267,7 +252,7 @@ main(int argc, char **argv)
         const int n0 = e7net->addTransputer(cfg.node, "e7");
         auto &node = e7net->node(n0);
         const tasm::Image img =
-            tasm::assemble(e7LoopSource(iters),
+            tasm::assemble(apps::e7LoopSource(iters),
                            node.memory().memStart(), node.shape());
         e7net->bootImage(n0, img);
         netp = e7net.get();

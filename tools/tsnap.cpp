@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "apps/dbsearch.hh"
+#include "apps/e7.hh"
 #include "fault/fault.hh"
 #include "par/parallel_engine.hh"
 #include "par/snap_par.hh"
@@ -55,22 +56,6 @@ fnum(const Kv &kv, const std::string &key, double def)
 {
     const auto it = kv.find(key);
     return it == kv.end() ? def : std::stod(it->second);
-}
-
-/** The E7 MIPS loop (bench_interp's straight-line workload). */
-std::string
-e7Loop(int64_t iterations)
-{
-    std::string body;
-    for (int r = 0; r < 6; ++r)
-        body += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-    return "start:\n"
-           "  ldc " + std::to_string(iterations) + "\n stl 30\n"
-           "outer:\n" + body +
-           "  ldl 30\n adc -1\n stl 30\n"
-           "  ldl 30\n cj done\n  j outer\n"
-           "done: stopp\n";
 }
 
 /** A rebuilt workload: the network plus everything around it. */
@@ -129,9 +114,9 @@ buildScenario(const Kv &kv, bool arm)
         sc.net = std::make_unique<net::Network>();
         const int id = sc.net->addTransputer(cfg, "e7");
         core::Transputer &t = sc.net->node(id);
-        const tasm::Image img =
-            tasm::assemble(e7Loop(num(kv, "iters", 200'000)),
-                           t.memory().memStart(), t.shape());
+        const tasm::Image img = tasm::assemble(
+            apps::e7LoopSource(num(kv, "iters", 200'000)),
+            t.memory().memStart(), t.shape());
         sc.net->bootImage(id, img);
     } else if (name == "dbsearch") {
         apps::DbSearchConfig cfg;
