@@ -21,6 +21,9 @@
  *     the cost of the heat probe where nothing compiles -- are
  *     reported, not gated.
  *
+ * Each row also records the fused tier's mean run in the blockc runs,
+ * the figure the promotion gate reads, beside the gate's threshold.
+ *
  * Every timed run of every tier must simulate the same instructions
  * and cycles: both caches are architecturally invisible.  Results go
  * to stdout and BENCH_blockc.json.
@@ -32,6 +35,7 @@
 
 #include "apps/dbsearch.hh"
 #include "apps/e7.hh"
+#include "core/blockc.hh"
 
 #include "report.hh"
 
@@ -153,6 +157,7 @@ workload(const char *name, Run (*run)(size_t), bool compiles,
         .add("blockc_enters", c.blockc.enters)
         .add("blockc_chains", c.blockc.chains)
         .add("blockc_mean_run", c.blockc.meanRunLength())
+        .col("fused run", "fused_mean_run", c.fused.meanRunLength())
         .add("blockc_deopts", deopts)
         .col("identical", "identical", r.identical)
         .col("pass", "pass", pass);
@@ -179,6 +184,13 @@ main()
                          .add("fused_over_plain", kFusedOverPlain)
                          .add("blockc_over_fused", kBlockcOverFused)
                          .add("blockc_coverage", kBlockcCoverage));
+    // the promotion gate the fused mean runs above are read against
+    // (Transputer::blockPromotionAllowed)
+    report.add("promotion_gate",
+               Row()
+                   .add("min_runs", core::blockc::BlockCache::kMinRuns)
+                   .add("min_mean_run",
+                        core::blockc::BlockCache::kMinMeanRun));
     report.table("workloads", rows);
     std::cout << "e7: compiles, blockc coverage > " << kBlockcCoverage
               << ", fused >= " << kFusedOverPlain

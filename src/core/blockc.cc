@@ -500,15 +500,16 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
 #undef TRANSPUTER_SOLO_OP
 
   L_OpGeneric:
-        // any other fast operation: spill, run the core's generic
-        // operation path (it owns the counters and cycle charges),
-        // reload, and re-join the block if control fell through --
-        // this is how lend-loop back-edges, gcall/ret tails and the
-        // error-flag operations stay inside the tier
+        // any other fast operation: hand the state to the core's
+        // generic operation path (it owns the counters and cycle
+        // charges), take it back, and re-join the block if control
+        // fell through -- this is how lend-loop back-edges, gcall/ret
+        // tails and the error-flag operations stay inside the tier
         RETIRE();
-        SPILL();
-        execOp(st->e.operand);
-        h.reload();
+        FLUSH_SWEEP();
+        h.toCore();
+        execGenericOp(static_cast<isa::Op>(st->e.operand));
+        h.fromCore();
         FOLD_OBS_BOUND();
         if (h.err && h.haltOnError) {
             state_ = CpuState::Halted;
@@ -570,7 +571,8 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
   out:
         SPILL();
     } catch (...) {
-        SPILL();
+        if (!h.inCore) // else the core threw: the object holds the state
+            SPILL();
         icache_.addHits(Primed ? static_cast<uint64_t>(done) : hits);
         inExec_ = false;
         throw;
@@ -645,23 +647,24 @@ Transputer::restoreBlockTier(const obs::BlockStats &s)
 
 /**
  * Whether compiling a superblock can pay off here: the tier's entry
- * and deopt overhead only amortizes over long chain runs, and the
- * fused tier's observed mean run length is the best predictor we
- * have.  Short-run workloads (branchy code, communication-bound
- * loops: dbsearch averages under five chains) run faster staying in
- * the fused tier, so promotion waits until the evidence says
- * otherwise.  With too small a sample the classic behavior (compile
- * at the heat threshold) is kept.  The decision reads only counters
- * that snapshots round-trip, so replays repeat it exactly.
+ * and deopt overhead only amortizes over long chain runs.  A fused run
+ * ends where a superblock entry would -- at the bound, the budget, a
+ * non-fast chain, a miss or a deschedule -- so the fused tier's
+ * observed mean run length predicts a superblock's.  Short-run
+ * workloads (communication-bound loops: dbsearch averages 7-10
+ * chains) run faster staying in the fused tier, so promotion waits
+ * until the evidence says otherwise.  With too small a sample the
+ * classic behavior (compile at the heat threshold) is kept.  The
+ * decision reads only counters that snapshots round-trip, so replays
+ * repeat it exactly.
  */
 bool
 Transputer::blockPromotionAllowed() const
 {
-    constexpr uint64_t kMinRuns = 32;     ///< sample size to trust
-    constexpr uint64_t kMinMeanRun = 6;   ///< chains per fused run
+    using blockc::BlockCache;
     const auto &f = ctrs_.fused;
-    return f.runs < kMinRuns ||
-           f.instructions >= kMinMeanRun * f.runs;
+    return f.runs < BlockCache::kMinRuns ||
+           f.instructions >= BlockCache::kMinMeanRun * f.runs;
 }
 
 void
@@ -685,9 +688,8 @@ Transputer::blockTierFootprint() const
 int
 Transputer::runBlocks(Tick bound, int budget)
 {
-    if (!blockCompileEnabled_ || !predecodeEnabled_ || oreg_ != 0 ||
-        trace_ || budget <= 0 || state_ != CpuState::Running ||
-        time_ > bound)
+    if (!blockCompileEnabled_ || !predecodedReady() || budget <= 0 ||
+        state_ != CpuState::Running || time_ > bound)
         return 0;
     ensureBlockTier();
     blockc::BlockCache &bc = *bcache_;
@@ -737,9 +739,9 @@ Transputer::runBlocks(Tick bound, int budget)
 bool
 Transputer::wantsBlockEntry(Word iptr)
 {
-    // called from runFused at jump back-edges: a compiled (or
+    // called from runFused where control transfers: a compiled (or
     // compilable-right-now) block at the target makes the fused loop
-    // bail so the next dispatch enters the block at its proper head
+    // bail so that stepHandler enters the block at its proper head
     ensureBlockTier();
     blockc::BlockCache &bc = *bcache_;
     blockc::Superblock *sb = bc.find(iptr);

@@ -6,8 +6,9 @@
  *
  *   executeOneSlow  ->  executePredecoded/runFused  ->  superblocks
  *
- * Hot predecoded regions (heat is sampled where the dispatch loop and
- * the fused loop's back-edges land) are compiled into superblocks:
+ * Hot predecoded regions (heat is sampled where dispatches begin and
+ * where the fused loop's control transfers land) are compiled into
+ * superblocks:
  * arrays of superop steps (isa/superop.hh), each binding one chain --
  * prefix chain folded into the operand at compile time -- to its
  * handler in core/semantics.hh, with adjacent chains fused where a
@@ -180,6 +181,13 @@ class BlockCache
     static constexpr uint16_t kNoCompile = 0xFFFF; ///< negative cache
     static constexpr size_t kMaxSteps = 64;     ///< per superblock
     static constexpr size_t kMinSteps = 3;      ///< else not worth it
+    /** Promotion gate (Transputer::blockPromotionAllowed): compile
+     *  only while the node's fused runs average at least kMinMeanRun
+     *  chains, once there are kMinRuns of them to average.  The
+     *  threshold is the measured break-even of a superblock against
+     *  the fused loop (DESIGN.md section 4.6). */
+    static constexpr uint64_t kMinRuns = 32;
+    static constexpr uint64_t kMinMeanRun = 16;
 
     /** The valid superblock entered at iptr, or nullptr. */
     Superblock *

@@ -1,9 +1,10 @@
 /**
  * @file
  * Instruction execution: the byte-at-a-time interpreter, the
- * predecoded single step and the fused loop over the inlined
- * instructions (core/semantics.hh), and the remaining indirect
- * operations (paper sections 3.2.5 - 3.2.9).
+ * predecoded single step, the fused loop over every cached fast chain
+ * (its inlined instructions in core/semantics.hh), and the generic
+ * path of the remaining indirect operations (paper sections 3.2.5 -
+ * 3.2.9).
  */
 
 #include <bit>
@@ -99,7 +100,7 @@ Transputer::executeOne()
     // Predecode fast path: a cache hit executes the whole prefix
     // chain in one step.  Resuming mid-chain after an interrupt
     // (oreg_ != 0) and tracing keep the byte-at-a-time path.
-    if (predecodeEnabled_ && oreg_ == 0 && !trace_) {
+    if (predecodedReady()) {
         if (const auto *e = icache_.lookup(iptr_)) {
             executePredecoded(*e);
             return (e->flags & isa::pflag::kFast) != 0;
@@ -131,16 +132,18 @@ Transputer::executePredecoded(const PredecodeCache::Entry &e)
 int
 Transputer::runFused(Tick bound, int budget)
 {
-    // The fused inner loop: cached fast (event-free, non-descheduling)
-    // direct functions execute through the inlined handlers with the
-    // hot CPU state hoisted into locals (sem::Hoisted).  Anything not
-    // inlined here (cache miss, non-fast entry, call, opr) returns to
-    // the caller, which runs one instruction through the generic path
-    // and re-enters.
-    if (!predecodeEnabled_ || oreg_ != 0 || trace_ || budget <= 0)
+    // The fused inner loop: every cached fast chain runs here with the
+    // hot CPU state hoisted into locals (sem::Hoisted) -- the direct
+    // functions and inlined operations through their handlers, every
+    // other fast operation through the core's generic operation path
+    // with the state handed to the core around it.  A run ends where a
+    // superblock entry would: at the bound, the budget, a cache miss,
+    // a non-fast chain or a deschedule -- or where control reaches a
+    // compiled block, which the caller enters instead.
+    if (!predecodedReady() || budget <= 0)
         return 0;
-    // no inlined instruction is interruptible, and serviceInterrupt
-    // only reads lastInstrStart_ when the last one was
+    // no fast instruction is interruptible, and serviceInterrupt only
+    // reads lastInstrStart_ when the last one was
     lastInstrInterruptible_ = false;
     const PredecodeCache::Entry *const entries =
         icache_.entriesData();
@@ -151,7 +154,7 @@ Transputer::runFused(Tick bound, int budget)
     sem::Hoisted h(*this);
     const uint64_t cyc0 = h.cycles; // per-tier cycle attribution (tprof)
     int n = 0;
-    bool bail = false; // a back-edge reached a compiled superblock
+    bool bail = false; // control reached a compiled superblock
     const size_t imask = icache_.indexMask();
     const uint32_t *const gens = icache_.gensData();
     uint64_t hits = 0;
@@ -161,13 +164,21 @@ Transputer::runFused(Tick bound, int budget)
     // the disabled path at two compares per chain
     uint64_t profNext = profNextCycle_;
     Tick tsNext = tsNextTick_;
+    // hand hot loop heads to the block tier: control transfers are
+    // where superblocks begin, and entering one mid-fused-run would
+    // skip its entry protocol
+    const auto offerBlock = [&](Word target) {
+        return running && blockCompileEnabled_ && wantsBlockEntry(target);
+    };
     try {
         while (n < budget && h.time <= bound && running && !bail) {
             if (h.cycles >= profNext || h.time >= tsNext) {
                 // chain boundary crossed a sampling threshold: fire
                 // with the architectural state spilled (oreg_ is 0
-                // throughout the fused loop)
+                // throughout the fused loop) and the run's hits banked
                 h.spill();
+                icache_.addHits(hits);
+                hits = 0;
                 obsBoundaryFire(obs::kTierFused);
                 h.reload();
                 profNext = profNextCycle_;
@@ -180,27 +191,32 @@ Transputer::runFused(Tick bound, int budget)
                 break; // miss: the generic path fills and executes
             if (!(e.flags & isa::pflag::kFast))
                 break;
-            const Fn fn = static_cast<Fn>(e.fn);
-            if (fn == Fn::OPR || fn == Fn::CALL)
-                break; // generic path handles these (fused if fast)
             ++hits;
             sem::retire<true>(h, e);
-            switch (fn) {
+            switch (static_cast<Fn>(e.fn)) {
               case Fn::J:
                 sem::j(h, e.operand);
                 running = state_ == CpuState::Running;
-                // hand hot loop heads to the block tier: back-edges
-                // are where superblocks begin, and entering one
-                // mid-fused-run would skip its entry protocol
-                if (running && blockCompileEnabled_ &&
-                    wantsBlockEntry(h.iptr))
-                    bail = true;
+                bail = offerBlock(h.iptr);
                 break;
               case Fn::CJ:
-                if (sem::cj(h, e.operand) && blockCompileEnabled_ &&
-                    wantsBlockEntry(h.iptr))
-                    bail = true; // taken back-edge onto a block
+                if (sem::cj(h, e.operand))
+                    bail = offerBlock(h.iptr); // taken: maybe a back-edge
                 break;
+              case Fn::OPR: {
+                const Op op = static_cast<Op>(e.operand);
+                if (sem::operate(h, op))
+                    break;
+                const Word next = h.iptr;
+                h.toCore();
+                execGenericOp(op);
+                h.fromCore();
+                running = state_ == CpuState::Running;
+                // lend's back-edge, gcall, ret, or a rotation at lend
+                if (h.iptr != next)
+                    bail = offerBlock(h.iptr);
+                break;
+              }
               // the other direct functions, each passed as a constant
               // so that the handler's own switch folds away
 #define TRANSPUTER_INLINE_CASE(name, kind, effects)                    \
@@ -221,7 +237,8 @@ Transputer::runFused(Tick bound, int budget)
             }
         }
     } catch (...) {
-        h.spill();
+        if (!h.inCore)
+            h.spill();
         icache_.addHits(hits);
         inExec_ = false;
         throw;
@@ -296,6 +313,8 @@ Transputer::executeOneSlow()
 void
 Transputer::execDirect(Fn fn, Word operand)
 {
+    // each direct function passed as a constant, as in the fused loop,
+    // so that one switch reaches its handler
     sem::Members m(*this);
     switch (fn) {
       case Fn::J:
@@ -304,13 +323,14 @@ Transputer::execDirect(Fn fn, Word operand)
       case Fn::CJ:
         sem::cj(m, operand);
         break;
-      case Fn::PFIX:
-      case Fn::NFIX:
-      case Fn::OPR:
-        panic("prefix/opr reached execDirect");
-      default:
-        sem::direct(m, fn, operand);
+#define TRANSPUTER_INLINE_CASE(name, kind, effects)                    \
+      case Fn::name:                                                   \
+        sem::direct(m, Fn::name, operand);                             \
         break;
+        TRANSPUTER_INLINED_DIRECT(TRANSPUTER_INLINE_CASE)
+#undef TRANSPUTER_INLINE_CASE
+      default:
+        panic("prefix/opr reached execDirect");
     }
 }
 
@@ -323,7 +343,13 @@ Transputer::execOp(Word operation)
     const Op op = static_cast<Op>(operation);
     if (sem::Members m(*this); sem::operate(m, op))
         return; // an inlined operation: counted and charged
-    ++ctrs_.op[operation];
+    execGenericOp(op);
+}
+
+void
+Transputer::execGenericOp(Op op)
+{
+    ++ctrs_.op[static_cast<size_t>(op)];
     chargeCycles(cyc::op(op));
     const int bits = shape_.bits;
 
@@ -925,7 +951,7 @@ Transputer::execOp(Word operation)
         break;
 
       default:
-        break; // the inlined operations returned above
+        break; // the inlined operations: sem::operate runs them
     }
 }
 

@@ -143,6 +143,12 @@ struct Hoisted : Core
     size_t codeLo = 0, codeSpan = SIZE_MAX;
     bool nearCode = false;
 
+    /** Set between toCore() and fromCore(): while a core member runs,
+     *  the object holds the state, and a throw out of the core leaves
+     *  its charges and stores there -- a tier's exception path must
+     *  then not spill the locals over them. */
+    bool inCore = false;
+
     /** Write the locals back (before anything reads the object). */
     TRANSPUTER_SEM_INLINE void
     spill()
@@ -175,6 +181,23 @@ struct Hoisted : Core
         haltOnError = cpu.haltOnError_;
     }
 
+    /** Hand the state to the core before a call that reads or writes
+     *  the object... */
+    TRANSPUTER_SEM_INLINE void
+    toCore()
+    {
+        spill();
+        inCore = true;
+    }
+
+    /** ...and take it back after the call returns. */
+    TRANSPUTER_SEM_INLINE void
+    fromCore()
+    {
+        inCore = false;
+        reload();
+    }
+
     TRANSPUTER_SEM_INLINE void
     charge(int64_t n)
     {
@@ -202,9 +225,9 @@ struct Hoisted : Core
     TRANSPUTER_SEM_INLINE void
     deschedulePoint()
     {
-        spill();
+        toCore();
         cpu.timesliceCheck();
-        reload();
+        fromCore();
     }
 
     /** A store landed at addr: note it if it hit the window. */
@@ -351,9 +374,9 @@ cj(S &m, Word op)
 
 /**
  * Every other direct function: each runs straight through to the next
- * chain (call's static target included).  The fused loop and the
- * block executor pass `fn` as a constant, so each of their copies
- * folds to one case.
+ * chain (call's static target included).  Every tier passes `fn` as a
+ * constant, one case per function (TRANSPUTER_INLINED_DIRECT), so each
+ * copy folds to one case.
  */
 template <class S>
 TRANSPUTER_SEM_INLINE void
@@ -420,7 +443,7 @@ direct(S &m, Fn fn, Word op)
  * Run `o` if it is one of the inlined operations (isa/superop.hh's
  * TRANSPUTER_INLINED_OPS), counted and charged its cost.  @return
  * false, with nothing done, for any other operation: the core's
- * generic operation path runs those.
+ * generic operation path (Transputer::execGenericOp) runs those.
  */
 template <class S>
 TRANSPUTER_SEM_INLINE bool

@@ -382,37 +382,33 @@ Transputer::stepHandler()
             std::min(queue_->nextTimeFor(actorId_), queue_->horizon());
         if (time_ > bound)
             break;
-        // chain-boundary observation point (see obsBoundaryFire):
-        // oreg_ == 0 makes slow-path byte boundaries coincide with
-        // the fast tiers' chain boundaries
-        if (oreg_ == 0 &&
-            (cycles_ >= profNextCycle_ || time_ >= tsNextTick_))
-            obsBoundaryFire(obs::kTierPlain);
-        // fused run: a kFast instruction can neither schedule nor
-        // cancel an event nor raise a preemption, so the bound stays
-        // valid and straight-line code executes back to back inside
-        // this one dispatch
-        bool fast = executeOne();
-        ++batch;
-        while (fast && state_ == CpuState::Running &&
-               !preemptPending_ && batch < cfg_.maxBatch &&
-               time_ <= bound) {
-            // top tier: superblocks, entered whenever iptr lands on a
-            // compiled entry (heating and compiling cold ones)
-            batch += runBlocks(bound, cfg_.maxBatch - batch);
-            if (state_ != CpuState::Running || preemptPending_ ||
-                batch >= cfg_.maxBatch || time_ > bound)
-                break;
-            // bulk of the rest: the inlined fused loop; it stops at
-            // instructions it does not inline -- or at a back-edge
-            // onto a compiled block -- which the paths below handle
-            // before re-entering
-            batch += runFused(bound, cfg_.maxBatch - batch);
-            if (state_ != CpuState::Running || preemptPending_ ||
-                batch >= cfg_.maxBatch || time_ > bound)
-                break;
-            if (hasBlockAt(iptr_))
-                continue; // enter the block; don't interpret its head
+        // the fast tiers first, single steps only for the chains they
+        // refuse (a cache miss, a non-fast chain): a fast chain can
+        // neither schedule nor cancel an event nor raise a preemption,
+        // so the bound stays valid until a non-fast chain has run
+        bool fast = true;
+        while (fast && state_ == CpuState::Running && !preemptPending_ &&
+               batch < cfg_.maxBatch && time_ <= bound) {
+            if (predecodedReady()) {
+                // top tier: superblocks, entered whenever iptr lands
+                // on a compiled entry (heating and compiling cold ones)
+                batch += runBlocks(bound, cfg_.maxBatch - batch);
+                if (state_ != CpuState::Running || preemptPending_ ||
+                    batch >= cfg_.maxBatch || time_ > bound)
+                    break;
+                // every other cached fast chain: the fused loop, which
+                // stops before a refused chain or hands control to a
+                // compiled block
+                batch += runFused(bound, cfg_.maxBatch - batch);
+                if (state_ != CpuState::Running || preemptPending_ ||
+                    batch >= cfg_.maxBatch || time_ > bound)
+                    break;
+                if (hasBlockAt(iptr_))
+                    continue; // enter the block, not its head alone
+            }
+            // chain-boundary observation point (see obsBoundaryFire):
+            // oreg_ == 0 makes slow-path byte boundaries coincide with
+            // the fast tiers' chain boundaries
             if (oreg_ == 0 &&
                 (cycles_ >= profNextCycle_ || time_ >= tsNextTick_))
                 obsBoundaryFire(obs::kTierPlain);

@@ -530,6 +530,15 @@ class Transputer
     void stepHandler();
     /** @return true if the instruction was a fused-path (kFast) one. */
     bool executeOne();
+    /** Cached chains may run: the cache is on, iptr_ is at a chain
+     *  boundary (an interrupt can leave oreg_ mid-chain) and no trace
+     *  wants every byte.  The predecoded single step and both fast
+     *  tiers need it. */
+    bool
+    predecodedReady() const
+    {
+        return predecodeEnabled_ && oreg_ == 0 && !trace_;
+    }
     void wakeIfIdle();
     ///@}
 
@@ -538,9 +547,10 @@ class Transputer
     uint8_t fetchByte();
     void executeOneSlow();
     void executePredecoded(const PredecodeCache::Entry &e);
-    /** Fused inner loop over cached fast instructions; returns the
-     *  number executed.  Stops at the bound, the budget, a cache
-     *  miss, or any instruction it does not inline. */
+    /** Fused inner loop over cached fast chains; returns the number
+     *  executed.  Stops at the bound, the budget, a cache miss, a
+     *  non-fast chain, a deschedule, or a control transfer onto a
+     *  compiled block (wantsBlockEntry). */
     int runFused(Tick bound, int budget);
     /** @name Block-compiler tier (core/blockc.cc) */
     ///@{
@@ -565,9 +575,10 @@ class Transputer
     /** Allocate the block cache on first use (enabling the tier
      *  alone keeps an idle node small). */
     void ensureBlockTier();
-    /** runFused's bail probe at jump back-edges: true when a block
-     *  exists (compiling it right now if the target just crossed the
-     *  heat threshold), so the fused loop hands over. */
+    /** runFused's bail probe at control transfers (taken jumps and
+     *  generic operations that move iptr): true when a block exists
+     *  (compiling it right now if the target just crossed the heat
+     *  threshold), so the fused loop hands over. */
     bool wantsBlockEntry(Word iptr);
     /** A compiled block exists at iptr (no heating, no compiling). */
     bool hasBlockAt(Word iptr) const;
@@ -587,7 +598,13 @@ class Transputer
     /** Re-pin the fetch buffer's write generation after a restore. */
     void repinFetchBuffer();
     void execDirect(isa::Fn fn, Word operand);
+    /** Any defined operation: the inlined ones through
+     *  core/semantics.hh, the rest through execGenericOp. */
     void execOp(Word operation);
+    /** A defined operation the tiers do not inline: counted, charged
+     *  and run on the object's own state.  The fused loop and the
+     *  block executor call it with their hoisted state spilled. */
+    void execGenericOp(isa::Op op);
     ///@}
 
     /** @name Evaluation stack */

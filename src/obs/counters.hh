@@ -9,7 +9,7 @@
  * -- a function of the executed instruction stream alone -- and is
  * therefore bit-identical between serial and shard-parallel runs
  * (tests/test_obs.cc).  The fused block counts host-side interpreter
- * behaviour (how many instructions the fused loop inlined per entry),
+ * behaviour (how many chains the fused loop ran per entry),
  * which legitimately depends on event batching and window horizons;
  * sameArchitectural() excludes it.
  *
@@ -39,7 +39,7 @@ constexpr size_t kOpSlots = static_cast<size_t>(isa::Op::DUP) + 1;
 struct FusedStats
 {
     uint64_t runs = 0;         ///< entries into the fused inner loop
-    uint64_t instructions = 0; ///< instructions those entries inlined
+    uint64_t instructions = 0; ///< chains those entries ran
     uint64_t cycles = 0;       ///< simulated cycles retired in the loop
     /** Histogram of run lengths: bucket i counts runs of length n
      *  with bit_width(n) == i (bucket 0: runs that inlined nothing). */

@@ -668,6 +668,125 @@ TEST(BlockTier, RotationAtThePrimedBackEdgeRechecksGuardsOffChip)
     expectRotationCaught(true);
 }
 
+// ---------------------------------------------------------------------
+// the fused loop runs operations: the gate sees loop length, and a
+// guest fault inside a generic operation leaves the core's state
+// ---------------------------------------------------------------------
+
+TEST(BlockTier, LongLoopWithInlinedOperationsCompiles)
+{
+    // 30 chains a lap, an inlined add every fourth: a fused run that
+    // stopped at every opr would average under four chains, and the
+    // promotion gate would decline this straight loop for its
+    // operation density rather than judge its length
+    std::string body;
+    for (int i = 0; i < 6; ++i)
+        body += "  ldl 2\n  ldl 3\n  add\n  stl 2\n";
+    const std::string src =
+        "start:\n"
+        "  ldc 3000\n  stl 1\n"
+        "  ldc 0\n  stl 2\n"
+        "  ldc 1\n  stl 3\n"
+        "loop:\n" + body +
+        "  ldl 1\n  adc -1\n  stl 1\n"
+        "  ldl 1\n  cj done\n  j loop\n"
+        "done:\n  stopp\n";
+    core::Config on_cfg, off_cfg;
+    off_cfg.blockCompile = false;
+    SingleCpu on(on_cfg), off(off_cfg);
+    on.runAsm(src);
+    off.runAsm(src);
+    EXPECT_EQ(on.local(2), 6u * 3000u);
+    expectSameCpu(on.cpu, off.cpu);
+    const obs::Counters c = on.cpu.counters();
+    EXPECT_GT(c.blockc.compiles, 0u);
+    EXPECT_GT(static_cast<double>(c.blockc.instructions),
+              0.9 * static_cast<double>(c.instructions));
+    // the fused loop ran the adds inline, laps on end
+    EXPECT_GT(off.cpu.counters().fused.meanRunLength(), 100.0);
+}
+
+namespace
+{
+
+/**
+ * A hot loop that reads a byte with `lb` through a per-lap pointer
+ * table (filled before boot).  On lap kFaultLap the entry points
+ * past populated memory: the generic operation path counts and
+ * charges lb, then raises MemFault from inside the core.
+ */
+constexpr int kFaultLaps = 300;
+constexpr int kFaultLap = 200; ///< 0-based lap that faults
+constexpr int kFaultData = 4;  ///< workspace word the other laps read
+constexpr Word kWildAddress = 0x7FFFFF00;
+
+std::string
+faultLoopSource()
+{
+    return "start:\n"
+           "  ldc " + std::to_string(kFaultLaps) + "\n  stl 1\n"
+           "  ldlp " + std::to_string(kLapTable + kFaultLaps) +
+           "\n  stl 2\n"
+           "  ldc 0\n  stl 3\n"
+           "loop:\n"
+           "  ldl 2\n  adc -4\n  stl 2\n"
+           "  ldl 2\n  ldnl 0\n  lb\n"
+           "  ldl 3\n  add\n  stl 3\n"
+           "  ldl 1\n  adc -1\n  stl 1\n"
+           "  ldl 1\n  cj done\n  j loop\n"
+           "done:\n  stopp\n";
+}
+
+void
+runFaultLoop(SingleCpu &t)
+{
+    const auto &s = t.cpu.shape();
+    mem::Memory &m = t.cpu.memory();
+    t.loadAsm(faultLoopSource());
+    t.wptr0 = t.bootWptr();
+    const Word data = s.index(t.wptr0, kFaultData);
+    m.writeWord(data, 3);
+    // lap L reads entry kFaultLaps - 1 - L (the pointer walks down)
+    for (int e = 0; e < kFaultLaps; ++e)
+        m.writeWord(s.index(t.wptr0, kLapTable + e),
+                    e == kFaultLaps - 1 - kFaultLap ? kWildAddress
+                                                    : data);
+    t.cpu.boot(t.img.symbol("start"), t.wptr0);
+    EXPECT_THROW(t.queue.runUntil(500'000'000), mem::MemFault);
+}
+
+} // namespace
+
+TEST(BlockTier, FaultInAGenericOperationKeepsTheCoreState)
+{
+    core::Config plain_cfg, fused_cfg, block_cfg;
+    plain_cfg.predecode = false;
+    plain_cfg.blockCompile = false;
+    fused_cfg.blockCompile = false;
+    SingleCpu plain(plain_cfg), fused(fused_cfg), block(block_cfg);
+    runFaultLoop(plain);
+    runFaultLoop(fused);
+    runFaultLoop(block);
+    EXPECT_EQ(block.local(3), 3u * kFaultLap);
+    // the loop compiled and ran in the block tier up to the fault
+    EXPECT_GT(block.cpu.counters().blockc.compiles, 0u);
+    EXPECT_GT(block.cpu.counters().blockc.enters, 0u);
+    // fused and block: everything, the icache counters included
+    expectSameCpu(block.cpu, fused.cpu);
+    // plain keeps no icache: registers, clocks and counts
+    EXPECT_EQ(plain.cpu.instructions(), fused.cpu.instructions());
+    EXPECT_EQ(plain.cpu.cycles(), fused.cpu.cycles());
+    EXPECT_EQ(plain.cpu.localTime(), fused.cpu.localTime());
+    EXPECT_EQ(plain.cpu.iptr(), fused.cpu.iptr());
+    EXPECT_EQ(plain.cpu.wptr(), fused.cpu.wptr());
+    EXPECT_EQ(plain.cpu.areg(), fused.cpu.areg());
+    EXPECT_EQ(plain.cpu.breg(), fused.cpu.breg());
+    EXPECT_EQ(plain.cpu.creg(), fused.cpu.creg());
+    EXPECT_EQ(plain.cpu.fnCounts(), fused.cpu.fnCounts());
+    EXPECT_EQ(plain.cpu.counters().op, fused.cpu.counters().op);
+    EXPECT_EQ(memHash(plain.cpu), memHash(fused.cpu));
+}
+
 TEST(BlockTier, RuntimeToggleMidProgramStaysCorrect)
 {
     // the tier holds no architecture: flipping it between runs of the
