@@ -187,10 +187,8 @@ main()
     // the promotion gate the fused mean runs above are read against
     // (Transputer::blockPromotionAllowed)
     report.add("promotion_gate",
-               Row()
-                   .add("min_runs", core::blockc::BlockCache::kMinRuns)
-                   .add("min_mean_run",
-                        core::blockc::BlockCache::kMinMeanRun));
+               Row().add("min_mean_run",
+                         core::blockc::BlockCache::kMinMeanRun));
     report.table("workloads", rows);
     std::cout << "e7: compiles, blockc coverage > " << kBlockcCoverage
               << ", fused >= " << kFusedOverPlain

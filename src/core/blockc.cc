@@ -209,7 +209,7 @@ namespace fx = isa::superop::fx;
 
 /**
  * The step interpreter.  Primed=true is the steady state: every
- * step's slot provably holds its chain (entry protocol in runBlocks),
+ * step's slot provably holds its chain (entry protocol in enterBlock),
  * so the per-chain cache emulation reduces to banking a hit, and
  * stores near the block's code re-check its guard generations
  * instead.
@@ -236,14 +236,18 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
     static_assert(std::size(tbl) == isa::superop::kKinds,
                   "dispatch table must cover every superop kind");
 
-    // no compiled instruction is interruptible (predecode's kFast
-    // classification excludes them all)
-    lastInstrInterruptible_ = false;
-    inExec_ = true;
     sem::Hoisted h(*this);
     h.codeLo = sb.codeLo; // the window STORE_RECHECK watches
     h.codeSpan = sb.codeSpan;
     const uint64_t cyc0 = h.cycles, icount0 = h.instructions;
+    // one epilogue for both exits, with the state spilled
+    const auto bank = [this, cyc0, icount0](uint64_t hits, int chains) {
+        icache_.addHits(hits);
+        obs::BlockStats &bs = bcache_->stats();
+        bs.chains += static_cast<uint64_t>(chains);
+        bs.instructions += instructions_ - icount0;
+        bs.cycles += cycles_ - cyc0;
+    };
     const blockc::Superblock::CumRow *const cum = sb.cum.data();
     PredecodeCache::Entry *const entries = icache_.entriesMut();
     const uint32_t *const gens = icache_.gensData();
@@ -298,9 +302,10 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
 // cycles += k with time += k*period), so the profiler's cycle
 // threshold maps exactly onto a tick and the per-chain bound check in
 // NEXT() already exits at the sampling boundary (Deopt::Bound) -- the
-// outer tier loop fires the sample at that same chain boundary before
-// the next chain executes.  With observation disabled both sentinels
-// leave the bound untouched, so sampling costs the hot loop nothing.
+// fused loop around the block fires the sample at that same chain
+// boundary before the next chain executes.  With observation disabled
+// both sentinels leave the bound untouched, so sampling costs the hot
+// loop nothing.
 // Recomputed after every reload: calls into the core may move the
 // clock.
 #define FOLD_OBS_BOUND()                                               \
@@ -573,17 +578,10 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
     } catch (...) {
         if (!h.inCore) // else the core threw: the object holds the state
             SPILL();
-        icache_.addHits(Primed ? static_cast<uint64_t>(done) : hits);
-        inExec_ = false;
+        bank(Primed ? static_cast<uint64_t>(done) : hits, done);
         throw;
     }
-    icache_.addHits(Primed ? static_cast<uint64_t>(done) : hits);
-    {
-        obs::BlockStats &bs = bcache_->stats();
-        bs.chains += static_cast<uint64_t>(done);
-        bs.instructions += h.instructions - icount0;
-        bs.cycles += h.cycles - cyc0;
-    }
+    bank(Primed ? static_cast<uint64_t>(done) : hits, done);
     if (!Primed) {
         sb.visited = visited;
         sb.visitFence = icache_.misses();
@@ -595,7 +593,6 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
             sb.missFence = icache_.misses();
         }
     }
-    inExec_ = false;
     return done;
 
 #undef FLUSH_SWEEP
@@ -648,23 +645,22 @@ Transputer::restoreBlockTier(const obs::BlockStats &s)
 /**
  * Whether compiling a superblock can pay off here: the tier's entry
  * and deopt overhead only amortizes over long chain runs.  A fused run
- * ends where a superblock entry would -- at the bound, the budget, a
- * non-fast chain, a miss or a deschedule -- so the fused tier's
- * observed mean run length predicts a superblock's.  Short-run
- * workloads (communication-bound loops: dbsearch averages 7-10
- * chains) run faster staying in the fused tier, so promotion waits
- * until the evidence says otherwise.  With too small a sample the
- * classic behavior (compile at the heat threshold) is kept.  The
- * decision reads only counters that snapshots round-trip, so replays
- * repeat it exactly.
+ * ends where a superblock would -- at the bound, the budget, a
+ * deschedule or a non-fast chain (the run retires it, a superblock
+ * leaves it to the fused loop) -- so the fused tier's observed mean
+ * run length predicts a superblock's.  Short-run workloads
+ * (communication-bound loops: dbsearch averages 8-11 chains) run
+ * faster staying in the fused tier, so promotion waits until the
+ * evidence says otherwise.  The gate reads the mean from the first
+ * run on (before any run it admits the compile).  The decision reads
+ * only counters that snapshots round-trip, so replays repeat it
+ * exactly.
  */
 bool
 Transputer::blockPromotionAllowed() const
 {
-    using blockc::BlockCache;
     const auto &f = ctrs_.fused;
-    return f.runs < BlockCache::kMinRuns ||
-           f.instructions >= BlockCache::kMinMeanRun * f.runs;
+    return f.instructions >= blockc::BlockCache::kMinMeanRun * f.runs;
 }
 
 void
@@ -686,39 +682,23 @@ Transputer::blockTierFootprint() const
 }
 
 int
-Transputer::runBlocks(Tick bound, int budget)
+Transputer::enterBlock(blockc::Superblock &sb, Tick bound, int budget)
 {
-    if (!blockCompileEnabled_ || !predecodedReady() || budget <= 0 ||
-        state_ != CpuState::Running || time_ > bound)
-        return 0;
-    ensureBlockTier();
     blockc::BlockCache &bc = *bcache_;
-    blockc::Superblock *sb = bc.find(iptr_);
-    if (!sb) {
-        if (!bc.heat(iptr_))
-            return 0;
-        if (!blockPromotionAllowed()) {
-            bc.cool(iptr_); // re-heats; run length may change
-            return 0;
-        }
-        sb = bc.compile(icache_, shape_, cfg_.externalWaits, iptr_);
-        if (!sb)
-            return 0;
-    }
-    if (!sb->guardsOk(icache_.gensData())) {
+    if (!sb.guardsOk(icache_.gensData())) {
         ++bc.stats().deopts[static_cast<size_t>(
             blockc::Deopt::Entry)];
-        bc.invalidate(*sb);
+        bc.invalidate(sb);
         return 0;
     }
     ++bc.stats().enters;
     blockc::Deopt why = blockc::Deopt::End;
     int n;
-    if (sb->primed && sb->missFence == icache_.misses()) {
-        n = execBlock<true>(*sb, bound, budget, why);
+    if (sb.primed && sb.missFence == icache_.misses()) {
+        n = execBlock<true>(sb, bound, budget, why);
     } else {
-        sb->primed = false; // a foreign fill may have displaced a slot
-        n = execBlock<false>(*sb, bound, budget, why);
+        sb.primed = false; // a foreign fill may have displaced a slot
+        n = execBlock<false>(sb, bound, budget, why);
     }
     ++bc.stats().deopts[static_cast<size_t>(why)];
     // flight ring only (not the trace ring), and only the abnormal
@@ -732,40 +712,34 @@ Transputer::runBlocks(Tick bound, int budget)
                      static_cast<uint64_t>(why),
                      static_cast<uint64_t>(n), 0);
     if (why == blockc::Deopt::GuardStale)
-        bc.invalidate(*sb); // self-modified: re-heat and recompile
+        bc.invalidate(sb); // self-modified: re-heat and recompile
     return n;
 }
 
-bool
+blockc::Superblock *
 Transputer::wantsBlockEntry(Word iptr)
 {
-    // called from runFused where control transfers: a compiled (or
-    // compilable-right-now) block at the target makes the fused loop
-    // bail so that stepHandler enters the block at its proper head
+    // the tier's one heat probe, where a control transfer in runFused
+    // lands: the block compiled there, or compiled right now if the
+    // target just crossed the heat threshold and the promotion gate
+    // allows it
     ensureBlockTier();
     blockc::BlockCache &bc = *bcache_;
     blockc::Superblock *sb = bc.find(iptr);
     if (!sb && bc.heat(iptr)) {
         if (!blockPromotionAllowed()) {
             bc.cool(iptr);
-            return false;
+            return nullptr;
         }
         sb = bc.compile(icache_, shape_, cfg_.externalWaits, iptr);
     }
-    return sb != nullptr;
+    return sb;
 }
 
 bool
 Transputer::hasBlockTable() const
 {
     return bcache_ && bcache_->hasTable();
-}
-
-bool
-Transputer::hasBlockAt(Word iptr) const
-{
-    return blockCompileEnabled_ && bcache_ &&
-           bcache_->find(iptr) != nullptr;
 }
 
 } // namespace transputer::core

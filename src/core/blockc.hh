@@ -4,11 +4,13 @@
  *
  * Sits above core/exec.cc's fused loop in the tier ladder:
  *
- *   executeOneSlow  ->  executePredecoded/runFused  ->  superblocks
+ *   executeOneSlow (the byte step)  |  runFused  ->  superblocks
  *
- * Hot predecoded regions (heat is sampled where dispatches begin and
- * where the fused loop's control transfers land) are compiled into
- * superblocks:
+ * stepHandler runs every cached chain through runFused and everything
+ * else through the byte step; runFused alone enters superblocks, where
+ * a control transfer lands on one.  Hot predecoded regions (heat is
+ * sampled at the same landings, Transputer::wantsBlockEntry) are
+ * compiled into superblocks:
  * arrays of superop steps (isa/superop.hh), each binding one chain --
  * prefix chain folded into the operand at compile time -- to its
  * handler in core/semantics.hh, with adjacent chains fused where a
@@ -32,7 +34,7 @@
  *   - anything the block cannot prove -- a stale write generation
  *     (self-modifying store, link DMA), a timeslice rotation, an
  *     error halt, a dynamic branch out -- deopts: the block exits at
- *     a chain boundary with all state spilled, and the interpreter
+ *     a chain boundary with all state spilled, and the fused loop
  *     continues exactly where the tier-off run would be.
  *
  * Nothing architectural lives in a superblock; dropping any block (or
@@ -183,10 +185,8 @@ class BlockCache
     static constexpr size_t kMinSteps = 3;      ///< else not worth it
     /** Promotion gate (Transputer::blockPromotionAllowed): compile
      *  only while the node's fused runs average at least kMinMeanRun
-     *  chains, once there are kMinRuns of them to average.  The
-     *  threshold is the measured break-even of a superblock against
-     *  the fused loop (DESIGN.md section 4.6). */
-    static constexpr uint64_t kMinRuns = 32;
+     *  chains, the measured break-even of a superblock against the
+     *  fused loop (DESIGN.md section 4.6). */
     static constexpr uint64_t kMinMeanRun = 16;
 
     /** The valid superblock entered at iptr, or nullptr. */

@@ -206,7 +206,7 @@ Transputer::eventIn()
 {
     if (eventPending_ > 0) {
         --eventPending_;
-        chargeCycles(4);
+        chargeCycles(cyc::eventInPending);
         return;
     }
     chargeCycles(cyc::commSuspend);

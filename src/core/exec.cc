@@ -1,16 +1,16 @@
 /**
  * @file
- * Instruction execution: the byte-at-a-time interpreter, the
- * predecoded single step, the fused loop over every cached fast chain
- * (its inlined instructions in core/semantics.hh), and the generic
- * path of the remaining indirect operations (paper sections 3.2.5 -
- * 3.2.9).
+ * Instruction execution: the byte-at-a-time interpreter, the fused
+ * loop over every cached chain (its inlined instructions in
+ * core/semantics.hh), and the generic path of the remaining indirect
+ * operations (paper sections 3.2.5 - 3.2.9).
  */
 
 #include <bit>
 #include <ostream>
 
 #include "base/format.hh"
+#include "core/blockc.hh"
 #include "core/semantics.hh"
 #include "isa/disasm.hh"
 #include "isa/encoding.hh"
@@ -94,165 +94,182 @@ Transputer::chargeFetchSpan(Word start, int length)
     }
 }
 
-bool
-Transputer::executeOne()
-{
-    // Predecode fast path: a cache hit executes the whole prefix
-    // chain in one step.  Resuming mid-chain after an interrupt
-    // (oreg_ != 0) and tracing keep the byte-at-a-time path.
-    if (predecodedReady()) {
-        if (const auto *e = icache_.lookup(iptr_)) {
-            executePredecoded(*e);
-            return (e->flags & isa::pflag::kFast) != 0;
-        }
-    }
-    executeOneSlow();
-    return false;
-}
-
-void
-Transputer::executePredecoded(const PredecodeCache::Entry &e)
-{
-    lastInstrInterruptible_ = false;
-    inExec_ = true;
-    sem::Members m(*this);
-    sem::retire<true>(m, e);
-    const Fn fn = static_cast<Fn>(e.fn);
-    if (fn == Fn::OPR)
-        execOp(e.operand);
-    else
-        execDirect(fn, e.operand);
-    inExec_ = false;
-    if (errorFlag_ && haltOnError_) {
-        state_ = CpuState::Halted;
-        trc(obs::Ev::Halt, wdesc());
-    }
-}
-
 int
-Transputer::runFused(Tick bound, int budget)
+Transputer::runFused(Tick bound, int budget, bool &uncached)
 {
-    // The fused inner loop: every cached fast chain runs here with the
-    // hot CPU state hoisted into locals (sem::Hoisted) -- the direct
-    // functions and inlined operations through their handlers, every
-    // other fast operation through the core's generic operation path
-    // with the state handed to the core around it.  A run ends where a
-    // superblock entry would: at the bound, the budget, a cache miss,
-    // a non-fast chain or a deschedule -- or where control reaches a
-    // compiled block, which the caller enters instead.
-    if (!predecodedReady() || budget <= 0)
-        return 0;
+    // The one loop over cached chains, with the hot CPU state hoisted
+    // into locals (sem::Hoisted): the direct functions and inlined
+    // operations run through their handlers, every other operation
+    // through the core with the state handed over.  A miss fills its
+    // slot and the run goes on.  The run ends at the bound, the
+    // budget, a deschedule or an error halt, before a chain the cache
+    // cannot hold (`uncached`: the caller's byte step runs it next,
+    // without a second fill), and after its first non-fast chain: fast chains can neither schedule nor
+    // cancel an event nor raise a preemption, so only a non-fast one
+    // can move the bound.  Superblocks are entered from here, where a
+    // control transfer lands on one (wantsBlockEntry).
+    //
     // no fast instruction is interruptible, and serviceInterrupt only
     // reads lastInstrStart_ when the last one was
     lastInstrInterruptible_ = false;
-    const PredecodeCache::Entry *const entries =
-        icache_.entriesData();
-    if (!entries)
-        return 0; // never filled: one generic-path instruction makes
-                  // lookup() allocate the entry array
-    inExec_ = true;
-    sem::Hoisted h(*this);
-    const uint64_t cyc0 = h.cycles; // per-tier cycle attribution (tprof)
-    int n = 0;
-    bool bail = false; // control reached a compiled superblock
+    const PredecodeCache::Entry *const entries = icache_.entriesMut();
     const size_t imask = icache_.indexMask();
     const uint32_t *const gens = icache_.gensData();
-    uint64_t hits = 0;
+    inExec_ = true;
+    sem::Hoisted h(*this);
+    // Host-side statistics.  n counts the chains this loop retires
+    // (hits, filled misses and the closing non-fast chain); the budget
+    // shrinks by what superblocks retire, which BlockStats counts.  Of
+    // the n, all but `settled` (fills, hits already banked) are hits
+    // still to bank.  The loop's cycles are the stretches between
+    // superblocks: loopCyc holds the closed ones, cyc0 starts the
+    // open one.
+    int n = 0, inBlocks = 0, settled = 0;
+    uint64_t cyc0 = h.cycles, loopCyc = 0;
+    // also false after the run's non-fast chain
     bool running = state_ == CpuState::Running;
     // observation thresholds, hoisted like the rest of the hot state
     // (memory stores may alias any member); ~0/maxTick sentinels keep
     // the disabled path at two compares per chain
     uint64_t profNext = profNextCycle_;
     Tick tsNext = tsNextTick_;
-    // hand hot loop heads to the block tier: control transfers are
-    // where superblocks begin, and entering one mid-fused-run would
-    // skip its entry protocol
-    const auto offerBlock = [&](Word target) {
-        return running && blockCompileEnabled_ && wantsBlockEntry(target);
+    // the superblock where a control transfer lands, about to be
+    // entered
+    blockc::Superblock *sb = nullptr;
+    const auto land = [&](Word target) -> blockc::Superblock * {
+        return running && blockCompileEnabled_ ? wantsBlockEntry(target)
+                                               : nullptr;
+    };
+    // one epilogue for both exits, with the state spilled
+    const auto bank = [this](int chains, int hits, uint64_t cycles) {
+        icache_.addHits(static_cast<uint64_t>(hits));
+        // one fused run of `chains` chains (bucketed by bit_width, so
+        // bucket 0 is the empty run)
+        ++ctrs_.fused.runs;
+        ctrs_.fused.instructions += static_cast<uint64_t>(chains);
+        ctrs_.fused.cycles += cycles;
+        ++ctrs_.fused
+              .lenLog2[std::bit_width(static_cast<uint32_t>(chains))];
+        inExec_ = false;
     };
     try {
-        while (n < budget && h.time <= bound && running && !bail) {
+        while (n < budget && h.time <= bound && running) {
             if (h.cycles >= profNext || h.time >= tsNext) {
                 // chain boundary crossed a sampling threshold: fire
                 // with the architectural state spilled (oreg_ is 0
                 // throughout the fused loop) and the run's hits banked
                 h.spill();
-                icache_.addHits(hits);
-                hits = 0;
+                icache_.addHits(static_cast<uint64_t>(n - settled));
+                settled = n;
                 obsBoundaryFire(obs::kTierFused);
                 h.reload();
                 profNext = profNextCycle_;
                 tsNext = tsNextTick_;
             }
-            const auto &e =
-                entries[static_cast<size_t>(h.iptr) & imask];
-            if (!(e.length && e.tag == h.iptr &&
-                  gens[e.gidx] == e.gen && gens[e.gidx2] == e.gen2))
-                break; // miss: the generic path fills and executes
-            if (!(e.flags & isa::pflag::kFast))
-                break;
-            ++hits;
-            sem::retire<true>(h, e);
-            switch (static_cast<Fn>(e.fn)) {
-              case Fn::J:
-                sem::j(h, e.operand);
-                running = state_ == CpuState::Running;
-                bail = offerBlock(h.iptr);
-                break;
-              case Fn::CJ:
-                if (sem::cj(h, e.operand))
-                    bail = offerBlock(h.iptr); // taken: maybe a back-edge
-                break;
-              case Fn::OPR: {
-                const Op op = static_cast<Op>(e.operand);
-                if (sem::operate(h, op))
+            {
+                const PredecodeCache::Entry *e =
+                    &entries[static_cast<size_t>(h.iptr) & imask];
+                if (!(e->length && e->tag == h.iptr &&
+                      gens[e->gidx] == e->gen &&
+                      gens[e->gidx2] == e->gen2)) [[unlikely]] {
+                    e = icache_.fill(h.iptr); // a miss
+                    if (!e) {
+                        uncached = true; // the byte step runs it
+                        break;
+                    }
+                    ++settled;
+                }
+                ++n;
+                sem::retire<true>(h, *e);
+                switch (static_cast<Fn>(e->fn)) {
+                  case Fn::J:
+                    sem::j(h, e->operand);
+                    running = state_ == CpuState::Running;
+                    if ((sb = land(h.iptr)))
+                        goto enter;
                     break;
-                const Word next = h.iptr;
-                h.toCore();
-                execGenericOp(op);
-                h.fromCore();
-                running = state_ == CpuState::Running;
-                // lend's back-edge, gcall, ret, or a rotation at lend
-                if (h.iptr != next)
-                    bail = offerBlock(h.iptr);
-                break;
-              }
-              // the other direct functions, each passed as a constant
-              // so that the handler's own switch folds away
+                  case Fn::CJ:
+                    // taken: maybe a back-edge
+                    if (sem::cj(h, e->operand) && (sb = land(h.iptr)))
+                        goto enter;
+                    break;
+                  case Fn::OPR: {
+                    if (!(e->flags & isa::pflag::kFast)) [[unlikely]] {
+                        // a non-fast operation, the one kind that can
+                        // move the bound, runs in the core and ends
+                        // the run; execOp faults an undefined one
+                        // (kFast implies a defined operand)
+                        h.toCore();
+                        execOp(e->operand);
+                        h.fromCore();
+                        running = false;
+                        break;
+                    }
+                    const Op op = static_cast<Op>(e->operand);
+                    if (sem::operate(h, op))
+                        break;
+                    // the core runs the other fast operations
+                    const Word next = h.iptr;
+                    h.toCore();
+                    execGenericOp(op);
+                    h.fromCore();
+                    running = state_ == CpuState::Running;
+                    // lend's back-edge, gcall, ret, or a rotation at
+                    // lend
+                    if (h.iptr != next && !(h.err && h.haltOnError) &&
+                        (sb = land(h.iptr)))
+                        goto enter;
+                    break;
+                  }
+                  // the other direct functions, each passed as a
+                  // constant so that the handler's own switch folds
+                  // away
 #define TRANSPUTER_INLINE_CASE(name, kind, effects)                    \
-              case Fn::name:                                           \
-                sem::direct(h, Fn::name, e.operand);                   \
-                break;
-                TRANSPUTER_INLINED_DIRECT(TRANSPUTER_INLINE_CASE)
+                  case Fn::name:                                       \
+                    sem::direct(h, Fn::name, e->operand);              \
+                    break;
+                    TRANSPUTER_INLINED_DIRECT(TRANSPUTER_INLINE_CASE)
 #undef TRANSPUTER_INLINE_CASE
-              default:
-                break; // unreachable: pfix/nfix never end a chain
+                  default:
+                    break; // unreachable: pfix/nfix never end a chain
+                }
             }
-            ++n;
             if (h.err && h.haltOnError) {
                 state_ = CpuState::Halted;
                 trcAt(h.time, obs::Ev::Halt,
                       h.wp | static_cast<Word>(pri_));
                 break;
             }
+            continue;
+          enter:
+            // a superblock, entered at a chain boundary that the loop
+            // head's checks admit; it returns with the state spilled
+            if (n < budget && h.time <= bound && running) {
+                loopCyc += h.cycles - cyc0;
+                h.toCore();
+                const int k = enterBlock(*sb, bound, budget - n);
+                h.fromCore();
+                cyc0 = h.cycles;
+                budget -= k;
+                inBlocks += k;
+                running = state_ == CpuState::Running;
+            }
+            sb = nullptr;
         }
     } catch (...) {
+        // a throw out of the core (a generic operation, a superblock)
+        // leaves the state in the object; a superblock that threw has
+        // banked its own stretch
         if (!h.inCore)
             h.spill();
-        icache_.addHits(hits);
-        inExec_ = false;
+        if (!sb)
+            loopCyc += cycles_ - cyc0;
+        bank(n, n - settled, loopCyc);
         throw;
     }
     h.spill();
-    icache_.addHits(hits);
-    // host-side statistics: one fused run of n instructions (bucketed
-    // by bit_width, so bucket 0 is the empty run)
-    ++ctrs_.fused.runs;
-    ctrs_.fused.instructions += static_cast<uint64_t>(n);
-    ctrs_.fused.cycles += h.cycles - cyc0;
-    ++ctrs_.fused.lenLog2[std::bit_width(static_cast<uint32_t>(n))];
-    inExec_ = false;
-    return n;
+    bank(n, n - settled, loopCyc + h.cycles - cyc0);
+    return n + inBlocks;
 }
 
 void
@@ -552,7 +569,7 @@ Transputer::execGenericOp(Op op)
             shape_.truncate(readWord(shape_.index(ctrl, 1)) - 1);
         writeWord(shape_.index(ctrl, 1), count);
         if (shape_.toSigned(count) > 0) {
-            chargeCycles(5); // 10 total on the looping path
+            chargeCycles(cyc::lendLoops);
             writeWord(ctrl,
                       shape_.truncate(readWord(ctrl) + 1)); // index++
             iptr_ = shape_.truncate(iptr_ - areg_);
@@ -581,7 +598,7 @@ Transputer::execGenericOp(Op op)
         if (timeAfter(pri_, shape_.truncate(t + 1))) {
             break; // already past
         }
-        chargeCycles(22); // 30 total on the waiting path
+        chargeCycles(cyc::tinWaits);
         wsWrite(wptr_, ws::time, shape_.truncate(t + 1));
         timerInsert(pri_, wptr_, shape_.truncate(t + 1));
         descheduleCurrent(true);
@@ -793,7 +810,7 @@ Transputer::execGenericOp(Op op)
         writeWord(wptr_, noneSelected());
         if (wsRead(wptr_, ws::state) == readyAlt())
             break;
-        chargeCycles(12); // 17 total on the waiting path
+        chargeCycles(cyc::altwtWaits);
         wsWrite(wptr_, ws::state, waitingAlt());
         descheduleCurrent(true);
         break;
@@ -897,7 +914,7 @@ Transputer::execGenericOp(Op op)
             wsWrite(wptr_, ws::time, shape_.truncate(t + 1));
             timerInsert(pri_, wptr_, shape_.truncate(t + 1));
         }
-        chargeCycles(10);
+        chargeCycles(cyc::taltwtWaits);
         wsWrite(wptr_, ws::state, waitingAlt());
         descheduleCurrent(true);
         break;

@@ -56,8 +56,8 @@ class PredecodeCache
      * @param entries direct-mapped slot count, a power of two.  Large
      * networks of mostly-idle nodes use a small cache
      * (core::Config::icacheEntries); the entry array itself is only
-     * allocated on the first fill, so a node that never executes
-     * costs just the generation array.
+     * allocated on first use, so a node that never executes costs
+     * just the generation array.
      */
     explicit PredecodeCache(mem::Memory &mem,
                             size_t entries = kDefaultEntries)
@@ -76,25 +76,26 @@ class PredecodeCache
     PredecodeCache &operator=(const PredecodeCache &) = delete;
 
     /**
-     * The entry for the chain starting at iptr, decoding on a miss.
-     * @return nullptr when the chain is not cacheable (it runs past
-     * populated memory or exceeds isa::maxChainBytes): the caller
-     * must fall back to byte-at-a-time execution.
+     * Decode the chain starting at iptr into its slot, counting a miss
+     * (and an invalidation when the slot held the same chain with
+     * stale generations).  The fused loop calls it where its inline
+     * hit check fails; out of line, it does not crowd that loop.
+     * @return the slot, or nullptr when the chain is not cacheable (it
+     * runs past populated memory or exceeds isa::maxChainBytes): the
+     * caller must fall back to byte-at-a-time execution.
      */
-    const Entry *
-    lookup(Word iptr)
+    [[gnu::noinline]] const Entry *
+    fill(Word iptr)
     {
-        if (entries_.empty()) [[unlikely]]
-            entries_.resize(nEntries_);
-        // hot: the per-instruction hit check is two direct loads into
-        // the generation array (the slots were resolved at fill time)
-        Entry &e = entries_[indexOf(iptr)];
-        if (e.length && e.tag == iptr && gens_[e.gidx] == e.gen &&
-            gens_[e.gidx2] == e.gen2) {
-            ++hits_;
-            return &e;
-        }
-        return fill(iptr);
+        Entry &slot = entriesMut()[indexOf(iptr)];
+        ++misses_;
+        if (slot.length && slot.tag == iptr)
+            ++invalidations_; // same chain, stale generations
+        Entry e;
+        if (!decode(iptr, e).complete())
+            return nullptr;
+        slot = e;
+        return &slot;
     }
 
     /** @name Statistics (bench_interp, src/obs) */
@@ -144,22 +145,14 @@ class PredecodeCache
 
     /** @name Raw access for the fused interpreter loop
      *
-     * core/exec.cc's runFused keeps these in locals so the hot hit
-     * check does not re-load vector data pointers after every store
-     * (uint8_t stores into the memory image may alias anything).  A
-     * miss there simply falls back to lookup(), which fills (and
-     * allocates the entry array if this node never executed before).
+     * core/exec.cc's runFused keeps these (and entriesMut()) in locals
+     * so the hot hit check does not re-load vector data pointers after
+     * every store (uint8_t stores into the memory image may alias
+     * anything).  A miss there fills the slot through fill().
      */
     ///@{
     /** Index mask for this cache's slot count (entry count - 1). */
     size_t indexMask() const { return mask_; }
-    /** The entry array, or nullptr before the first fill: callers
-     *  take the slow path once and lookup() allocates. */
-    const Entry *
-    entriesData() const
-    {
-        return entries_.empty() ? nullptr : entries_.data();
-    }
     const uint32_t *gensData() const { return gens_.data(); }
     void addHits(uint64_t n) { hits_ += n; }
     ///@}
@@ -212,11 +205,13 @@ class PredecodeCache
      * noteMiss(); anything else deopts before executing.
      */
     ///@{
+    /** The entry array, allocated on first use (the fused loop's
+     *  too). */
     Entry *
     entriesMut()
     {
         if (entries_.empty()) [[unlikely]]
-            entries_.resize(nEntries_);
+            allocate();
         return entries_.data();
     }
     /** Count one emulated fill (stale_tag: the displaced entry was
@@ -244,19 +239,8 @@ class PredecodeCache
             iptr + static_cast<Word>(length - 1));
     }
 
-    const Entry *
-    fill(Word iptr)
-    {
-        ++misses_;
-        Entry &slot = entries_[indexOf(iptr)];
-        if (slot.length && slot.tag == iptr)
-            ++invalidations_; // same chain, stale generations
-        Entry e;
-        if (!decode(iptr, e).complete())
-            return nullptr;
-        slot = e;
-        return &slot;
-    }
+    /** Size the entry array (first use); out of line like fill(). */
+    [[gnu::noinline]] void allocate() { entries_.resize(nEntries_); }
 
     mem::Memory *mem_;
     const size_t nEntries_;      ///< slot count (power of two)

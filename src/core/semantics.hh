@@ -8,7 +8,7 @@
  * Each handler is a template over a state policy that says where the
  * CPU state lives:
  *   - Members: the Transputer's own registers, clock and counters
- *     (the byte-at-a-time interpreter and the predecoded single step);
+ *     (the byte-at-a-time interpreter);
  *   - Hoisted: copies in locals that the fused loop and the block
  *     executor keep in host registers.  Stores into the byte-addressed
  *     memory image may alias any member, so working through the
@@ -87,16 +87,15 @@ struct Members : Core
     explicit Members(Transputer &t)
         : Core(t), sh(t.shape_), period(t.cfg_.cyclePeriod),
           iptr(t.iptr_), a(t.areg_), b(t.breg_), c(t.creg_),
-          wp(t.wptr_), time(t.time_), lastStart(t.lastInstrStart_),
-          cycles(t.cycles_), instructions(t.instructions_),
+          wp(t.wptr_), time(t.time_), cycles(t.cycles_),
           err(t.errorFlag_)
     {}
 
     const WordShape &sh;
     const Tick period;
     Word &iptr, &a, &b, &c, &wp;
-    Tick &time, &lastStart;
-    uint64_t &cycles, &instructions;
+    Tick &time;
+    uint64_t &cycles;
     bool &err;
 
     TRANSPUTER_SEM_INLINE void
@@ -106,12 +105,6 @@ struct Members : Core
         time += n * period;
     }
     TRANSPUTER_SEM_INLINE void setError() { err = true; }
-
-    TRANSPUTER_SEM_INLINE void
-    chargeFetch(int length)
-    {
-        cpu.chargeFetchSpan(iptr, length);
-    }
 
     TRANSPUTER_SEM_INLINE void deschedulePoint() { cpu.timesliceCheck(); }
 
@@ -123,8 +116,7 @@ struct Members : Core
 struct Hoisted : Core
 {
     explicit Hoisted(Transputer &t)
-        : Core(t), sh(t.shape_), period(t.cfg_.cyclePeriod),
-          instructions(t.instructions_)
+        : Core(t), sh(t.shape_), period(t.cfg_.cyclePeriod)
     {
         reload();
     }
@@ -165,7 +157,7 @@ struct Hoisted : Core
     }
 
     /** Re-read the locals (after anything may have written the
-     *  object); the instruction count only ever grows locally. */
+     *  object: the core, or a superblock nested in a fused run). */
     TRANSPUTER_SEM_INLINE void
     reload()
     {
@@ -177,6 +169,7 @@ struct Hoisted : Core
         time = cpu.time_;
         lastStart = cpu.lastInstrStart_;
         cycles = cpu.cycles_;
+        instructions = cpu.instructions_;
         err = cpu.errorFlag_;
         haltOnError = cpu.haltOnError_;
     }

@@ -382,39 +382,28 @@ Transputer::stepHandler()
             std::min(queue_->nextTimeFor(actorId_), queue_->horizon());
         if (time_ > bound)
             break;
-        // the fast tiers first, single steps only for the chains they
-        // refuse (a cache miss, a non-fast chain): a fast chain can
-        // neither schedule nor cancel an event nor raise a preemption,
-        // so the bound stays valid until a non-fast chain has run
-        bool fast = true;
-        while (fast && state_ == CpuState::Running && !preemptPending_ &&
-               batch < cfg_.maxBatch && time_ <= bound) {
-            if (predecodedReady()) {
-                // top tier: superblocks, entered whenever iptr lands
-                // on a compiled entry (heating and compiling cold ones)
-                batch += runBlocks(bound, cfg_.maxBatch - batch);
-                if (state_ != CpuState::Running || preemptPending_ ||
-                    batch >= cfg_.maxBatch || time_ > bound)
-                    break;
-                // every other cached fast chain: the fused loop, which
-                // stops before a refused chain or hands control to a
-                // compiled block
-                batch += runFused(bound, cfg_.maxBatch - batch);
-                if (state_ != CpuState::Running || preemptPending_ ||
-                    batch >= cfg_.maxBatch || time_ > bound)
-                    break;
-                if (hasBlockAt(iptr_))
-                    continue; // enter the block, not its head alone
-            }
-            // chain-boundary observation point (see obsBoundaryFire):
-            // oreg_ == 0 makes slow-path byte boundaries coincide with
-            // the fast tiers' chain boundaries
-            if (oreg_ == 0 &&
-                (cycles_ >= profNextCycle_ || time_ >= tsNextTick_))
-                obsBoundaryFire(obs::kTierPlain);
-            fast = executeOne();
-            ++batch;
+        // cached chains run in the fused loop, which returns after
+        // its first non-fast chain -- the only kind that can schedule
+        // or cancel an event or raise a preemption -- so the bound is
+        // re-read before every run.  The byte step runs the rest: a
+        // chain the cache cannot hold, which the run stopped before
+        // (its fast chains cannot have moved the bound or raised an
+        // interrupt, and the budget still has room), and everything
+        // while the cache may not run (predecodedReady).
+        if (predecodedReady()) {
+            bool uncached = false;
+            batch += runFused(bound, cfg_.maxBatch - batch, uncached);
+            if (!uncached)
+                continue;
         }
+        // chain-boundary observation point (see obsBoundaryFire):
+        // oreg_ == 0 makes byte-step boundaries coincide with the
+        // fused loop's chain boundaries
+        if (oreg_ == 0 &&
+            (cycles_ >= profNextCycle_ || time_ >= tsNextTick_))
+            obsBoundaryFire(obs::kTierPlain);
+        executeOneSlow();
+        ++batch;
     }
     if (state_ == CpuState::Running)
         scheduleStep();

@@ -457,7 +457,7 @@ class Transputer
     ///@{
     /**
      * Capture the CPU's resumable state.  Must be called between
-     * event dispatches (never from inside executeOne); the memory
+     * event dispatches (never from inside an instruction); the memory
      * image is captured separately by the snapshot layer.
      */
     CpuSnap exportSnap() const;
@@ -528,12 +528,9 @@ class Transputer
     ///@{
     void scheduleStep();
     void stepHandler();
-    /** @return true if the instruction was a fused-path (kFast) one. */
-    bool executeOne();
     /** Cached chains may run: the cache is on, iptr_ is at a chain
      *  boundary (an interrupt can leave oreg_ mid-chain) and no trace
-     *  wants every byte.  The predecoded single step and both fast
-     *  tiers need it. */
+     *  wants every byte.  Else the byte step runs. */
     bool
     predecodedReady() const
     {
@@ -545,19 +542,23 @@ class Transputer
     /** @name Instruction execution (exec.cc) */
     ///@{
     uint8_t fetchByte();
+    /** The byte step: one instruction byte, prefixes included. */
     void executeOneSlow();
-    void executePredecoded(const PredecodeCache::Entry &e);
-    /** Fused inner loop over cached fast chains; returns the number
-     *  executed.  Stops at the bound, the budget, a cache miss, a
-     *  non-fast chain, a deschedule, or a control transfer onto a
-     *  compiled block (wantsBlockEntry). */
-    int runFused(Tick bound, int budget);
+    /** The fused loop, the one executor of cached chains; returns the
+     *  chains retired, superblocks' included.  Runs from iptr_
+     *  (predecodedReady, Running, budget > 0, not past the bound)
+     *  until the bound, the budget, a deschedule, an error halt, a
+     *  chain the cache cannot hold (then sets `uncached`: the byte
+     *  step runs that chain next), or after the first non-fast chain.
+     *  Enters superblocks where a control transfer lands on one. */
+    int runFused(Tick bound, int budget, bool &uncached);
     /** @name Block-compiler tier (core/blockc.cc) */
     ///@{
-    /** Execute superblocks at iptr_ while possible; returns chains
-     *  retired.  Heats (and compiles) cold entry points as a side
-     *  effect.  Safe no-op when the tier is off. */
-    int runBlocks(Tick bound, int budget);
+    /** runFused's block-entry step: with the state spilled at `sb`'s
+     *  entry, check its guards, run it primed or not, and count how
+     *  it ended (BlockStats, the flight ring); returns the chains it
+     *  retired. */
+    int enterBlock(blockc::Superblock &sb, Tick bound, int budget);
     /**
      * Execute `sb` from its entry (iptr_ == sb.entry, Running, oreg
      * 0).  Retires at most `budget` chains and never starts a chain
@@ -575,13 +576,11 @@ class Transputer
     /** Allocate the block cache on first use (enabling the tier
      *  alone keeps an idle node small). */
     void ensureBlockTier();
-    /** runFused's bail probe at control transfers (taken jumps and
-     *  generic operations that move iptr): true when a block exists
-     *  (compiling it right now if the target just crossed the heat
-     *  threshold), so the fused loop hands over. */
-    bool wantsBlockEntry(Word iptr);
-    /** A compiled block exists at iptr (no heating, no compiling). */
-    bool hasBlockAt(Word iptr) const;
+    /** The tier's one heat probe, where a control transfer in
+     *  runFused lands (taken jumps, generic operations that move
+     *  iptr): the block to enter there, compiled right now if the
+     *  target just crossed the heat threshold, or nullptr. */
+    blockc::Superblock *wantsBlockEntry(Word iptr);
     /** importSnap's block-tier leg: drop every compiled block (they
      *  describe the pre-restore memory image) and overwrite the
      *  statistics with the snapshotted values. */
@@ -598,8 +597,10 @@ class Transputer
     /** Re-pin the fetch buffer's write generation after a restore. */
     void repinFetchBuffer();
     void execDirect(isa::Fn fn, Word operand);
-    /** Any defined operation: the inlined ones through
-     *  core/semantics.hh, the rest through execGenericOp. */
+    /** Any operation, fatal if undefined: the inlined ones through
+     *  core/semantics.hh, the rest through execGenericOp.  The byte
+     *  step calls it, and so does the fused loop for a non-fast
+     *  chain. */
     void execOp(Word operation);
     /** A defined operation the tiers do not inline: counted, charged
      *  and run on the object's own state.  The fused loop and the
@@ -718,7 +719,7 @@ class Transputer
     bool lastFetchValid_ = false;
 
     // preemption bookkeeping
-    bool inExec_ = false;      ///< inside executeOne (for wake timing)
+    bool inExec_ = false;      ///< inside an instruction (wake timing)
     bool preemptPending_ = false;
     Tick hpReadyTick_ = 0;
     Tick lastInstrStart_ = 0;

@@ -134,6 +134,23 @@ commComplete(const WordShape &s, Word n)
     return 2 * commFormula(s, n) - commSuspend;
 }
 
+/** @name What an operation adds to its base cost (op()) on its
+ *  longer path, and the event pin's fast input */
+///@{
+/** lend that loops back: 10 cycles in all. */
+constexpr int lendLoops = 5;
+/** tin whose time is still to come, so it waits: 30 in all. */
+constexpr int tinWaits = 22;
+/** altwt with no guard ready, so it waits: 17 in all. */
+constexpr int altwtWaits = 12;
+/** taltwt with no guard ready and no time passed, so it waits: 22
+ *  in all. */
+constexpr int taltwtWaits = 10;
+/** An input from the event pin's channel that finds an event already
+ *  signalled (the whole charge: in's base cost is 0). */
+constexpr int eventInPending = 4;
+///@}
+
 /** Base cost of an indirect operation (context-free cases). */
 constexpr int
 op(Op o)
@@ -203,10 +220,10 @@ op(Op o)
       case Op::DUP:         return 1;
       // dynamic-cost operations get their base here; the CPU adds the
       // data-dependent part via the helpers above.
-      case Op::LEND:        return 5;  // +5 when the loop continues
-      case Op::ALTWT:       return 5;  // +12 if it must wait
-      case Op::TALTWT:      return 12; // +wait costs
-      case Op::TIN:         return 8;  // +22 if it must wait
+      case Op::LEND:        return 5;  // +lendLoops
+      case Op::ALTWT:       return 5;  // +altwtWaits
+      case Op::TALTWT:      return 12; // +taltwtWaits
+      case Op::TIN:         return 8;  // +tinWaits
       case Op::IN:          return 0;  // charged via comm* helpers
       case Op::OUT:         return 0;
       case Op::OUTBYTE:     return 0;

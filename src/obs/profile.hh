@@ -41,8 +41,9 @@ namespace transputer::obs
 /** Execution-tier indices for sample attribution (host-side). */
 enum Tier : int
 {
-    kTierPlain = 0, ///< slow / generic predecoded interpreter
-    kTierFused = 1, ///< fused inner loop (runFused)
+    kTierPlain = 0, ///< the byte step (executeOneSlow): cache off,
+                    ///< a byte trace, or a chain it cannot hold
+    kTierFused = 1, ///< the fused loop (runFused): every cached chain
     kTierBlock = 2, ///< block-compiler superblocks
     kTiers = 3,
 };

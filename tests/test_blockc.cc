@@ -718,6 +718,7 @@ namespace
 constexpr int kFaultLaps = 300;
 constexpr int kFaultLap = 200; ///< 0-based lap that faults
 constexpr int kFaultData = 4;  ///< workspace word the other laps read
+constexpr uint64_t kFaultLapChains = 15; ///< chains of one lap
 constexpr Word kWildAddress = 0x7FFFFF00;
 
 std::string
@@ -771,6 +772,14 @@ TEST(BlockTier, FaultInAGenericOperationKeepsTheCoreState)
     // the loop compiled and ran in the block tier up to the fault
     EXPECT_GT(block.cpu.counters().blockc.compiles, 0u);
     EXPECT_GT(block.cpu.counters().blockc.enters, 0u);
+    // the host-side statistics cover the laps before the fault: the
+    // fused loop's and the block executor's exception paths bank them
+    // (the block tier takes the loop over once its head is hot)
+    const uint64_t laps = kFaultLap * kFaultLapChains;
+    EXPECT_GE(fused.cpu.counters().fused.instructions, laps);
+    EXPECT_GE(block.cpu.counters().blockc.chains,
+              laps - (core::blockc::BlockCache::kHotThreshold + 1) *
+                         kFaultLapChains);
     // fused and block: everything, the icache counters included
     expectSameCpu(block.cpu, fused.cpu);
     // plain keeps no icache: registers, clocks and counts

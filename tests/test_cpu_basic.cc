@@ -213,6 +213,27 @@ TEST(CpuBasic, HaltedOnUndefinedOperation)
     EXPECT_THROW(t.queue.runToQuiescence(), SimFatal);
 }
 
+TEST(CpuBasic, HaltedOnUndefinedOperationAliasingAnInlinedOne)
+{
+    // prefixed operands past 16 bits whose low bits name add (#5):
+    // opr #10005 and opr #FFFF0005 are undefined in every tier, the
+    // cached one (reached mid-run) included
+    for (const char *chain : {".byte #21,#20,#20,#20,#F5\n",
+                              "pfix #F\n pfix #F\n nfix #F\n opr 5\n"}) {
+        for (const bool predecode : {true, false}) {
+            SCOPED_TRACE(std::string(chain) +
+                         (predecode ? " cache on" : " cache off"));
+            core::Config cfg;
+            cfg.predecode = predecode;
+            SingleCpu t(cfg);
+            t.loadAsm(std::string("start: ldc 1\n ldc 2\n") + chain +
+                      " stopp\n");
+            t.cpu.boot(t.img.symbol("start"), t.bootWptr());
+            EXPECT_THROW(t.queue.runToQuiescence(), SimFatal);
+        }
+    }
+}
+
 TEST(CpuBasic, InstructionTraceWrites)
 {
     SingleCpu t;

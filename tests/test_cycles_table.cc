@@ -176,3 +176,101 @@ TEST(CycleTable, SchedulerOperations)
         opCost(Op::STOPP);
     EXPECT_EQ(u.cpu.cycles(), static_cast<uint64_t>(expect));
 }
+
+// ---------------------------------------------------------------------
+// the longer paths of the dynamic operations (cycles.hh's lendLoops,
+// tinWaits, altwtWaits, taltwtWaits and eventInPending), each
+// measured as the whole charge of a program run to its stopp
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Cycles of a program run to its stopp; `prepare` runs on the rig
+ *  first (to signal or schedule an event). */
+template <class F>
+int64_t
+cyclesOf(const std::string &src, F prepare)
+{
+    SingleCpu t;
+    prepare(t);
+    t.runAsm(src);
+    return static_cast<int64_t>(t.cpu.cycles());
+}
+
+/** The event pin's channel word (reserved word 8 above MostNeg). */
+const std::string kEventChan = "mint\n ldnlp 8\n";
+const int64_t kEventChanCost = opCost(Op::MINT) + cyc::direct(Fn::LDNLP);
+
+} // namespace
+
+TEST(CycleTable, LendThatLoops)
+{
+    static_assert(cyc::op(Op::LEND) + cyc::lendLoops == 10);
+    // control block {index 0, count 2} at Wptr[4]: the first lend
+    // loops back 4 bytes (ldlp, ldc and its own two), the second
+    // falls through
+    EXPECT_EQ(charge("ldc 0\n stl 4\n ldc 2\n stl 5\n",
+                     "ldlp 4\n ldc 4\n lend\n"),
+              2 * (cyc::direct(Fn::LDLP) + cyc::direct(Fn::LDC)) +
+                  opCost(Op::LEND, cyc::lendLoops) + opCost(Op::LEND));
+}
+
+TEST(CycleTable, TinThatWaits)
+{
+    static_assert(cyc::op(Op::TIN) + cyc::tinWaits == 30);
+    // five ticks ahead: tin waits for the timer
+    EXPECT_EQ(charge("", "ldtimer\n adc 5\n tin\n"),
+              opCost(Op::LDTIMER) + cyc::direct(Fn::ADC) +
+                  opCost(Op::TIN, cyc::tinWaits));
+}
+
+TEST(CycleTable, AltwtThatWaits)
+{
+    static_assert(cyc::op(Op::ALTWT) + cyc::altwtWaits == 17);
+    // one event-pin guard, signalled only after altwt has waited
+    const std::string src = "start:\n alt\n" + kEventChan +
+                            " ldc 1\n enbc\n altwt\n" + kEventChan +
+                            " ldc 1\n ldc 0\n disc\n altend\n stopp\n";
+    const int64_t got = cyclesOf(src, [](SingleCpu &t) {
+        t.queue.schedule(100'000, [&t] { t.cpu.eventSignal(); });
+    });
+    EXPECT_EQ(got, opCost(Op::ALT) + 2 * kEventChanCost +
+                       3 * cyc::direct(Fn::LDC) + opCost(Op::ENBC) +
+                       opCost(Op::ALTWT, cyc::altwtWaits) +
+                       opCost(Op::DISC) + opCost(Op::ALTEND) +
+                       opCost(Op::STOPP));
+}
+
+TEST(CycleTable, TaltwtThatWaits)
+{
+    static_assert(cyc::op(Op::TALTWT) + cyc::taltwtWaits == 22);
+    // one timer guard five ticks ahead: taltwt waits for it
+    const std::string src =
+        "start:\n talt\n ldtimer\n adc 5\n stl 4\n"
+        " ldl 4\n ldc 1\n enbt\n taltwt\n"
+        " ldl 4\n ldc 1\n ldc 0\n dist\n altend\n stopp\n";
+    const int64_t got = cyclesOf(src, [](SingleCpu &) {});
+    EXPECT_EQ(got, opCost(Op::TALT) + opCost(Op::LDTIMER) +
+                       cyc::direct(Fn::ADC) + cyc::direct(Fn::STL) +
+                       2 * cyc::direct(Fn::LDL) +
+                       3 * cyc::direct(Fn::LDC) + opCost(Op::ENBT) +
+                       opCost(Op::TALTWT, cyc::taltwtWaits) +
+                       opCost(Op::DIST) + opCost(Op::ALTEND) +
+                       opCost(Op::STOPP));
+}
+
+TEST(CycleTable, EventInputThatFindsAnEvent)
+{
+    static_assert(cyc::eventInPending == 4);
+    // the event was signalled before the program ran, so in takes it
+    // without waiting
+    const std::string src =
+        "start:\n ldlp 8\n" + kEventChan + " ldc 4\n in\n stopp\n";
+    const int64_t got =
+        cyclesOf(src, [](SingleCpu &t) { t.cpu.eventSignal(); });
+    EXPECT_EQ(got, cyc::direct(Fn::LDLP) + kEventChanCost +
+                       cyc::direct(Fn::LDC) +
+                       opCost(Op::IN, cyc::eventInPending) +
+                       opCost(Op::STOPP));
+}

@@ -7,8 +7,9 @@
  * the test.  Each program runs once straight through, and once as the
  * body of a hot counted loop under all three execution tiers -- the
  * byte-at-a-time interpreter, the fused loop and the block tier --
- * which must also agree with each other on memory and counters.  Runs
- * at both word lengths.
+ * which must also agree with each other on memory and counters; the
+ * loop adds a move and an ALT, non-fast chains that end fused runs.
+ * Runs at both word lengths.
  */
 
 #include <gtest/gtest.h>
@@ -436,13 +437,40 @@ runHotLoop(const WordShape &shape, uint64_t seed)
 {
     constexpr int laps = 40;
     constexpr int counter = kLocals + 4; // clear of the random locals
-    const int steps = 60;
+    // long enough that a lap's fused runs, cut by the six non-fast
+    // chains below, still average more than the promotion gate's 16
+    const int steps = 120;
     core::Config base;
     base.shape = shape;
     base.onchipBytes = shape.bits == 32 ? 8192 : 4096;
     // short dispatch batches end fused runs often, so the promotion
     // gate sees the loop's run lengths within a few laps
     base.maxBatch = 256;
+    // Each lap also runs non-fast chains, each of which ends a fused
+    // run: a short move from the random locals into the words after
+    // the counter, and an ALT with one ready SKIP guard in a workspace
+    // above them (alt, enbs, altwt, diss and altend, whose below-Wptr
+    // slots stay clear of the move's words).
+    const int moved = counter + 1, altWs = counter + 12;
+    auto nonFast = [&](std::string &body, Mirror &m) {
+        body += "  ldlp 0\n  ldlp " + std::to_string(moved) +
+                "\n  ldc 8\n  move\n";
+        m.push(m.localAddr(0));
+        m.push(m.localAddr(moved));
+        m.push(8);
+        m.pop();
+        m.pop();
+        m.pop();
+        body += "  ajw " + std::to_string(altWs) +
+                "\n  alt\n  ldc 1\n  enbs\n  altwt\n"
+                "  ldc 1\n  ldc 0\n  diss\n  altend\n  ajw -" +
+                std::to_string(altWs) + "\n";
+        m.push(1); // enbs's guard
+        m.push(1); // diss: guard, offset 0 -> fired
+        m.push(0);
+        m.a = 1;
+        m.b = m.c;
+    };
 
     // the body is generated once; the mirror replays the same
     // generator once per lap, plus the loop control's stack effects
@@ -458,6 +486,7 @@ runHotLoop(const WordShape &shape, uint64_t seed)
             std::string body;
             for (int i = 0; i < steps; ++i)
                 step(gen, body, m);
+            nonFast(body, m);
             if (lap == laps - 1)
                 src += body;
             m.push(static_cast<Word>(lap + 1)); // ldl counter

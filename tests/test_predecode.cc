@@ -177,6 +177,33 @@ TEST(PredecodeSelfMod, HotLoopHitsCache)
     EXPECT_GT(t.cpu.icache().hits(), t.cpu.icache().misses());
 }
 
+TEST(PredecodeSelfMod, UncacheableChainMidRunMissesOncePerVisit)
+{
+    // a ten-byte `ldc -1` (nfix 0, eight pfix #F, ldc #F) is longer
+    // than isa::maxChainBytes, so the cache cannot hold it: each of
+    // its 20 visits, reached mid-run after `stl` or `j`, counts one
+    // miss before the byte step runs it, and the nine other chains
+    // miss once each
+    const char *src =
+        "start:\n"
+        "  ldc 20\n stl 1\n"
+        "loop:\n"
+        "  .byte #60,#2F,#2F,#2F,#2F,#2F,#2F,#2F,#2F,#4F\n"
+        "  ldl 1\n add\n stl 1\n"
+        "  ldl 1\n cj done\n j loop\n"
+        "done: stopp\n";
+    core::Config on_cfg, off_cfg;
+    off_cfg.predecode = false;
+    SingleCpu on(on_cfg), off(off_cfg);
+    on.runAsm(src);
+    off.runAsm(src);
+    EXPECT_EQ(on.local(1), 0u);
+    expectSameCpu(on.cpu, off.cpu);
+    EXPECT_EQ(on.cpu.icache().misses(), 9u + 20u);
+    // and no fused run comes back empty to fill the same slot again
+    EXPECT_EQ(on.cpu.counters().fused.lenLog2[0], 0u);
+}
+
 TEST(PredecodeSelfMod, OnChipCacheOnOffBitIdentical)
 {
     core::Config on_cfg, off_cfg;

@@ -4,8 +4,9 @@
  * lookahead and the compact node state: serial-vs-parallel
  * bit-equality on a ~1k-node torus (the flood/reduce workload,
  * src/apps/flood.hh), the same with link faults injected, how far a
- * serial run of that size batches CPU instructions, and the per-node
- * host-memory budget the 100k runs depend on.
+ * serial run of that size batches CPU instructions, that the scale
+ * nodes' tiny icache does not cut their fused runs to nothing, and the
+ * per-node host-memory budget the 100k runs depend on.
  */
 
 #include <gtest/gtest.h>
@@ -182,6 +183,30 @@ TEST(ScaleFlood, SerialClocksOfSmallNetworksStayPut)
         EXPECT_EQ(flood.answers()[0].count, flood.expectedCount());
         EXPECT_EQ(flood.answers()[0].when, c.answer);
     }
+}
+
+TEST(ScaleFlood, CacheMissesDoNotEndFusedRuns)
+{
+    // The scale nodes' 8-entry icache misses nearly every chain.  A
+    // miss fills its slot and the fused run goes on, so a wave enters
+    // the fused loop about once per dispatch, not once per chain with
+    // an empty run each time.
+    apps::FloodConfig cfg; // scaleNodeConfig: an 8-entry icache
+    cfg.width = 8;
+    cfg.height = 8;
+    ASSERT_EQ(cfg.node.icacheEntries, 8u);
+    apps::Flood flood(cfg);
+    const obs::FusedStats settled = flood.network().counters().fused;
+    flood.inject(1);
+    flood.runUntilAnswers(1, kLimit);
+    ASSERT_EQ(flood.answers().size(), 1u);
+    const obs::Counters c = flood.network().counters();
+    EXPECT_LT(c.icacheHitRate(), 0.5); // the misses are still there
+    const uint64_t runs = c.fused.runs - settled.runs;
+    const uint64_t empty = c.fused.lenLog2[0] - settled.lenLog2[0];
+    EXPECT_GT(runs, 0u);
+    EXPECT_LT(empty * 100, runs) << empty << " of " << runs
+                                 << " fused runs were empty";
 }
 
 TEST(ScaleFlood, CompactNodeStateStaysSmall)

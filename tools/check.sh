@@ -67,6 +67,12 @@ test -s "$obs_dir/dbsearch.folded" # folded stacks are not JSON
 ./build/tools/tprof --scenario e7 --iters 20000 --json \
     > "$obs_dir/e7.summary.json"
 python3 -m json.tool "$obs_dir/e7.summary.json" > /dev/null
+# the tier ladder's traffic: fused runs per CPU-step dispatch
+python3 -c 'import json, sys
+v = json.load(open(sys.argv[1])).get("fused_runs_per_step")
+if not isinstance(v, (int, float)) or v <= 0:
+    sys.exit(sys.argv[1] + ": fused_runs_per_step missing or not positive")' \
+    "$obs_dir/e7.summary.json"
 # CLI hardening: unknown flags and bad values must fail loudly
 if ./build/tools/tprof --bogus-flag 2> /dev/null; then
     echo "tprof accepted an unknown flag" >&2

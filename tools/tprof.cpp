@@ -299,6 +299,13 @@ main(int argc, char **argv)
     const uint64_t blockCyc = total.blockc.cycles;
     const uint64_t interpCyc =
         total.cycles - std::min(total.cycles, fusedCyc + blockCyc);
+    // the tier ladder's traffic: fused-loop entries per CPU-step event
+    // the queue dispatched (1 when every dispatch is a single run)
+    const uint64_t steps = net.queue().stats().dispatchedSteps;
+    const double runsPerStep =
+        steps ? static_cast<double>(total.fused.runs) /
+                    static_cast<double>(steps)
+              : 0.0;
 
     if (json) {
         std::cout << "{\"scenario\": \"" << scenario << "\""
@@ -321,6 +328,7 @@ main(int argc, char **argv)
                   << ", \"tier_cycles\": {\"interp\": " << interpCyc
                   << ", \"fused\": " << fusedCyc << ", \"blockc\": "
                   << blockCyc << "}"
+                  << ", \"fused_runs_per_step\": " << runsPerStep
                   << ", \"profile_samples\": " << samples << "}\n";
     } else {
         std::cout << "tprof: " << scenario;
@@ -338,6 +346,9 @@ main(int argc, char **argv)
                   << "\n"
                   << "  fused mean run   " << total.fused.meanRunLength()
                   << "\n"
+                  << "  fused runs/step  " << runsPerStep << " ("
+                  << total.fused.runs << " runs, " << steps
+                  << " step dispatches)\n"
                   << "  link bytes       " << total.linkBytesOut
                   << " out / " << total.linkBytesIn << " in\n"
                   << "  process starts   " << total.processStarts
