@@ -18,14 +18,12 @@
  *   - time-series on at the default tick: <= 5%.
  *
  * The variants run by bench/report.hh's protocol (one untimed round,
- * then 9 rounds in rotating order).  Expected overheads are within
- * host noise, so pass/fail compares BEST-OF throughput: host noise is
- * one-sided (steal, frequency ramps, cache pollution only ever slow a
- * run), so the fastest of N runs is the robust estimator of true
- * throughput and the best-of ratio isolates the real cost where a
- * median of 25%-spread samples cannot resolve a 2% bar.  The median
- * of per-round ratios is reported beside it.  Results go to stdout
- * plus BENCH_obs.json.
+ * then kRounds rounds in rotating order).  Pass/fail reads the median
+ * of per-round ratios to the baseline, as bench_interp's gates do: a
+ * noise burst on a shared host lands on a whole round and mostly
+ * cancels in its ratio, while the fastest run of a variant moves with
+ * a noisy neighbour by more than the bars.  The best-of overhead is
+ * reported beside it.  Results go to stdout plus BENCH_obs.json.
  */
 
 #include <string>
@@ -42,7 +40,7 @@ using namespace transputer::bench;
 namespace
 {
 
-constexpr int kRounds = 9;
+constexpr int kRounds = 64;
 
 /** The observability variants under comparison. */
 struct Variant
@@ -51,7 +49,7 @@ struct Variant
     bool flight;
     bool profile;
     bool timeseries;
-    double bar; ///< max tolerated best-of overhead (ratio - 1)
+    double bar; ///< max tolerated median overhead (1/ratio - 1)
 };
 
 constexpr Variant kVariants[] = {
@@ -115,15 +113,15 @@ main()
         const Spread s = r.time(v);
         const Run &first = r.runs[v].front();
         const double instr = static_cast<double>(first.instructions);
-        const double over = s.min / base.min - 1.0;
+        const double over = 1.0 / r.ratio(v) - 1.0;
         pass = pass && over <= kVariants[v].bar;
         Row row;
         row.col("variant", "name", kVariants[v].name)
             .col("i/s best", "ips_best", instr / s.min)
             .col("i/s median", "ips_median", instr / s.median)
             .add("ips_spread", s.relative())
-            .col("overhead", "overhead_best", over)
-            .add("overhead_median", 1.0 / r.ratio(v) - 1.0)
+            .col("overhead", "overhead_median", over)
+            .col("best-of", "overhead_best", s.min / base.min - 1.0)
             .col("bar", "bar", kVariants[v].bar)
             .col("samples", "samples", first.samples)
             .col("ts points", "ts_points", first.tsPoints)

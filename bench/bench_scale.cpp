@@ -54,7 +54,6 @@ runOnce(const std::string &label, int w, int h, uint64_t maxRounds,
     cfg.width = w;
     cfg.height = h;
     cfg.settle = false;
-    cfg.node = apps::FloodConfig::scaleNodeConfig();
 
     const double t0 = wallSeconds();
     apps::Flood flood(cfg);
@@ -112,7 +111,7 @@ size_t
 idleNodeBytes()
 {
     net::Network net;
-    net::buildGrid(net, 8, 8, apps::FloodConfig::scaleNodeConfig());
+    net::buildGrid(net, 8, 8, apps::scaleNodeConfig());
     size_t most = 0;
     for (size_t i = 0; i < net.size(); ++i)
         most = std::max(most,

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/scale_node.hh"
 #include "net/network.hh"
 #include "net/peripherals.hh"
 
@@ -55,28 +56,7 @@ struct FloodConfig
      * buffer the host's bytes until the root asks for them).
      */
     bool settle = true;
-    core::Config node = scaleNodeConfig();
-
-    /**
-     * The compact per-node configuration the scale runs use: a small
-     * on-chip-only memory (the flood program plus its workspace fit
-     * easily), a minimal predecode cache, and the block-compiler,
-     * flight-recorder and trace machinery left off, so an idle node's
-     * side structures stay under a kilobyte of host memory.  All of
-     * these are acceleration/observability knobs: execution is
-     * bit-identical to the default configuration.
-     */
-    static core::Config
-    scaleNodeConfig()
-    {
-        core::Config c;
-        c.onchipBytes = 2048;
-        c.externalBytes = 0;
-        c.icacheEntries = 8;
-        c.blockCompile = false;
-        c.flight = false;
-        return c;
-    }
+    core::Config node = scaleNodeConfig(); ///< apps/scale_node.hh
 };
 
 /** One reduced wave total, as it arrived at the host. */

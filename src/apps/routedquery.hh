@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/scale_node.hh"
 #include "net/network.hh"
 #include "net/peripherals.hh"
 #include "route/fabric.hh"
@@ -43,23 +44,11 @@ struct RoutedQueryConfig
     /** Switch topology; node 0 is the root. */
     route::Topology topo = route::Topology::torus(4, 4);
     /** Per-node configuration (small: the programs are tiny). */
-    core::Config node = scaleNode();
+    core::Config node = scaleNodeConfig(); ///< apps/scale_node.hh
     link::WireConfig wire;     ///< every host and trunk line
     route::SwitchConfig sw;    ///< ARQ / watchdog tuning
     int consoleLink = 1;       ///< root link wired to the console
     bool settle = true;        ///< run to steady state in the ctor
-
-    static core::Config
-    scaleNode()
-    {
-        core::Config c;
-        c.onchipBytes = 2048;
-        c.externalBytes = 0;
-        c.icacheEntries = 8;
-        c.blockCompile = false;
-        c.flight = false;
-        return c;
-    }
 };
 
 /** One 3-word tuple the root forwarded to the host. */

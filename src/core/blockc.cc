@@ -121,10 +121,6 @@ BlockCache::compile(const PredecodeCache &icache, const WordShape &s,
     sb.valid = false;
     sb.entry = entry;
     sb.nsteps = static_cast<uint16_t>(n);
-    sb.primed = false;
-    sb.missFence = 0;
-    sb.visited = 0;
-    sb.visitFence = 0;
     sb.steps.assign(n, Step{});
     sb.nguards = static_cast<uint8_t>(nguards);
     for (size_t i = 0; i < nguards; ++i)
@@ -137,19 +133,6 @@ BlockCache::compile(const PredecodeCache &icache, const WordShape &s,
         sb.steps[i].e = ents[i];
         sb.steps[i].kind = sb.steps[i].solo = solo[i];
     }
-
-    // priming needs every step resident in its own cache slot at
-    // once, which aliasing step pairs can never achieve
-    const auto slot = [&](size_t i) {
-        return static_cast<size_t>(ents[i].tag) & icache.indexMask();
-    };
-    sb.primeable = true;
-    for (size_t i = 0; i < n && sb.primeable; ++i)
-        for (size_t j = i + 1; j < n; ++j)
-            if (slot(i) == slot(j)) {
-                sb.primeable = false;
-                break;
-            }
 
     // fusion pass: longest peephole match wins; the head step carries
     // the fused kind, members keep their solo kinds for fallback
@@ -208,16 +191,13 @@ namespace transputer::core
 namespace fx = isa::superop::fx;
 
 /**
- * The step interpreter.  Primed=true is the steady state: every
- * step's slot provably holds its chain (entry protocol in enterBlock),
- * so the per-chain cache emulation reduces to banking a hit, and
- * stores near the block's code re-check its guard generations
- * instead.
- * Primed=false emulates the cache lookup per chain exactly as
- * PredecodeCache does, accumulating the visited mask that upgrades
- * the block.
+ * The step interpreter.  The guards hold at entry (enterBlock checks
+ * them), and the executor re-reads them wherever the code bytes may
+ * have moved since: after a handler store into the guards' window, a
+ * generic operation, or a timeslice rotation at a jump.  The predecode
+ * cache's slots are left alone; each retired chain banks one icache
+ * hit (host-side statistics, like the fused loop's).
  */
-template <bool Primed>
 int
 Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
                       blockc::Deopt &why)
@@ -241,23 +221,18 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
     h.codeSpan = sb.codeSpan;
     const uint64_t cyc0 = h.cycles, icount0 = h.instructions;
     // one epilogue for both exits, with the state spilled
-    const auto bank = [this, cyc0, icount0](uint64_t hits, int chains) {
-        icache_.addHits(hits);
+    const auto bank = [this, cyc0, icount0](int chains) {
+        icache_.addHits(static_cast<uint64_t>(chains));
         obs::BlockStats &bs = bcache_->stats();
         bs.chains += static_cast<uint64_t>(chains);
         bs.instructions += instructions_ - icount0;
         bs.cycles += cycles_ - cyc0;
     };
     const blockc::Superblock::CumRow *const cum = sb.cum.data();
-    PredecodeCache::Entry *const entries = icache_.entriesMut();
     const uint32_t *const gens = icache_.gensData();
-    const size_t imask = icache_.indexMask();
     const Step *const steps = sb.steps.data();
     const size_t nsteps = sb.nsteps;
-    uint64_t hits = 0;
     Tick xbound = bound; // with the observation thresholds folded in
-    uint64_t visited =
-        (!Primed && icache_.misses() == sb.visitFence) ? sb.visited : 0;
     const Step *st = nullptr;
     // The current linear sweep of retired steps is [sweep0, i); the
     // chains retired before it number `done`.  The budget is kept as
@@ -325,51 +300,26 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
         }                                                              \
     } while (0)
 
-// Per-chain prologue: the icache slot emulation (or a banked hit when
-// primed), then the shared retire step.  A miss whose compile image
-// went stale deopts BEFORE executing the chain, exactly where the
-// interpreter would re-decode the new bytes.
+// Per-chain prologue: the shared retire step.  Instruction and
+// function counts flow through the sweep's cum rows, flushed in
+// SPILL().
 #define RETIRE()                                                       \
     do {                                                               \
-        if (!Primed) {                                                 \
-            PredecodeCache::Entry &sl =                                \
-                entries[static_cast<size_t>(st->e.tag) & imask];       \
-            if (sl.length && sl.tag == st->e.tag &&                    \
-                gens[sl.gidx] == sl.gen &&                             \
-                gens[sl.gidx2] == sl.gen2) {                           \
-                ++hits;                                                \
-            } else {                                                   \
-                if (gens[st->e.gidx] != st->e.gen ||                   \
-                    gens[st->e.gidx2] != st->e.gen2) {                 \
-                    why = Deopt::GuardStale;                           \
-                    goto out;                                          \
-                }                                                      \
-                icache_.noteMiss(sl.length && sl.tag == st->e.tag);    \
-                sl = st->e;                                            \
-            }                                                          \
-            visited |= uint64_t{1} << i;                               \
-        }                                                              \
-        /* instruction and function counts flow through the sweep's   \
-           cum rows, flushed in SPILL() */                             \
         sem::retire<false>(h, st->e);                                  \
-        /* past this chain: set only now -- the stale check above     \
-           exits before the chain architecturally retires; a primed   \
-           block banks one hit per chain on exit */                    \
         ++i;                                                           \
     } while (0)
 
-// After a store in primed mode: the skipped slot checks would have
-// caught a store into this block's code, so the guard generations
-// stand in for them.  The storing chain has already retired; the
-// deopt lands on the following chain boundary, exactly where the
-// interpreter would re-decode.  GUARD_RECHECK reads the generations,
-// after the core's own stores (a generic operation, a timeslice
-// rotation at a jump), which take no note; STORE_RECHECK reads them
-// only when a handler store landed in the guards' block window
+// The guards stand in for per-chain checks of the code bytes.  The
+// chain that moved a generation has already retired; the deopt lands
+// on the following chain boundary, exactly where the interpreter
+// would re-decode.  GUARD_RECHECK reads the generations, after the
+// core's own stores (a generic operation, a timeslice rotation at a
+// jump), which take no note; STORE_RECHECK reads them only when a
+// handler store landed in the guards' block window
 // (sem::Hoisted::stored), since no store outside it can move one.
 #define GUARD_RECHECK()                                                \
     do {                                                               \
-        if (Primed && !sb.guardsOk(gens)) {                            \
+        if (!sb.guardsOk(gens)) {                                      \
             why = Deopt::GuardStale;                                   \
             goto out;                                                  \
         }                                                              \
@@ -377,7 +327,7 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
 
 #define STORE_RECHECK()                                                \
     do {                                                               \
-        if (Primed && h.nearCode) {                                    \
+        if (h.nearCode) {                                              \
             h.nearCode = false;                                        \
             GUARD_RECHECK();                                           \
         }                                                              \
@@ -407,7 +357,7 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
             goto out;                                                  \
         }                                                              \
         st = &steps[i];                                                \
-        goto *tbl[static_cast<size_t>(Primed ? st->kind : st->solo)];  \
+        goto *tbl[static_cast<size_t>(st->kind)];                      \
     } while (0)
 
 // A back-edge onto the entry: close the sweep, restart the walk.
@@ -449,10 +399,10 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
         ++st;                                                          \
     } while (0)
 
-// Fused superops (primed dispatch only): one conservative pre-check
-// of the budget and the bound for the whole group, then the member
-// chains in order (the loop form ends in the j label).  Near a
-// boundary the head re-dispatches through its solo kind.
+// Fused superops: one conservative pre-check of the budget and the
+// bound for the whole group, then the member chains in order (the loop
+// form ends in the j label).  Near a boundary the head re-dispatches
+// through its solo kind.
 #define GROUP(CHAINS)                                                  \
     do {                                                               \
         if (i + (CHAINS) > ilimit ||                                   \
@@ -578,21 +528,10 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
     } catch (...) {
         if (!h.inCore) // else the core threw: the object holds the state
             SPILL();
-        bank(Primed ? static_cast<uint64_t>(done) : hits, done);
+        bank(done);
         throw;
     }
-    bank(Primed ? static_cast<uint64_t>(done) : hits, done);
-    if (!Primed) {
-        sb.visited = visited;
-        sb.visitFence = icache_.misses();
-        const uint64_t full =
-            nsteps >= 64 ? ~uint64_t{0}
-                         : (uint64_t{1} << nsteps) - 1;
-        if (sb.primeable && (visited & full) == full) {
-            sb.primed = true;
-            sb.missFence = icache_.misses();
-        }
-    }
+    bank(done);
     return done;
 
 #undef FLUSH_SWEEP
@@ -693,13 +632,7 @@ Transputer::enterBlock(blockc::Superblock &sb, Tick bound, int budget)
     }
     ++bc.stats().enters;
     blockc::Deopt why = blockc::Deopt::End;
-    int n;
-    if (sb.primed && sb.missFence == icache_.misses()) {
-        n = execBlock<true>(sb, bound, budget, why);
-    } else {
-        sb.primed = false; // a foreign fill may have displaced a slot
-        n = execBlock<false>(sb, bound, budget, why);
-    }
+    const int n = execBlock(sb, bound, budget, why);
     ++bc.stats().deopts[static_cast<size_t>(why)];
     // flight ring only (not the trace ring), and only the abnormal
     // reasons: Bound/Budget/End are how every batched dispatch ends,

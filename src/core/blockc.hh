@@ -21,27 +21,28 @@
  * Bit-faithfulness contract (obs::sameArchitectural is the oracle):
  *   - every step retires its chain's exact counters and cycle charges
  *     in the interpreter's order;
- *   - every chain emulates the predecode cache's lookup: the global
- *     hit/miss/invalidation counters are architectural, so the block
- *     tier performs (and counts) the same slot transitions the
- *     interpreter would -- a refill is taken from the compiled step
- *     image, which is valid precisely when the chain's write
- *     generations still match their compile-time values;
+ *   - the compiled code bytes are current whenever a step runs: the
+ *     guards (the write generations of the code's 64-byte blocks) are
+ *     checked at entry and re-read after a store into their window, a
+ *     generic operation and a timeslice rotation at a jump;
  *   - a superblock only runs chains the interpreter would run: the
  *     event/horizon bound and the dispatch budget are checked before
  *     every chain (fused heads pre-check a conservative worst case
  *     and fall back to per-chain solo execution near a boundary);
- *   - anything the block cannot prove -- a stale write generation
- *     (self-modifying store, link DMA), a timeslice rotation, an
- *     error halt, a dynamic branch out -- deopts: the block exits at
- *     a chain boundary with all state spilled, and the fused loop
- *     continues exactly where the tier-off run would be.
+ *   - anything the block cannot prove -- a stale guard (self-modifying
+ *     store, link DMA), a timeslice rotation, an error halt, a
+ *     dynamic branch out -- deopts: the block exits at a chain
+ *     boundary with all state spilled, and the fused loop continues
+ *     exactly where the tier-off run would be.
  *
  * Nothing architectural lives in a superblock; dropping any block (or
- * the whole cache) at any moment is always correct.  Snapshots never
- * serialize compiled blocks: restore invalidates the cache wholesale
- * and lets execution re-heat from the restored memory image (only the
- * obs::BlockStats counters round-trip, like the predecode cache's).
+ * the whole cache) at any moment is always correct.  The block tier
+ * leaves the predecode cache's slots alone and banks one icache hit
+ * per retired chain: the cache's statistics are host-side, like the
+ * tier's own.  Snapshots never serialize compiled blocks: restore
+ * invalidates the cache wholesale and lets execution re-heat from the
+ * restored memory image (only the obs::BlockStats counters round-trip,
+ * like the predecode cache's).
  */
 
 #ifndef TRANSPUTER_CORE_BLOCKC_HH
@@ -105,24 +106,7 @@ struct Superblock
 {
     Word entry = 0;
     bool valid = false;
-    /**
-     * Every step's icache slot held that step's chain on the last
-     * full pass and no fill anywhere has happened since (missFence):
-     * slot checks are provably hits, so the executor banks them
-     * without touching the entry array.
-     */
-    bool primed = false;
-    /** All step slots are distinct, so a full pass can prove every
-     *  slot holds its step's chain (aliasing steps thrash one slot
-     *  and can never all be resident at once). */
-    bool primeable = false;
     uint16_t nsteps = 0;
-    uint64_t missFence = 0; ///< icache miss count when primed was set
-    /** Steps whose slot held their chain during recent executions
-     *  (bit per step), valid while no foreign fill intervened
-     *  (visitFence).  Full coverage upgrades the block to primed. */
-    uint64_t visited = 0;
-    uint64_t visitFence = 0;
     std::vector<Step> steps;
 
     /** Per-step cumulative retire accounting: row k holds the sums
@@ -248,7 +232,6 @@ class BlockCache
     invalidate(Superblock &sb)
     {
         sb.valid = false;
-        sb.primed = false;
         ++stats_.invalidations;
         // let the region re-heat: a recompile picks up the new bytes
         const size_t i = heatIndex(sb.entry);

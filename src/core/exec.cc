@@ -137,8 +137,8 @@ Transputer::runFused(Tick bound, int budget, bool &uncached)
     // entered
     blockc::Superblock *sb = nullptr;
     const auto land = [&](Word target) -> blockc::Superblock * {
-        return running && blockCompileEnabled_ ? wantsBlockEntry(target)
-                                               : nullptr;
+        return running && cfg_.blockCompile ? wantsBlockEntry(target)
+                                            : nullptr;
     };
     // one epilogue for both exits, with the state spilled
     const auto bank = [this](int chains, int hits, uint64_t cycles) {

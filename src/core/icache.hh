@@ -13,7 +13,10 @@
  * self-modifying code exact without searching the cache on writes:
  * invalidation is O(1) per store and lookups simply re-decode when
  * stale.  Nothing architectural lives here -- dropping any entry (or
- * the whole cache) at any moment is always correct.
+ * the whole cache) at any moment is always correct -- and the hit,
+ * miss and invalidation counts are host-side statistics: the block
+ * tier banks a hit per chain it retires without touching a slot, so
+ * the counts depend on which tier ran a chain.
  */
 
 #ifndef TRANSPUTER_CORE_ICACHE_HH
@@ -120,8 +123,8 @@ class PredecodeCache
      * Predecoded chains are a pure acceleration structure, so a
      * snapshot never serializes them: restore drops every entry and
      * lets execution re-decode from the restored memory image.  The
-     * statistics, however, are architectural observables (they feed
-     * obs::Counters), so they round-trip explicitly.
+     * statistics are host-side, but they feed obs::Counters, which
+     * snapshots carry whole, so they round-trip explicitly.
      */
     ///@{
     /** Drop every cached chain (entries refill lazily). */
@@ -145,12 +148,21 @@ class PredecodeCache
 
     /** @name Raw access for the fused interpreter loop
      *
-     * core/exec.cc's runFused keeps these (and entriesMut()) in locals
-     * so the hot hit check does not re-load vector data pointers after
-     * every store (uint8_t stores into the memory image may alias
-     * anything).  A miss there fills the slot through fill().
+     * core/exec.cc's runFused keeps these in locals so the hot hit
+     * check does not re-load vector data pointers after every store
+     * (uint8_t stores into the memory image may alias anything).  A
+     * miss there fills the slot through fill().  The block executor
+     * reads the generations for its guards and banks its hits too.
      */
     ///@{
+    /** The entry array, allocated on first use. */
+    Entry *
+    entriesMut()
+    {
+        if (entries_.empty()) [[unlikely]]
+            allocate();
+        return entries_.data();
+    }
     /** Index mask for this cache's slot count (entry count - 1). */
     size_t indexMask() const { return mask_; }
     const uint32_t *gensData() const { return gens_.data(); }
@@ -193,37 +205,6 @@ class PredecodeCache
         e.offChip = !mem_->isOnChip(iptr) || !mem_->isOnChip(last);
         return d;
     }
-
-    /** @name Raw access for the block-compiler tier (core/blockc.cc)
-     *
-     * A superblock execution emulates this cache's lookup per chain
-     * so the hit/miss/invalidation counters -- which are architectural
-     * observables -- stay bit-identical with the tier off.  A miss
-     * whose code bytes are provably unchanged since compile time
-     * (write generations match) refills the slot from the compiled
-     * step's entry image via entriesMut() and records it with
-     * noteMiss(); anything else deopts before executing.
-     */
-    ///@{
-    /** The entry array, allocated on first use (the fused loop's
-     *  too). */
-    Entry *
-    entriesMut()
-    {
-        if (entries_.empty()) [[unlikely]]
-            allocate();
-        return entries_.data();
-    }
-    /** Count one emulated fill (stale_tag: the displaced entry was
-     *  the same chain, i.e. an invalidation). */
-    void
-    noteMiss(bool stale_tag)
-    {
-        ++misses_;
-        if (stale_tag)
-            ++invalidations_;
-    }
-    ///@}
 
   private:
     size_t

@@ -17,8 +17,6 @@ Transputer::Transputer(sim::EventQueue &queue, const Config &cfg,
       mem_(cfg.shape, cfg.onchipBytes, cfg.externalBytes,
            cfg.externalWaits),
       icache_(mem_, cfg.icacheEntries),
-      predecodeEnabled_(cfg.predecode),
-      blockCompileEnabled_(cfg.blockCompile),
       stepEvent_([](void *ctx) {
           static_cast<Transputer *>(ctx)->stepHandler();
       }, this),
@@ -459,8 +457,6 @@ Transputer::tsCapture(Tick nominal)
     p.tick = nominal;
     p.instructions = instructions_;
     p.cycles = cycles_;
-    p.icacheHits = icache_.hits();
-    p.icacheMisses = icache_.misses();
     p.linkBytesOut = linkBytesOutLive_;
     p.linkBytesIn = linkBytesInLive_;
     p.processStarts = ctrs_.processStarts;
@@ -468,7 +464,9 @@ Transputer::tsCapture(Tick nominal)
     p.idleTicks = ctrs_.idleTicks;
     p.qlo = runListDepth(1);
     p.qhi = runListDepth(0);
-    // host-side block-tier fields (archOnly exports omit them)
+    // host-side fields (archOnly exports omit them)
+    p.icacheHits = icache_.hits();
+    p.icacheMisses = icache_.misses();
     const obs::Counters c = counters();
     p.blockChains = c.blockc.chains;
     uint64_t deopts = 0;

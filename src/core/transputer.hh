@@ -81,7 +81,8 @@ struct Config
     bool predecode = true;         ///< use the predecoded instruction cache
     /** Compile hot predecoded regions into superblocks (core/blockc).
      *  Requires predecode; architecturally invisible, like the
-     *  predecode cache itself. */
+     *  predecode cache itself.  The tiers are fixed per node: each
+     *  CPU reads both switches from its Config alone. */
     bool blockCompile = true;
     bool trace = false;            ///< record scheduler/channel/link events
     unsigned traceDepth = 16;      ///< log2 of the trace ring capacity
@@ -128,7 +129,7 @@ enum class CpuState
  * their original dispatch keys.  The memory image and the predecode
  * cache are NOT here: memory is serialized page-wise by the snapshot
  * layer, and predecoded chains are dropped and re-decoded on demand
- * (only their statistics, inside ctrs, are architectural).
+ * (their host-side statistics ride along inside ctrs).
  */
 struct CpuSnap
 {
@@ -431,25 +432,13 @@ class Transputer
     /** Stream to trace every executed instruction to (nullptr: off). */
     void setTrace(std::ostream *os) { trace_ = os; }
 
-    /**
-     * Toggle the predecoded instruction cache at runtime
-     * (architecturally invisible; bench_interp and the equivalence
-     * tests run both ways).
-     */
-    void setPredecodeEnabled(bool on) { predecodeEnabled_ = on; }
-    bool predecodeEnabled() const { return predecodeEnabled_; }
+    /** The predecoded instruction cache (Config::predecode; its
+     *  statistics are host-side). */
     const PredecodeCache &icache() const { return icache_; }
 
-    /**
-     * Toggle the block-compiler tier at runtime (architecturally
-     * invisible; the equivalence tests run both ways).  The block
-     * cache appears on first use, so merely enabling the tier keeps
-     * an idle node small.
-     */
-    void setBlockCompileEnabled(bool on) { blockCompileEnabled_ = on; }
-    bool blockCompileEnabled() const { return blockCompileEnabled_; }
-    /** The tier has a superblock table: its first compile made one
-     *  (a restore drops it again).  Defined in blockc.cc. */
+    /** The block tier (Config::blockCompile) has a superblock table:
+     *  its first compile made one (a restore drops it again), so an
+     *  idle node stays small.  Defined in blockc.cc. */
     bool hasBlockTable() const;
     ///@}
 
@@ -534,7 +523,7 @@ class Transputer
     bool
     predecodedReady() const
     {
-        return predecodeEnabled_ && oreg_ == 0 && !trace_;
+        return cfg_.predecode && oreg_ == 0 && !trace_;
     }
     void wakeIfIdle();
     ///@}
@@ -555,19 +544,18 @@ class Transputer
     /** @name Block-compiler tier (core/blockc.cc) */
     ///@{
     /** runFused's block-entry step: with the state spilled at `sb`'s
-     *  entry, check its guards, run it primed or not, and count how
-     *  it ended (BlockStats, the flight ring); returns the chains it
+     *  entry, check its guards, run it, and count how it ended
+     *  (BlockStats, the flight ring); returns the chains it
      *  retired. */
     int enterBlock(blockc::Superblock &sb, Tick bound, int budget);
     /**
      * Execute `sb` from its entry (iptr_ == sb.entry, Running, oreg
-     * 0).  Retires at most `budget` chains and never starts a chain
-     * with the local clock past `bound`.  Returns the chains retired,
-     * with `why` set to the exit reason; on return all CPU state is
-     * spilled and consistent at a chain boundary.  Primed: every
-     * step's icache slot provably holds its chain.
+     * 0, guards current).  Retires at most `budget` chains and never
+     * starts a chain with the local clock past `bound`; re-reads the
+     * guards wherever the code bytes may have moved.  Returns the
+     * chains retired, with `why` set to the exit reason; on return all
+     * CPU state is spilled and consistent at a chain boundary.
      */
-    template <bool Primed>
     int execBlock(blockc::Superblock &sb, Tick bound, int budget,
                   blockc::Deopt &why);
     /** Promotion gate: compile only where the fused tier's observed
@@ -682,10 +670,8 @@ class Transputer
     uint64_t selfSeq_ = 0; ///< seq for this actor's step/timer events
     mem::Memory mem_;
     PredecodeCache icache_;
-    bool predecodeEnabled_;
     // block-compiler tier (allocated on first use)
     std::unique_ptr<blockc::BlockCache> bcache_;
-    bool blockCompileEnabled_ = false;
     sim::StaticEvent stepEvent_; ///< allocation-free CPU-step event
 
     // register file (Figure 2)

@@ -5,13 +5,17 @@
  * A Counters value is a plain snapshot: Transputer::counters() fills
  * one from the live core, Network::counters() adds the link-engine
  * byte totals, and operator+= folds node snapshots into network
- * aggregates.  Every field except the `fused` block is *architectural*
- * -- a function of the executed instruction stream alone -- and is
- * therefore bit-identical between serial and shard-parallel runs
- * (tests/test_obs.cc).  The fused block counts host-side interpreter
- * behaviour (how many chains the fused loop ran per entry),
- * which legitimately depends on event batching and window horizons;
- * sameArchitectural() excludes it.
+ * aggregates.  Every field except the host-side ones is
+ * *architectural* -- a function of the executed instruction stream
+ * alone -- and is therefore bit-identical between serial and
+ * shard-parallel runs (tests/test_obs.cc).  The host-side fields
+ * count the emulator's own machinery: the predecode cache's hits,
+ * misses and invalidations (the paper's T424 fetches a word at a time
+ * and has no instruction cache; the block tier banks a hit per chain
+ * without touching a slot), the fused loop's runs (`fused`) and the
+ * block tier's (`blockc`).  They legitimately depend on the tier
+ * settings, event batching and window horizons; sameArchitectural()
+ * excludes them.
  *
  * The counters themselves are always compiled in: each is a single
  * unconditional increment on an already-memory-touching path, which
@@ -129,7 +133,8 @@ struct Counters
     uint64_t instructions = 0;
     uint64_t cycles = 0;
 
-    // predecoded instruction cache
+    // predecoded instruction cache (host-side, excluded from arch
+    // equality)
     uint64_t icacheHits = 0;
     uint64_t icacheMisses = 0;
     uint64_t icacheInvalidations = 0; ///< refills of a stale tag hit
@@ -262,19 +267,17 @@ struct Counters
 };
 
 /**
- * Equality over the architectural fields only: everything except
- * `fused` and `blockc`, which depend on host-side batching (the
- * parallel engine's window horizon clips fused runs and superblock
- * executions differently than a serial run).
+ * Equality over the architectural fields only: everything except the
+ * icache counts, `fused` and `blockc`, which depend on the tiers and
+ * on host-side batching (the parallel engine's window horizon clips
+ * fused runs and superblock executions differently than a serial
+ * run, and a chain a superblock retires never looks up the cache).
  */
 inline bool
 sameArchitectural(const Counters &a, const Counters &b)
 {
     return a.fn == b.fn && a.op == b.op &&
            a.instructions == b.instructions && a.cycles == b.cycles &&
-           a.icacheHits == b.icacheHits &&
-           a.icacheMisses == b.icacheMisses &&
-           a.icacheInvalidations == b.icacheInvalidations &&
            a.processStarts == b.processStarts &&
            a.timeslices == b.timeslices &&
            a.priorityInterrupts == b.priorityInterrupts &&

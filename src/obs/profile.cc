@@ -147,18 +147,10 @@ timeseriesJson(net::Network &net, bool archOnly)
             if (!firstPt)
                 os << ",";
             firstPt = false;
-            const uint64_t dh = p.icacheHits - prev.icacheHits;
-            const uint64_t dm = p.icacheMisses - prev.icacheMisses;
             os << "\n  {\"tick\": " << p.tick
                << ", \"d_instructions\": "
                << (p.instructions - prev.instructions)
                << ", \"d_cycles\": " << (p.cycles - prev.cycles)
-               << ", \"d_icache_hits\": " << dh
-               << ", \"d_icache_misses\": " << dm
-               << ", \"icache_hit_rate\": "
-               << dbl(dh + dm ? static_cast<double>(dh) /
-                                    static_cast<double>(dh + dm)
-                              : 0.0)
                << ", \"d_link_bytes_out\": "
                << (p.linkBytesOut - prev.linkBytesOut)
                << ", \"d_link_bytes_in\": "
@@ -170,9 +162,17 @@ timeseriesJson(net::Network &net, bool archOnly)
                << ", \"d_idle_ns\": " << (p.idleTicks - prev.idleTicks)
                << ", \"q_lo\": " << p.qlo << ", \"q_hi\": " << p.qhi;
             if (!archOnly) {
+                const uint64_t dh = p.icacheHits - prev.icacheHits;
+                const uint64_t dm = p.icacheMisses - prev.icacheMisses;
                 const uint64_t dc = p.blockChains - prev.blockChains;
                 const uint64_t dd = p.blockDeopts - prev.blockDeopts;
-                os << ", \"d_block_chains\": " << dc
+                os << ", \"d_icache_hits\": " << dh
+                   << ", \"d_icache_misses\": " << dm
+                   << ", \"icache_hit_rate\": "
+                   << dbl(dh + dm ? static_cast<double>(dh) /
+                                        static_cast<double>(dh + dm)
+                                  : 0.0)
+                   << ", \"d_block_chains\": " << dc
                    << ", \"d_block_deopts\": " << dd
                    << ", \"deopt_rate\": "
                    << dbl(dc ? static_cast<double>(dd) /

@@ -119,11 +119,11 @@ std::string profileJson(net::Network &net, bool hostTiers = false);
 
 /**
  * The per-node time-series as JSON.  Each node's points carry the
- * nominal tick, the cumulative architectural counters, and derived
- * rates (icache hit rate over the delta); a final synthetic point is
+ * nominal tick, the counters' deltas, and derived rates (icache hit
+ * rate and deopt rate over the delta); a final synthetic point is
  * captured live at export so the deltas sum exactly to the final
- * counters.  archOnly omits the host-side block-tier fields and the
- * derived deopt rate; the aggregate section adds per-tick shard
+ * counters.  archOnly omits the host-side fields (icache, block tier)
+ * and their rates; the aggregate section adds per-tick shard
  * imbalance (max/mean of per-node cycle deltas).
  */
 std::string timeseriesJson(net::Network &net, bool archOnly = false);

@@ -13,11 +13,11 @@
  * Transputer::obsBoundaryFire; the determinism argument is in
  * DESIGN.md).
  *
- * The architectural fields (instructions .. queue depths) are a
- * function of the executed instruction stream alone.  The trailing
- * host-side fields (block-tier chains/deopts) depend on event
- * batching; exporters offer an archOnly mode that omits them, which
- * is what the serial/parallel equality tests compare.
+ * The architectural fields are a function of the executed
+ * instruction stream alone.  The host-side fields (icache hits and
+ * misses, block-tier chains and deopts) depend on the tiers and on
+ * event batching; exporters offer an archOnly mode that omits them,
+ * which is what the serial/parallel equality tests compare.
  */
 
 #ifndef TRANSPUTER_OBS_TIMESERIES_HH
@@ -39,8 +39,6 @@ struct TsPoint
     // architectural: bit-identical serial vs parallel
     uint64_t instructions = 0;
     uint64_t cycles = 0;
-    uint64_t icacheHits = 0;
-    uint64_t icacheMisses = 0;
     uint64_t linkBytesOut = 0; ///< bytes this node's engines sent
     uint64_t linkBytesIn = 0;  ///< bytes this node's engines received
     uint64_t processStarts = 0;
@@ -49,6 +47,8 @@ struct TsPoint
     uint32_t qlo = 0;     ///< low-priority run-list depth at capture
     uint32_t qhi = 0;     ///< high-priority run-list depth at capture
     // host-side: excluded by the exporters' archOnly mode
+    uint64_t icacheHits = 0;
+    uint64_t icacheMisses = 0;
     uint64_t blockChains = 0; ///< chains retired in the block tier
     uint64_t blockDeopts = 0; ///< superblock exits, all reasons
 };

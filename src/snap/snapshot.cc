@@ -333,7 +333,7 @@ captureTopo(net::Network &net, std::vector<NodeTopo> &nodes,
         nt.cyclePeriod = c.cyclePeriod;
         nt.timesliceCycles = c.timesliceCycles;
         nt.maxBatch = c.maxBatch;
-        nt.predecode = t.predecodeEnabled();
+        nt.predecode = c.predecode;
         nt.actor = t.actor();
         nodes.push_back(std::move(nt));
     }

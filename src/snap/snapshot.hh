@@ -55,7 +55,7 @@ struct NodeTopo
     Tick cyclePeriod = 0;
     int64_t timesliceCycles = 0;
     int maxBatch = 0;
-    bool predecode = true; ///< runtime predecodeEnabled() at capture
+    bool predecode = true; ///< Config::predecode
     uint32_t actor = 0;    ///< deterministic event-ordering identity
 };
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/e7.hh"
 #include "core/blockc.hh"
 #include "harness.hh"
 #include "isa/superop.hh"
@@ -272,7 +273,6 @@ TEST(BlockTier, HotLoopCompilesAndRetiresChains)
     EXPECT_EQ(t.local(3), 6u);
     EXPECT_EQ(t.local(5), 9u);
     EXPECT_EQ(t.local(6), 10u);
-    EXPECT_TRUE(t.cpu.blockCompileEnabled());
     const obs::BlockStats bc = t.cpu.counters().blockc;
     EXPECT_GT(bc.compiles, 0u);
     EXPECT_GT(bc.enters, 0u);
@@ -426,7 +426,7 @@ TEST(BlockTier, SelfModifyingStoreDemotesOffChip)
 }
 
 // ---------------------------------------------------------------------
-// a primed superblock rewriting its own body: the store re-check
+// a superblock rewriting its own body: the store re-check
 // ---------------------------------------------------------------------
 
 namespace
@@ -442,9 +442,10 @@ namespace
  * aligned word), so the rewritten bytes run later in that lap and on
  * every lap after.  The run adds 7 to `total` a lap as written; a
  * word store makes four of its bytes `adc 2` (11 a lap), a byte store
- * one (8 a lap).  With small dispatch batches the block is primed
- * long before the rewrite, so only the primed block's re-check stands
- * between the stale compiled run and the total.
+ * one (8 a lap).  With small dispatch batches the block runs many laps
+ * before the rewrite and the rewrite lands mid-lap, so only the
+ * block's re-check after the store stands between the stale compiled
+ * run and the total.
  */
 constexpr int kRewriteLaps = 300;
 constexpr int kRewriteLap = 200;  ///< 0-based lap that rewrites
@@ -524,7 +525,7 @@ rewriteConfig(bool block_compile, bool off_chip)
     core::Config cfg = off_chip ? offChipConfig(block_compile)
                                 : core::Config{};
     cfg.blockCompile = block_compile;
-    cfg.maxBatch = 256; // several laps a dispatch: priming comes early
+    cfg.maxBatch = 256; // several laps a dispatch
     return cfg;
 }
 
@@ -555,7 +556,7 @@ runRewrite(SingleCpu &t, const RewriteCase &c, bool off_chip)
 }
 
 void
-expectPrimedRewriteCaught(const RewriteCase &c, bool off_chip)
+expectRewriteCaught(const RewriteCase &c, bool off_chip)
 {
     SingleCpu on(rewriteConfig(true, off_chip));
     SingleCpu off(rewriteConfig(false, off_chip));
@@ -573,34 +574,34 @@ expectPrimedRewriteCaught(const RewriteCase &c, bool off_chip)
 
 } // namespace
 
-TEST(BlockTier, PrimedFusedStlRewritesItsOwnLoopOnChip)
+TEST(BlockTier, FusedStlRewritesItsOwnLoopOnChip)
 {
-    expectPrimedRewriteCaught(fusedStlCase(), false);
+    expectRewriteCaught(fusedStlCase(), false);
 }
 
-TEST(BlockTier, PrimedFusedStlRewritesItsOwnLoopOffChip)
+TEST(BlockTier, FusedStlRewritesItsOwnLoopOffChip)
 {
-    expectPrimedRewriteCaught(fusedStlCase(), true);
+    expectRewriteCaught(fusedStlCase(), true);
 }
 
-TEST(BlockTier, PrimedStnlRewritesItsOwnLoopOnChip)
+TEST(BlockTier, StnlRewritesItsOwnLoopOnChip)
 {
-    expectPrimedRewriteCaught(stnlCase(), false);
+    expectRewriteCaught(stnlCase(), false);
 }
 
-TEST(BlockTier, PrimedStnlRewritesItsOwnLoopOffChip)
+TEST(BlockTier, StnlRewritesItsOwnLoopOffChip)
 {
-    expectPrimedRewriteCaught(stnlCase(), true);
+    expectRewriteCaught(stnlCase(), true);
 }
 
-TEST(BlockTier, PrimedGenericSbRewritesItsOwnLoopOnChip)
+TEST(BlockTier, GenericSbRewritesItsOwnLoopOnChip)
 {
-    expectPrimedRewriteCaught(sbCase(), false);
+    expectRewriteCaught(sbCase(), false);
 }
 
-TEST(BlockTier, PrimedGenericSbRewritesItsOwnLoopOffChip)
+TEST(BlockTier, GenericSbRewritesItsOwnLoopOffChip)
 {
-    expectPrimedRewriteCaught(sbCase(), true);
+    expectRewriteCaught(sbCase(), true);
 }
 
 namespace
@@ -612,7 +613,7 @@ namespace
  * so the state a rotation saves through the core (A's Iptr on the way
  * out, its link word while queued) lands in the loop's last 64-byte
  * block: a guard generation moves although no handler stored, and a
- * primed block that laps on into process B must re-check.
+ * block that laps on into process B must re-check.
  */
 const char *kRotationSrc =
     "loop:\n"
@@ -658,12 +659,12 @@ expectRotationCaught(bool off_chip)
 
 } // namespace
 
-TEST(BlockTier, RotationAtThePrimedBackEdgeRechecksGuardsOnChip)
+TEST(BlockTier, RotationAtTheBackEdgeRechecksGuardsOnChip)
 {
     expectRotationCaught(false);
 }
 
-TEST(BlockTier, RotationAtThePrimedBackEdgeRechecksGuardsOffChip)
+TEST(BlockTier, RotationAtTheBackEdgeRechecksGuardsOffChip)
 {
     expectRotationCaught(true);
 }
@@ -704,6 +705,28 @@ TEST(BlockTier, LongLoopWithInlinedOperationsCompiles)
               0.9 * static_cast<double>(c.instructions));
     // the fused loop ran the adds inline, laps on end
     EXPECT_GT(off.cpu.counters().fused.meanRunLength(), 100.0);
+}
+
+TEST(BlockTier, StepsThatShareIcacheSlotsRunInTheBlock)
+{
+    // a 16-slot predecode cache folds the E7 loop's 60 chains onto 16
+    // slots, so the block's steps evict each other there; the block
+    // tier leaves the slots alone, and the run must match the tier-off
+    // run, whose fused loop misses at nearly every chain
+    core::Config on_cfg, off_cfg;
+    on_cfg.icacheEntries = off_cfg.icacheEntries = 16;
+    off_cfg.blockCompile = false;
+    SingleCpu on(on_cfg), off(off_cfg);
+    on.runAsm(apps::e7LoopSource(2000));
+    off.runAsm(apps::e7LoopSource(2000));
+    EXPECT_EQ(on.local(30), 0u);
+    expectSameCpu(on.cpu, off.cpu);
+    const obs::Counters c = on.cpu.counters();
+    EXPECT_GE(c.blockc.compiles, 1u);
+    // a block of more than 16 steps has two in one slot
+    EXPECT_GT(c.blockc.steps, 16 * c.blockc.compiles);
+    EXPECT_GT(static_cast<double>(c.blockc.instructions),
+              0.9 * static_cast<double>(c.instructions));
 }
 
 namespace
@@ -780,7 +803,8 @@ TEST(BlockTier, FaultInAGenericOperationKeepsTheCoreState)
     EXPECT_GE(block.cpu.counters().blockc.chains,
               laps - (core::blockc::BlockCache::kHotThreshold + 1) *
                          kFaultLapChains);
-    // fused and block: everything, the icache counters included
+    // fused and block: registers, memory, clocks and every
+    // architectural counter (sameArchitectural)
     expectSameCpu(block.cpu, fused.cpu);
     // plain keeps no icache: registers, clocks and counts
     EXPECT_EQ(plain.cpu.instructions(), fused.cpu.instructions());
@@ -794,20 +818,6 @@ TEST(BlockTier, FaultInAGenericOperationKeepsTheCoreState)
     EXPECT_EQ(plain.cpu.fnCounts(), fused.cpu.fnCounts());
     EXPECT_EQ(plain.cpu.counters().op, fused.cpu.counters().op);
     EXPECT_EQ(memHash(plain.cpu), memHash(fused.cpu));
-}
-
-TEST(BlockTier, RuntimeToggleMidProgramStaysCorrect)
-{
-    // the tier holds no architecture: flipping it between runs of the
-    // same CPU must not change results
-    core::Config cfg;
-    SingleCpu t(cfg);
-    t.cpu.setBlockCompileEnabled(false);
-    EXPECT_FALSE(t.cpu.blockCompileEnabled());
-    t.cpu.setBlockCompileEnabled(true);
-    EXPECT_TRUE(t.cpu.blockCompileEnabled());
-    t.runAsm(kHotSelfModSrc);
-    EXPECT_EQ(t.local(1), 360u);
 }
 
 // ---------------------------------------------------------------------
@@ -938,7 +948,8 @@ TEST(BlockSnap, MidRunCaptureReplaysBitIdentical)
     EXPECT_EQ(memHash(a.net->node(0)), memHash(c->node(0)));
 
     // and two replays of the same snapshot are bit-exact in every
-    // counter, cache and tier statistics included
+    // counter, cache and tier statistics included: same config, same
+    // batching, so even the host-side statistics repeat
     auto d = snap::buildNetwork(s1);
     snap::restore(*d, s1);
     d->run(500'000'000);
@@ -1063,10 +1074,10 @@ struct FaultRig
 /** A 6-node pipeline streaming words through a lossy middle link;
  *  watchdogs keep aborted transfers from deadlocking it. */
 void
-buildFaultyPipeline(FaultRig &r)
+buildFaultyPipeline(FaultRig &r, const core::Config &node)
 {
     constexpr int n = 6, words = 6;
-    auto ids = net::buildPipeline(r.net, n);
+    auto ids = net::buildPipeline(r.net, n, node);
     r.console = std::make_unique<net::ConsoleSink>(
         r.net.queue(), link::WireConfig{});
     r.net.attachPeripheral(ids.back(), 0, *r.console);
@@ -1107,11 +1118,11 @@ buildFaultyPipeline(FaultRig &r)
 TEST(BlockTierWorkloads, FaultInjectedRunTierOnOffBitIdentical)
 {
     FaultRig on, off;
-    buildFaultyPipeline(on);
-    buildFaultyPipeline(off);
+    core::Config off_cfg;
+    off_cfg.blockCompile = false;
+    buildFaultyPipeline(on, core::Config{});
+    buildFaultyPipeline(off, off_cfg);
     const Tick limit = 20'000'000;
-    for (size_t i = 0; i < off.net.size(); ++i)
-        off.net.node(static_cast<int>(i)).setBlockCompileEnabled(false);
     net::RunOptions on_opts, off_opts;
     // the tier-on leg also runs sharded: tier + faults + parallel
     // engine together must still match the plain serial interpreter

@@ -223,9 +223,10 @@ TEST(FuzzRouteSwitch, HostileWireBytesMidRouteStayExact)
     for (const auto &a : rq.answers()) {
         ++perNode[a.src];
         EXPECT_LE(perNode[a.src], 1) << "duplicate from " << a.src;
-        if (a.vchan == 0)
+        if (a.vchan == 0) {
             EXPECT_EQ(a.word, key + 1)
                 << "corruption leaked into a payload from " << a.src;
+        }
     }
     // the wire really was hostile, and the decoders really rejected
     // frames (stats are summed across every switch port)

@@ -116,6 +116,34 @@ TEST(ObsCounters, PredecodeTogglePreservesArchitecturalCounters)
     EXPECT_GT(ca.icacheLookups(), 0u);
     EXPECT_EQ(cb.icacheLookups(), 0u);
     EXPECT_GT(ca.icacheHitRate(), 0.5);
+    EXPECT_TRUE(obs::sameArchitectural(ca, cb));
+}
+
+TEST(ObsCounters, IcacheCountsAreHostSide)
+{
+    // the predecode cache is the emulator's own (the T424 fetches a
+    // word at a time and caches no instructions): counters that
+    // differ only in its statistics are architecturally equal
+    obs::Counters a;
+    a.instructions = 100;
+    a.cycles = 300;
+    a.fn[static_cast<size_t>(isa::Fn::LDC)] = 40;
+    obs::Counters b = a;
+    b.icacheHits = 90;
+    b.icacheMisses = 10;
+    b.icacheInvalidations = 2;
+    EXPECT_TRUE(obs::sameArchitectural(a, b));
+    EXPECT_TRUE(obs::sameArchitectural(b, a));
+    // the architectural fields still count
+    obs::Counters c = b;
+    ++c.instructions;
+    EXPECT_FALSE(obs::sameArchitectural(b, c));
+    c = b;
+    ++c.cycles;
+    EXPECT_FALSE(obs::sameArchitectural(b, c));
+    c = b;
+    ++c.fn[static_cast<size_t>(isa::Fn::LDC)];
+    EXPECT_FALSE(obs::sameArchitectural(b, c));
 }
 
 // ---------------------------------------------------------------------

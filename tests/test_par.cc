@@ -343,6 +343,7 @@ struct Rig
 {
     Network net;
     std::unique_ptr<ConsoleSink> console;
+    core::Config node; ///< every node the builders add
 };
 
 using BuildFn = std::function<void(Rig &)>;
@@ -354,16 +355,9 @@ checkEquivalence(const BuildFn &build, Tick limit, RunOptions opts,
                  const std::string &what, bool predecode = true)
 {
     Rig serial, parallel;
+    serial.node.predecode = parallel.node.predecode = predecode;
     build(serial);
     build(parallel);
-    if (!predecode) {
-        for (size_t i = 0; i < serial.net.size(); ++i) {
-            serial.net.node(static_cast<int>(i))
-                .setPredecodeEnabled(false);
-            parallel.net.node(static_cast<int>(i))
-                .setPredecodeEnabled(false);
-        }
-    }
     const Tick ts = serial.net.run(limit);
     const Tick tp = parallel.net.run(limit, opts);
     EXPECT_EQ(ts, tp) << what;
@@ -391,7 +385,7 @@ forwarder(int in_link, int out_link, int n)
 void
 buildPipelineRig(Rig &r)
 {
-    auto ids = buildPipeline(r.net, 4);
+    auto ids = buildPipeline(r.net, 4, r.node);
     r.console = std::make_unique<ConsoleSink>(r.net.queue(),
                                               link::WireConfig{});
     r.net.attachPeripheral(ids.back(), 0, *r.console);
@@ -415,7 +409,7 @@ buildPipelineRig(Rig &r)
 void
 buildRingRig(Rig &r)
 {
-    auto ids = buildRing(r.net, 4);
+    auto ids = buildRing(r.net, 4, r.node);
     r.console = std::make_unique<ConsoleSink>(r.net.queue(),
                                               link::WireConfig{});
     r.net.attachPeripheral(ids[0], 0, *r.console);
@@ -437,7 +431,7 @@ buildRingRig(Rig &r)
 void
 buildGridRig(Rig &r, int w, int h, int tokens)
 {
-    auto ids = buildGrid(r.net, w, h);
+    auto ids = buildGrid(r.net, w, h, r.node);
     // serpentine order: even rows travel east, odd rows west, rows
     // joined by the south link of the row's last node
     auto outLink = [&](int x, int y) {
@@ -478,7 +472,7 @@ buildGridRig(Rig &r, int w, int h, int tokens)
 void
 buildTorusRig(Rig &r)
 {
-    auto ids = buildTorus(r.net, 3, 2);
+    auto ids = buildTorus(r.net, 3, 2, r.node);
     bootOccamSource(r.net, ids[0],
                     "CHAN e, w, s, n:\n"
                     "PLACE e AT LINK1OUT:\nPLACE w AT LINK3IN:\n"
@@ -499,7 +493,7 @@ buildTorusRig(Rig &r)
 void
 buildHypercubeRig(Rig &r)
 {
-    auto ids = buildHypercube(r.net, 3);
+    auto ids = buildHypercube(r.net, 3, r.node);
     r.console = std::make_unique<ConsoleSink>(r.net.queue(),
                                               link::WireConfig{});
     r.net.attachPeripheral(ids[7], 3, *r.console);

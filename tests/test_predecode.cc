@@ -266,19 +266,6 @@ TEST(PredecodeSelfMod, OffChipCacheOnOffBitIdentical)
     expectSameCpu(on.cpu, off.cpu);
 }
 
-TEST(PredecodeSelfMod, RuntimeToggleMidProgramStaysCorrect)
-{
-    // flipping the cache off (and back on) between runs of the same
-    // CPU must not change results: the cache holds no architecture
-    core::Config cfg;
-    SingleCpu t(cfg);
-    t.cpu.setPredecodeEnabled(false);
-    EXPECT_FALSE(t.cpu.predecodeEnabled());
-    t.cpu.setPredecodeEnabled(true);
-    t.runAsm(kSelfModSrc);
-    EXPECT_EQ(t.local(1), 12u);
-}
-
 // ---------------------------------------------------------------------
 // checkpoint/restore coherence (src/snap)
 // ---------------------------------------------------------------------

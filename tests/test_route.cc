@@ -278,8 +278,9 @@ TEST(RouteTable, IntervalsPartitionTheDestinationSpace)
                 EXPECT_EQ(covered[static_cast<size_t>(d)],
                           d == self ? 0 : 1)
                     << "self " << self << " dest " << d;
-                if (d != self)
+                if (d != self) {
                     EXPECT_FALSE(t.prefs(d).empty());
+                }
             }
         }
     }
@@ -600,9 +601,10 @@ TEST(RouteFabric, HypercubeFloodSurvivesLossAndAKill)
     std::map<Word, int> perNode;
     for (const auto &a : rq.answers()) {
         ++perNode[a.src];
-        if (a.vchan == 0)
+        if (a.vchan == 0) {
             EXPECT_EQ(a.word, key + 1)
                 << "corrupt reply from " << a.src;
+        }
     }
     for (int t = 1; t < rq.nodes(); ++t) {
         if (t == victim) {
@@ -651,12 +653,14 @@ TEST(RouteFault, KillQuiescesAttachedLinesAndFiresNeighbourPorts)
     for (size_t i = 0; i < nbrs.size(); ++i) {
         const int nbr = nbrs[i];
         // find the neighbour's port back toward the victim
-        for (size_t j = 0; j < fab.topo().ports[nbr].size(); ++j)
-            if (fab.topo().ports[nbr][j] == victim)
+        for (size_t j = 0; j < fab.topo().ports[nbr].size(); ++j) {
+            if (fab.topo().ports[nbr][j] == victim) {
                 EXPECT_TRUE(fab.sw(nbr)
                                 .trunkPort(static_cast<int>(j))
                                 .deadPort())
                     << "neighbour " << nbr << " port " << j;
+            }
+        }
     }
     // with all traffic resolved, the whole fabric goes idle: nothing
     // retries forever against the corpse
@@ -666,7 +670,7 @@ TEST(RouteFault, KillQuiescesAttachedLinesAndFiresNeighbourPorts)
 TEST(RouteFault, KillsAndWatchdogAbortsAreNamedInTheFlightRecorder)
 {
     apps::RoutedQueryConfig cfg;
-    cfg.node.flight = true; // scaleNode() turns it off; we want names
+    cfg.node.flight = true; // scaleNodeConfig() turns it off; we want names
     apps::RoutedQuery rq(cfg);
     Fabric &fab = rq.fabric();
     const int victim = 10;

@@ -191,7 +191,7 @@ TEST(ScaleFlood, CacheMissesDoNotEndFusedRuns)
     // miss fills its slot and the fused run goes on, so a wave enters
     // the fused loop about once per dispatch, not once per chain with
     // an empty run each time.
-    apps::FloodConfig cfg; // scaleNodeConfig: an 8-entry icache
+    apps::FloodConfig cfg; // scaleNodeConfig(): an 8-entry icache
     cfg.width = 8;
     cfg.height = 8;
     ASSERT_EQ(cfg.node.icacheEntries, 8u);
@@ -213,7 +213,7 @@ TEST(ScaleFlood, CompactNodeStateStaysSmall)
 {
     // a wired but never-booted node: the cost of an idle transputer
     net::Network bare;
-    net::buildGrid(bare, 8, 8, apps::FloodConfig::scaleNodeConfig());
+    net::buildGrid(bare, 8, 8, apps::scaleNodeConfig());
     for (size_t i = 0; i < bare.size(); ++i)
         EXPECT_LE(bare.node(static_cast<int>(i)).footprintBytes(),
                   size_t{1024})

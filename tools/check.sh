@@ -107,6 +107,17 @@ mkdir -p "$interp_dir"
 python3 -m json.tool "$interp_dir/BENCH_blockc.json" > /dev/null
 echo "BENCH_blockc.json validates"
 
+# observability overhead: the flight recorder, profiler and
+# time-series must stay within their bars on the E7 loop (medians of
+# per-round ratios to the all-off baseline) and emit JSON that a
+# strict parser accepts
+echo "== observability overhead: bench_obs =="
+obs_bench_dir=build/obs-bench-smoke
+mkdir -p "$obs_bench_dir"
+(cd "$obs_bench_dir" && ../bench/bench_obs)
+python3 -m json.tool "$obs_bench_dir/BENCH_obs.json" > /dev/null
+echo "BENCH_obs.json validates"
+
 # checkpoint/restore smoke: snapshot round-trips through tsnap for
 # the serial engine (e7, and dbsearch with link bursts), the parallel
 # engine (capture at a window barrier) and a fault-injected run;
