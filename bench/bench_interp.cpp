@@ -24,14 +24,30 @@
  * Each row also records the fused tier's mean run in the blockc runs,
  * the figure the promotion gate reads, beside the gate's threshold.
  *
+ * Host timings of the tiers swing with code layout and neighbouring
+ * load, so the bench also counts each tier's cost deterministically:
+ * host instructions per guest instruction on the E7 loop.  A forked
+ * child runs the loop between two raise(SIGSTOP) markers and the
+ * parent counts its ptrace single steps; the difference between two
+ * small lap counts cancels set-up, warm-up and the compile.  Reported,
+ * not gated; where ptrace is refused the bench prints why and skips
+ * it.
+ *
  * Every timed run of every tier must simulate the same instructions
  * and cycles: both caches are architecturally invisible.  Results go
  * to stdout and BENCH_blockc.json.
  */
 
+#include <cerrno>
+#include <csignal>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <sys/ptrace.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "apps/dbsearch.hh"
 #include "apps/e7.hh"
@@ -109,6 +125,112 @@ runDbSearch(size_t tier)
     const double t0 = cpuSeconds();
     db->network().run(limit);
     return {cpuSeconds() - t0, db->network().counters()};
+}
+
+// the single-step count's lap counts: both past the compile (the
+// heat threshold's landings), small enough that stepping the three
+// tiers takes well under a minute at tens of microseconds a step
+constexpr int kStepLaps[2] = {20, 40};
+
+/** A rig at the start of `laps` E7 laps in `tier`. */
+std::unique_ptr<AsmRig>
+e7Rig(size_t tier, int laps)
+{
+    auto rig = std::make_unique<AsmRig>(tierConfig({}, tier));
+    rig->load(apps::e7LoopSource(laps));
+    rig->cpu.boot(rig->img.symbol("start"), rig->wptr0);
+    return rig;
+}
+
+/** Run a rig to the end of its loop. */
+void
+finish(AsmRig &rig)
+{
+    rig.queue.runUntil(2'000'000'000);
+}
+
+/**
+ * Host instructions a child process runs for `laps` E7 laps in
+ * `tier`, counted by single-stepping it between its two SIGSTOP
+ * markers.  @return the count, or -1 with `why` set.
+ */
+long
+hostSteps(size_t tier, int laps, std::string &why)
+{
+    const pid_t pid = fork();
+    if (pid < 0) {
+        why = std::string("fork: ") + std::strerror(errno);
+        return -1;
+    }
+    if (pid == 0) {
+        if (ptrace(PTRACE_TRACEME, 0, nullptr, nullptr) != 0)
+            _exit(2);
+        const auto rig = e7Rig(tier, laps);
+        raise(SIGSTOP);
+        finish(*rig);
+        raise(SIGSTOP);
+        _exit(rig->local(30) == 0 ? 0 : 3);
+    }
+    int status = 0;
+    long steps = 0;
+    bool marked = false;
+    while (waitpid(pid, &status, 0) == pid && WIFSTOPPED(status)) {
+        if (WSTOPSIG(status) == SIGSTOP) {
+            if (marked) { // the second marker: let the child exit
+                ptrace(PTRACE_CONT, pid, nullptr, nullptr);
+                continue;
+            }
+            marked = true;
+        } else {
+            ++steps;
+        }
+        if (ptrace(PTRACE_SINGLESTEP, pid, nullptr, nullptr) != 0) {
+            why = std::string("PTRACE_SINGLESTEP: ") +
+                  std::strerror(errno);
+            kill(pid, SIGKILL);
+            waitpid(pid, &status, 0);
+            return -1;
+        }
+    }
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        why = WIFEXITED(status) && WEXITSTATUS(status) == 2
+                  ? "PTRACE_TRACEME refused"
+                  : "the traced child did not finish its loop";
+        return -1;
+    }
+    return steps;
+}
+
+/** Host instructions per guest instruction of each tier on the E7
+ *  loop, or the reason the count was skipped. */
+Row
+hostInstrPerInstr()
+{
+    Row row;
+    for (size_t t = 0; t < kTiers; ++t) {
+        long steps[2];
+        uint64_t instr[2];
+        std::string why;
+        for (int k = 0; k < 2; ++k) {
+            steps[k] = hostSteps(t, kStepLaps[k], why);
+            if (steps[k] < 0) {
+                std::cout << "host instructions per instruction: "
+                          << "skipped (" << why << ")\n";
+                return Row().add("skipped", why);
+            }
+            const auto rig = e7Rig(t, kStepLaps[k]);
+            finish(*rig);
+            instr[k] = rig->cpu.instructions();
+        }
+        const double per = static_cast<double>(steps[1] - steps[0]) /
+                           static_cast<double>(instr[1] - instr[0]);
+        std::cout << "host instructions per instruction, "
+                  << kTierNames[t] << ": " << per << "\n";
+        row.add(kTierNames[t], per);
+    }
+    return row.add("laps", Row()
+                               .add("first", kStepLaps[0])
+                               .add("second", kStepLaps[1]));
 }
 
 /** One workload's row; `pass` gets its gates' verdict. */
@@ -190,6 +312,7 @@ main()
                Row().add("min_mean_run",
                          core::blockc::BlockCache::kMinMeanRun));
     report.table("workloads", rows);
+    report.add("host_instr_per_instr", hostInstrPerInstr());
     std::cout << "e7: compiles, blockc coverage > " << kBlockcCoverage
               << ", fused >= " << kFusedOverPlain
               << "x plain, blockc >= " << kBlockcOverFused

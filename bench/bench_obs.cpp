@@ -23,7 +23,9 @@
  * noise burst on a shared host lands on a whole round and mostly
  * cancels in its ratio, while the fastest run of a variant moves with
  * a noisy neighbour by more than the bars.  The best-of overhead is
- * reported beside it.  Results go to stdout plus BENCH_obs.json.
+ * reported beside it.  Every run must finish the loop it names (reach
+ * its stopp with the lap counter at 0) inside AsmRig::run's simulated
+ * limit.  Results go to stdout plus BENCH_obs.json.
  */
 
 #include <string>
@@ -41,6 +43,10 @@ namespace
 {
 
 constexpr int kRounds = 64;
+
+// E7 laps a run: 70 cycles a lap, so the loop ends at 1.75 s of
+// simulated time, inside AsmRig::run's 2-s limit
+constexpr int kLaps = 500'000;
 
 /** The observability variants under comparison. */
 struct Variant
@@ -66,6 +72,7 @@ struct Run
     uint64_t cycles = 0;
     uint64_t samples = 0;
     uint64_t tsPoints = 0;
+    bool finished = false; ///< the loop reached its stopp
 };
 
 Run
@@ -78,9 +85,11 @@ runOnce(size_t variant)
     cfg.timeseries = v.timeseries; // default 1 ms tick
     AsmRig rig(cfg);
     const double t0 = cpuSeconds();
-    rig.run(apps::e7LoopSource(1'000'000));
+    rig.run(apps::e7LoopSource(kLaps));
     Run r;
     r.seconds = cpuSeconds() - t0;
+    r.finished = rig.local(30) == 0 &&
+                 rig.cpu.state() != core::CpuState::Running;
     r.instructions = rig.cpu.counters().instructions;
     r.cycles = rig.cpu.counters().cycles;
     if (const obs::Profiler *p = rig.cpu.profiler())
@@ -106,7 +115,11 @@ main()
                    a.cycles == b.cycles;
         });
 
-    bool pass = r.identical;
+    bool finished = true;
+    for (const auto &runs : r.runs)
+        for (const Run &run : runs)
+            finished = finished && run.finished;
+    bool pass = r.identical && finished;
     const Spread base = r.time(0);
     std::vector<Row> rows;
     for (size_t v = 0; v < std::size(kVariants); ++v) {
@@ -132,12 +145,17 @@ main()
     Report report;
     report.add("bench", "obs_overhead")
         .add("workload", "e7_mips_loop")
+        .add("laps", kLaps)
         .add("median_of", kRounds)
-        .add("identical", r.identical);
+        .add("identical", r.identical)
+        .add("finished", finished);
     report.table("variants", rows);
     std::cout << (r.identical ? ""
                               : "simulated outcome DIFFERS across "
                                 "variants\n")
+              << (finished ? ""
+                           : "a run did NOT finish its loop inside "
+                             "the simulated limit\n")
               << (pass ? "all bars met\n" : "bars MISSED\n");
     report.add("pass", pass);
     report.write("BENCH_obs.json");

@@ -37,22 +37,52 @@ noteGuard(std::array<uint32_t, Superblock::kMaxGuards> &set,
     return true;
 }
 
-/**
- * Worst-case cycle charge of one chain used as a non-final member of
- * a fused group: its prefixes, the dearer of its costs (cj pays more
- * when taken) and the slowest data access of a load or store.  Fused
- * groups are restricted to on-chip code, so there is no fetch charge.
- */
+/** Cycles of a chain's prefixes. */
 int
-chainWorstCost(const PredecodeCache::Entry &e, int external_waits)
+prefixCost(const PredecodeCache::Entry &e)
+{
+    return e.pfixes * cyc::direct(Fn::PFIX) +
+           e.nfixes * cyc::direct(Fn::NFIX);
+}
+
+/** The base cost a step's handler charges: cj at its fall-through
+ *  cost, a generic operation nothing (the core charges it). */
+int
+baseCost(Kind k, const PredecodeCache::Entry &e)
 {
     const Fn fn = static_cast<Fn>(e.fn);
-    int c = e.pfixes * cyc::direct(Fn::PFIX) +
-            e.nfixes * cyc::direct(Fn::NFIX) +
-            std::max(cyc::direct(fn, true), cyc::direct(fn, false));
+    if (fn != Fn::OPR)
+        return cyc::direct(fn, false);
+    return k == Kind::OpGeneric
+               ? 0
+               : cyc::op(static_cast<isa::Op>(e.operand));
+}
+
+/** What a step's dynamic charges can add at most: a taken cj's extra
+ *  cycles, each data access and each off-chip fetch word at
+ *  `external_waits`. */
+int
+dynamicCostBound(const PredecodeCache::Entry &e, const WordShape &s,
+                 int external_waits)
+{
+    const Fn fn = static_cast<Fn>(e.fn);
+    int c = fn == Fn::CJ
+                ? cyc::direct(Fn::CJ, true) - cyc::direct(Fn::CJ, false)
+                : 0;
     if (fn == Fn::LDL || fn == Fn::LDNL || fn == Fn::STL ||
         fn == Fn::STNL)
         c += external_waits;
+    else if (fn == Fn::CALL)
+        c += 4 * external_waits;
+    if (e.offChip) {
+        const Word first = s.wordAlign(e.tag);
+        const Word last = s.wordAlign(
+            s.truncate(e.tag + static_cast<Word>(e.length - 1)));
+        const int words =
+            static_cast<int>(s.truncate(last - first) /
+                             static_cast<Word>(s.bytes)) + 1;
+        c += words * external_waits;
+    }
     return c;
 }
 
@@ -68,6 +98,7 @@ BlockCache::compile(const PredecodeCache &icache, const WordShape &s,
 {
     std::array<PredecodeCache::Entry, kMaxSteps> ents;
     std::array<Kind, kMaxSteps> solo;
+    std::array<Word, kMaxSteps> succ; // each step's successor
     std::array<uint32_t, Superblock::kMaxGuards> guard_set;
     size_t nguards = 0;
     size_t n = 0;
@@ -95,12 +126,13 @@ BlockCache::compile(const PredecodeCache &icache, const WordShape &s,
             !noteGuard(guard_set, nguards, e.gidx2))
             break;
         solo[n] = k;
-        ++n;
         const Word next = s.truncate(ip + d.length);
+        succ[n] = k == Kind::Call ? s.truncate(next + d.operand) : next;
+        ++n;
         if (k == Kind::J)
             break;
         if (k == Kind::Call) {
-            ip = s.truncate(next + d.operand);
+            ip = succ[n - 1];
             if (ip == entry)
                 break;
             continue;
@@ -130,47 +162,56 @@ BlockCache::compile(const PredecodeCache &icache, const WordShape &s,
     sb.codeLo = *lo;
     sb.codeSpan = *hi - *lo;
     for (size_t i = 0; i < n; ++i) {
-        sb.steps[i].e = ents[i];
-        sb.steps[i].kind = sb.steps[i].solo = solo[i];
+        const PredecodeCache::Entry &e = ents[i];
+        Step &st = sb.steps[i];
+        st.operand = e.operand;
+        st.next = s.truncate(e.tag + e.length);
+        st.length = e.length;
+        st.solo = solo[i];
+        st.kind = e.offChip ? kFetchFirst : solo[i];
     }
 
     // fusion pass: longest peephole match wins; the head step carries
-    // the fused kind, members keep their solo kinds for fallback
+    // the fused kind, members keep their solo kinds for fallback.
+    // Fused groups are on-chip code only: no member has a fetch.
     size_t i = 0;
     while (i < n) {
         const bool backedge =
             solo[i] == Kind::Cj && i + 1 < n && solo[i + 1] == Kind::J &&
-            s.truncate(ents[i + 1].tag + ents[i + 1].length +
-                       ents[i + 1].operand) == entry;
+            s.truncate(sb.steps[i + 1].next + ents[i + 1].operand) ==
+                entry;
         const Kind k = isa::superop::fuse(solo.data(), i, n, backedge);
-        const int span = isa::superop::chainsOf(k);
-        if (span > 1) {
-            bool on_chip = true;
-            int pre = 0;
-            for (int j = 0; j < span; ++j)
-                on_chip = on_chip && !ents[i + j].offChip;
-            for (int j = 0; j + 1 < span; ++j)
-                pre += chainWorstCost(ents[i + j], external_waits);
-            if (on_chip && pre <= 255) {
-                sb.steps[i].kind = k;
-                sb.steps[i].groupPreCost = static_cast<uint8_t>(pre);
-                i += static_cast<size_t>(span);
-                continue;
-            }
+        const size_t span = static_cast<size_t>(isa::superop::chainsOf(k));
+        if (span > 1 &&
+            std::none_of(ents.begin() + i, ents.begin() + i + span,
+                         [](const PredecodeCache::Entry &e) {
+                             return e.offChip;
+                         })) {
+            sb.steps[i].kind = k;
+            i += span;
+            continue;
         }
         ++i;
     }
 
-    // cumulative retire accounting (see Superblock::cum)
-    sb.cum.assign(n + 1, {});
+    // cumulative rows (see Superblock::rows)
+    sb.rows.assign(n + 1, {});
     for (size_t k = 0; k < n; ++k) {
         const PredecodeCache::Entry &e = ents[k];
-        Superblock::CumRow row = sb.cum[k];
+        Superblock::Row row = sb.rows[k];
         row.fn[e.fn] += 1;
         row.fn[static_cast<size_t>(Fn::PFIX)] += e.pfixes;
         row.fn[static_cast<size_t>(Fn::NFIX)] += e.nfixes;
         row.len += e.length;
-        sb.cum[k + 1] = row;
+        const auto prefix = static_cast<uint32_t>(prefixCost(e));
+        const auto base = static_cast<uint32_t>(baseCost(solo[k], e));
+        row.stamp = row.cycles + prefix;
+        row.cycles = row.stamp + base;
+        row.worst += prefix + base +
+                     static_cast<uint32_t>(
+                         dynamicCostBound(e, s, external_waits));
+        row.iptr = succ[k];
+        sb.rows[k + 1] = row;
     }
 
     sb.valid = true;
@@ -212,13 +253,13 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
 #undef TRANSPUTER_LABEL
         &&L_OpGeneric, &&L_LdcStl, &&L_LdlpStl, &&L_AdcStl,
         &&L_LdcAdcStl, &&L_LdlAdcStl, &&L_CjLoop,
+        &&L_Fetch, // blockc::kFetchFirst
     };
-    static_assert(std::size(tbl) == isa::superop::kKinds,
-                  "dispatch table must cover every superop kind");
+    static_assert(std::size(tbl) == isa::superop::kKinds + 1,
+                  "dispatch table must cover every superop kind and "
+                  "the off-chip fetch");
 
-    sem::Hoisted h(*this);
-    h.codeLo = sb.codeLo; // the window STORE_RECHECK watches
-    h.codeSpan = sb.codeSpan;
+    sem::Swept h(*this, sb);
     const uint64_t cyc0 = h.cycles, icount0 = h.instructions;
     // one epilogue for both exits, with the state spilled
     const auto bank = [this, cyc0, icount0](int chains) {
@@ -228,61 +269,24 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
         bs.instructions += instructions_ - icount0;
         bs.cycles += cycles_ - cyc0;
     };
-    const blockc::Superblock::CumRow *const cum = sb.cum.data();
-    const uint32_t *const gens = icache_.gensData();
-    const Step *const steps = sb.steps.data();
+    const blockc::Superblock::Row *const rows = h.rows;
+    const Step *const steps = h.steps;
     const size_t nsteps = sb.nsteps;
     Tick xbound = bound; // with the observation thresholds folded in
-    const Step *st = nullptr;
-    // The current linear sweep of retired steps is [sweep0, i); the
-    // chains retired before it number `done`.  The budget is kept as
-    // a step index: the sweep may run up to step ilimit, and iend is
-    // the nearer of that and the block's end.
-    size_t i = 0, sweep0 = 0;
-    int done = 0;
-    size_t ilimit = static_cast<size_t>(budget);
-    size_t iend = std::min(nsteps, ilimit);
-
-// A sweep's chain count, function counts and instruction bytes live
-// only in i and the compile-time cum rows until FLUSH_SWEEP folds
-// them into `done` and the architectural counters (ilimit is
-// unchanged: the sweep's chains move from i - sweep0 into done).  It
-// runs inside SPILL() (every exit and every call into the core that
-// reads the counters spills first) and at every back-edge that
-// restarts the walk at step 0, where i would move backwards.
-// (Macros, not lambdas: a closure capturing the hoisted state would
-// pin it in memory.)
-#define FLUSH_SWEEP()                                                  \
-    do {                                                               \
-        if (i != sweep0) {                                             \
-            const blockc::Superblock::CumRow &c1 = cum[i];             \
-            const blockc::Superblock::CumRow &c0 = cum[sweep0];        \
-            for (size_t f = 0; f < c1.fn.size(); ++f)                  \
-                ctrs_.fn[f] += static_cast<uint64_t>(c1.fn[f] -        \
-                                                     c0.fn[f]);        \
-            h.instructions += static_cast<uint64_t>(c1.len - c0.len);  \
-            done += static_cast<int>(i - sweep0);                      \
-            sweep0 = i;                                                \
-        }                                                              \
-    } while (0)
-
-#define SPILL()                                                        \
-    do {                                                               \
-        FLUSH_SWEEP();                                                 \
-        h.spill();                                                     \
-    } while (0)
+    // The open sweep may run up to step iend without a check, and ends
+    // there for stopWhy.
+    const Step *iend = steps;
+    Deopt stopWhy = Deopt::End;
 
 // The observation thresholds fold into the time bound: inside the
 // block, cycles and time advance in lockstep (every charge pairs
 // cycles += k with time += k*period), so the profiler's cycle
-// threshold maps exactly onto a tick and the per-chain bound check in
-// NEXT() already exits at the sampling boundary (Deopt::Bound) -- the
-// fused loop around the block fires the sample at that same chain
-// boundary before the next chain executes.  With observation disabled
-// both sentinels leave the bound untouched, so sampling costs the hot
-// loop nothing.
-// Recomputed after every reload: calls into the core may move the
-// clock.
+// threshold maps exactly onto a tick and the step index below stops at
+// the sampling boundary -- where the block fires the sample itself,
+// at the chain boundary the fused loop would, and goes on.  With
+// observation disabled both sentinels leave the bound untouched, so
+// sampling costs the hot loop nothing.  Recomputed after every
+// reload: calls into the core may move the clock.
 #define FOLD_OBS_BOUND()                                               \
     do {                                                               \
         xbound = bound;                                                \
@@ -300,13 +304,33 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
         }                                                              \
     } while (0)
 
-// Per-chain prologue: the shared retire step.  Instruction and
-// function counts flow through the sweep's cum rows, flushed in
-// SPILL().
-#define RETIRE()                                                       \
+// A sweep starts (entry, a lap, after a call into the core, a stop
+// short of the bound) with its state exact.  Its steps [st, iend) run
+// without a check: iend is the least of the block's end, the budget
+// as a step index, and one past the last step whose worst-case start
+// (the rows' worst column) is still within xbound.  A step's actual
+// start is never later than its worst case, so every step the index
+// admits is one the interpreter would run.
+#define BOUND_SWEEP()                                                  \
     do {                                                               \
-        sem::retire<false>(h, st->e);                                  \
-        ++i;                                                           \
+        const size_t s0_ = static_cast<size_t>(h.st - steps);          \
+        const size_t left_ =                                           \
+            static_cast<size_t>(std::max(budget - h.done, 0));         \
+        size_t e_ = nsteps;                                            \
+        stopWhy = Deopt::End;                                          \
+        if (left_ <= nsteps - s0_) {                                   \
+            e_ = s0_ + left_;                                          \
+            stopWhy = Deopt::Budget;                                   \
+        }                                                              \
+        const Tick slack_ = xbound - h.time;                           \
+        while (e_ > s0_ && static_cast<Tick>(rows[e_ - 1].worst -      \
+                                             rows[s0_].worst) *        \
+                                   h.period >                          \
+                               slack_) {                               \
+            --e_;                                                      \
+            stopWhy = Deopt::Bound;                                    \
+        }                                                              \
+        iend = steps + e_;                                             \
     } while (0)
 
 // The guards stand in for per-chain checks of the code bytes.  The
@@ -316,7 +340,7 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
 // core's own stores (a generic operation, a timeslice rotation at a
 // jump), which take no note; STORE_RECHECK reads them only when a
 // handler store landed in the guards' block window
-// (sem::Hoisted::stored), since no store outside it can move one.
+// (sem::Swept::stored), since no store outside it can move one.
 #define GUARD_RECHECK()                                                \
     do {                                                               \
         if (!sb.guardsOk(gens)) {                                      \
@@ -336,6 +360,7 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
 #define HALT_CHECK()                                                   \
     do {                                                               \
         if (h.err && h.haltOnError) {                                  \
+            h.close(h.st); /* the trace reads the clock */             \
             state_ = CpuState::Halted;                                 \
             trcAt(h.time, obs::Ev::Halt,                               \
                   h.wp | static_cast<Word>(pri_));                     \
@@ -344,51 +369,46 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
         }                                                              \
     } while (0)
 
+// One compare per step: the bound, the budget and the block's end are
+// the step index iend.
 #define NEXT()                                                         \
     do {                                                               \
-        if (i >= iend) {                                               \
-            why = i >= ilimit       ? Deopt::Budget                    \
-                  : h.time > xbound ? Deopt::Bound                     \
-                                    : Deopt::End;                      \
-            goto out;                                                  \
-        }                                                              \
-        if (h.time > xbound) {                                         \
-            why = Deopt::Bound;                                        \
-            goto out;                                                  \
-        }                                                              \
-        st = &steps[i];                                                \
-        goto *tbl[static_cast<size_t>(st->kind)];                      \
+        if (h.st >= iend)                                              \
+            goto stop;                                                 \
+        goto *tbl[static_cast<size_t>(h.st->kind)];                    \
     } while (0)
 
 // A back-edge onto the entry: close the sweep, restart the walk.
 #define LAP()                                                          \
     do {                                                               \
-        FLUSH_SWEEP();                                                 \
-        i = sweep0 = 0;                                                \
-        ilimit = static_cast<size_t>(budget - done);                   \
-        iend = std::min(nsteps, ilimit);                               \
+        h.close(h.st);                                                 \
+        h.st = h.sweep0 = steps;                                       \
+        BOUND_SWEEP();                                                 \
     } while (0)
 
-#define DIRECT(FN) sem::direct(h, isa::Fn::FN, st->e.operand)
+#define DIRECT(FN) sem::direct(h, isa::Fn::FN, h.st[-1].operand)
 
-// One straight-line chain: retire it, run its handler, then the
-// checks its effects call for.
+// One straight-line chain: retire it (the sweep's rows do the
+// accounting), run its handler, then the checks its effects call for.
 #define STEP(HANDLER, EFFECTS)                                         \
     do {                                                               \
-        RETIRE();                                                      \
+        ++h.st;                                                        \
+        if ((EFFECTS) & fx::kReadsIptr)                                \
+            h.iptr = h.st[-1].next;                                    \
         HANDLER;                                                       \
-        ++st;                                                          \
         if ((EFFECTS) & fx::kSetsError)                                \
             HALT_CHECK();                                              \
         if ((EFFECTS) & fx::kStores)                                   \
             STORE_RECHECK();                                           \
     } while (0)
 
-// cj: a taken branch laps back to the entry or leaves the block.
+// cj: a taken branch (its extra cycles closed the sweep) laps back to
+// the entry or leaves the block.
 #define CJ_STEP()                                                      \
     do {                                                               \
-        RETIRE();                                                      \
-        if (sem::cj(h, st->e.operand)) {                               \
+        ++h.st;                                                        \
+        h.iptr = h.st[-1].next;                                        \
+        if (sem::cj(h, h.st[-1].operand)) {                            \
             if (h.iptr == sb.entry) {                                  \
                 LAP();                                                 \
                 NEXT();                                                \
@@ -396,30 +416,31 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
             why = Deopt::BranchOut;                                    \
             goto out;                                                  \
         }                                                              \
-        ++st;                                                          \
     } while (0)
 
-// Fused superops: one conservative pre-check of the budget and the
-// bound for the whole group, then the member chains in order (the loop
-// form ends in the j label).  Near a boundary the head re-dispatches
-// through its solo kind.
+// Fused superops: the whole group must fit under the step index, then
+// the member chains run in order (the loop form ends in the j label).
+// Near a boundary the head re-dispatches through its solo kind.
 #define GROUP(CHAINS)                                                  \
     do {                                                               \
-        if (i + (CHAINS) > ilimit ||                                   \
-            h.time + st->groupPreCost * h.period > xbound)             \
-            goto *tbl[static_cast<size_t>(st->solo)];                  \
+        if (iend - h.st < (CHAINS))                                    \
+            goto *tbl[static_cast<size_t>(h.st->solo)];                \
     } while (0)
 
+    const uint32_t *const gens = icache_.gensData();
     FOLD_OBS_BOUND();
+    BOUND_SWEEP();
     try {
         NEXT();
 
   L_J: {
-        RETIRE();
-        FLUSH_SWEEP(); // the descheduling point runs core code
-        const Word target = h.sh.truncate(h.iptr + st->e.operand);
+        ++h.st;
+        h.close(h.st); // the descheduling point runs core code; the
+                       // close leaves iptr at the fall-through
+        const Word op = h.st[-1].operand;
+        const Word target = h.sh.truncate(h.iptr + op);
         const Word wp = h.wp;
-        sem::j(h, st->e.operand);
+        sem::j(h, op);
         FOLD_OBS_BOUND();
         if (state_ != CpuState::Running) {
             why = Deopt::Deschedule;
@@ -454,16 +475,18 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
 #undef TRANSPUTER_SOLO_DIRECT
 #undef TRANSPUTER_SOLO_OP
 
-  L_OpGeneric:
+  L_OpGeneric: {
         // any other fast operation: hand the state to the core's
         // generic operation path (it owns the counters and cycle
-        // charges), take it back, and re-join the block if control
-        // fell through -- this is how lend-loop back-edges, gcall/ret
-        // tails and the error-flag operations stay inside the tier
-        RETIRE();
-        FLUSH_SWEEP();
+        // charges; the close leaves iptr at the fall-through), take it
+        // back, and re-join the block if control fell through -- this
+        // is how lend-loop back-edges, gcall/ret tails and the
+        // error-flag operations stay inside the tier
+        ++h.st;
+        h.close(h.st);
+        const Step &g = h.st[-1];
         h.toCore();
-        execGenericOp(static_cast<isa::Op>(st->e.operand));
+        execGenericOp(static_cast<isa::Op>(g.operand));
         h.fromCore();
         FOLD_OBS_BOUND();
         if (h.err && h.haltOnError) {
@@ -477,14 +500,25 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
             goto out;
         }
         GUARD_RECHECK();
-        if (i < nsteps && h.iptr == steps[i].e.tag)
+        if (h.iptr == g.next && h.st != steps + nsteps) {
+            BOUND_SWEEP();
             NEXT();
+        }
         if (h.iptr == sb.entry) {
             LAP();
             NEXT();
         }
         why = Deopt::BranchOut;
         goto out;
+      }
+
+  L_Fetch: {
+        // an off-chip chain: its word fetches land before its stamp,
+        // then its own kind runs it
+        const Step &f = *h.st;
+        h.chargeFetch(h.sh.truncate(f.next - f.length), f.length);
+        goto *tbl[static_cast<size_t>(f.solo)];
+      }
 
   L_LdcStl:
         GROUP(2);
@@ -523,21 +557,47 @@ Transputer::execBlock(blockc::Superblock &sb, Tick bound, int budget,
         CJ_STEP(); // taken: leaves the loop, j never runs
         goto L_J;
 
+  stop:
+        if (stopWhy == Deopt::Bound) {
+            // the worst case may stop short of the bound: a sweep from
+            // the exact clock admits at least its first step while the
+            // clock is within xbound, so the block runs to the chain
+            // boundary the interpreter stops at.  Past an observation
+            // threshold there but not the bound, sample and go on
+            h.close(h.st);
+            if (h.time > xbound && h.time <= bound) {
+                h.toCore();
+                obsBoundaryFire(obs::kTierBlock);
+                h.fromCore();
+                FOLD_OBS_BOUND();
+            }
+            if (h.time <= xbound) {
+                BOUND_SWEEP();
+                NEXT();
+            }
+        }
+        why = stopWhy;
   out:
-        SPILL();
+        h.close(h.st);
+        h.spill();
     } catch (...) {
-        if (!h.inCore) // else the core threw: the object holds the state
-            SPILL();
-        bank(done);
+        if (!h.inCore) {
+            // a handler threw (a load or store outside populated
+            // memory): its chain has retired without a transfer of
+            // control, since a call faults before it enters its
+            // routine
+            h.close(h.st);
+            h.iptr = h.st[-1].next;
+            h.spill();
+        } // else the core threw: the object holds the state
+        bank(h.done);
         throw;
     }
-    bank(done);
-    return done;
+    bank(h.done);
+    return h.done;
 
-#undef FLUSH_SWEEP
-#undef SPILL
 #undef FOLD_OBS_BOUND
-#undef RETIRE
+#undef BOUND_SWEEP
 #undef GUARD_RECHECK
 #undef STORE_RECHECK
 #undef HALT_CHECK
@@ -653,20 +713,23 @@ blockc::Superblock *
 Transputer::wantsBlockEntry(Word iptr)
 {
     // the tier's one heat probe, where a control transfer in runFused
-    // lands: the block compiled there, or compiled right now if the
-    // target just crossed the heat threshold and the promotion gate
-    // allows it
+    // lands: the block compiled there; else, only while the promotion
+    // gate is open, a heat count, and a compile right now if the
+    // target just crossed the threshold.  A closed gate touches
+    // neither the heat table nor the cache
+    if (bcache_)
+        if (blockc::Superblock *sb = bcache_->find(iptr))
+            return sb;
+    if (!blockPromotionAllowed())
+        return nullptr;
     ensureBlockTier();
-    blockc::BlockCache &bc = *bcache_;
-    blockc::Superblock *sb = bc.find(iptr);
-    if (!sb && bc.heat(iptr)) {
-        if (!blockPromotionAllowed()) {
-            bc.cool(iptr);
-            return nullptr;
-        }
-        sb = bc.compile(icache_, shape_, cfg_.externalWaits, iptr);
-    }
-    return sb;
+    // the worst case a block's step index assumes: without external
+    // memory, an access that charges wait states faults right after,
+    // and no later step runs
+    const int waits = cfg_.externalBytes ? cfg_.externalWaits : 0;
+    return bcache_->heat(iptr)
+               ? bcache_->compile(icache_, shape_, waits, iptr)
+               : nullptr;
 }
 
 bool

@@ -9,8 +9,8 @@
  * stepHandler runs every cached chain through runFused and everything
  * else through the byte step; runFused alone enters superblocks, where
  * a control transfer lands on one.  Hot predecoded regions (heat is
- * sampled at the same landings, Transputer::wantsBlockEntry) are
- * compiled into superblocks:
+ * counted at the same landings while the promotion gate is open,
+ * Transputer::wantsBlockEntry) are compiled into superblocks:
  * arrays of superop steps (isa/superop.hh), each binding one chain --
  * prefix chain folded into the operand at compile time -- to its
  * handler in core/semantics.hh, with adjacent chains fused where a
@@ -19,16 +19,25 @@
  * the interpreter disappears.
  *
  * Bit-faithfulness contract (obs::sameArchitectural is the oracle):
- *   - every step retires its chain's exact counters and cycle charges
- *     in the interpreter's order;
+ *   - every step retires its chain's exact counters, cycle charges and
+ *     stamps: what compilation knows (prefix and base cycles, counts,
+ *     the next iptr, the lastInstrStart_ stamp) from the block's
+ *     cumulative rows once per sweep of steps, and the dynamic charges
+ *     (wait states, a taken cj's extra cycles, off-chip fetches) as
+ *     they land, each closing the sweep first (sem::Swept);
  *   - the compiled code bytes are current whenever a step runs: the
  *     guards (the write generations of the code's 64-byte blocks) are
  *     checked at entry and re-read after a store into their window, a
  *     generic operation and a timeslice rotation at a jump;
- *   - a superblock only runs chains the interpreter would run: the
- *     event/horizon bound and the dispatch budget are checked before
- *     every chain (fused heads pre-check a conservative worst case
- *     and fall back to per-chain solo execution near a boundary);
+ *   - a superblock only runs chains the interpreter would run: at each
+ *     sweep start (entry, a lap, after a call into the core) the
+ *     event/horizon bound and the dispatch budget become one step
+ *     index, from the rows' worst-case column, and every step is one
+ *     compare against it (a fused head checks that its whole group
+ *     fits, else falls back to per-chain solo execution).  Where the
+ *     worst case stops the block short of the bound, it starts another
+ *     sweep from the exact clock, and at an observation threshold
+ *     inside the bound it samples and goes on;
  *   - anything the block cannot prove -- a stale guard (self-modifying
  *     store, link DMA), a timeslice rotation, an error halt, a
  *     dynamic branch out -- deopts: the block exits at a chain
@@ -83,22 +92,28 @@ enum class Deopt : uint8_t
 static_assert(static_cast<size_t>(Deopt::kCount) == obs::kBlockDeopts,
               "Deopt enum and obs deopt histogram must match");
 
+/** Step::kind of an off-chip chain: the executor charges its word
+ *  fetches, then dispatches its solo kind. */
+constexpr isa::superop::Kind kFetchFirst = isa::superop::Kind::kCount;
+
 /**
- * One superop step: a predecoded chain (its icache entry image, taken
- * at compile time) bound to a handler kind.  Member steps of a fused
- * group keep their solo kind in `kind == solo`; only the head step's
- * `kind` is the fused superop, and the executor near a bound/budget
- * boundary re-dispatches the members through `solo`.
+ * One superop step: a predecoded chain bound to a handler kind, with
+ * what the executor reads of it per step; the rest of the chain lives
+ * in the block's rows.  Member steps of a fused group keep their solo
+ * kind in `kind == solo`; only the head step's `kind` is the fused
+ * superop, and the executor near a bound/budget boundary re-dispatches
+ * the members through `solo`.
  */
 struct Step
 {
-    PredecodeCache::Entry e;
+    Word operand = 0; ///< folded operand
+    /** Fall-through address (the chain's start plus its length): iptr
+     *  for a handler that reads it, and the end of an off-chip
+     *  chain's fetch. */
+    Word next = 0;
     isa::superop::Kind kind = isa::superop::Kind::kCount;
     isa::superop::Kind solo = isa::superop::Kind::kCount;
-    /** Worst-case cycles of the fused group minus its last chain
-     *  (prefixes, base costs, memory waits): the fused head runs only
-     *  when the bound admits this much. */
-    uint8_t groupPreCost = 0;
+    uint8_t length = 0; ///< bytes, prefixes included
 };
 
 /** A compiled superblock. */
@@ -109,19 +124,34 @@ struct Superblock
     uint16_t nsteps = 0;
     std::vector<Step> steps;
 
-    /** Per-step cumulative retire accounting: row k holds the sums
-     *  over steps [0, k) of each chain's function counts (prefixes
-     *  under PFIX/NFIX) and byte lengths.  The interpreter charges
-     *  these per instruction; the block tier adds the difference of
-     *  two rows when a linear sweep [first, past-last) ends, so the
-     *  per-chain counter traffic in the hot loop collapses to one
-     *  flush per lap or exit. */
-    struct CumRow
+    /** Per-step cumulative retire accounting: row k holds what the
+     *  interpreter charges, counts and stamps for steps [0, k) along
+     *  the block's path, apart from the dynamic charges.  The block
+     *  tier adds the difference of two rows when a linear sweep
+     *  [first, past-last) closes (sem::Swept), so the per-chain
+     *  retire work in the hot loop collapses to one flush per lap,
+     *  exit, call into the core or dynamic charge. */
+    struct Row
     {
+        /** Function counts (prefixes under PFIX/NFIX). */
         std::array<uint16_t, 16> fn{};
-        uint16_t len = 0;
+        uint16_t len = 0; ///< instruction bytes
+        /** Static cycles: prefixes plus base costs, cj at its
+         *  fall-through cost, a generic operation its prefixes only
+         *  (the core charges the rest). */
+        uint32_t cycles = 0;
+        /** Static cycles up to the last chain's lastInstrStart_
+         *  stamp, which follows its prefixes. */
+        uint32_t stamp = 0;
+        /** Worst-case cycles: the static ones, every load and store
+         *  and every off-chip fetch word at externalWaits, and cj at
+         *  its taken cost.  Bounds how far a sweep may run. */
+        uint32_t worst = 0;
+        /** iptr after the last chain: its successor on the block's
+         *  path (a call's routine, else the fall-through). */
+        Word iptr = 0;
     };
-    std::vector<CumRow> cum; ///< nsteps + 1 rows
+    std::vector<Row> rows; ///< nsteps + 1 rows
 
     /** Write generations of every 64-byte block holding code of this
      *  superblock, at compile time.  All current <=> no byte of the
@@ -153,10 +183,10 @@ struct Superblock
  * heat table that promotes entry points once they have been reached
  * often enough.  Compilation failures are negatively cached so cold
  * or uncompilable addresses are not re-walked on every visit.  The
- * block table (40 KiB) is allocated by the first compile, so a
- * node whose code never earns a block -- the promotion gate declines
- * short-run workloads -- carries only the heat table, and finding a
- * block there costs one test.
+ * cache (its heat table, about 6 KiB) is created when the promotion
+ * gate first lets a landing count heat, and the block table (40 KiB)
+ * by the first compile, so a node whose code never earns a block --
+ * the promotion gate declines short-run workloads -- carries neither.
  */
 class BlockCache
 {
@@ -216,17 +246,6 @@ class BlockCache
     Superblock *compile(const PredecodeCache &icache, const WordShape &s,
                         int external_waits, Word entry);
 
-    /** Reset an address's heat without compiling (promotion was
-     *  declined): it must cross the threshold again before the next
-     *  attempt, by which time the evidence may have changed. */
-    void
-    cool(Word iptr)
-    {
-        const size_t i = heatIndex(iptr);
-        if (heatTag_[i] == iptr)
-            heatCount_[i] = 0;
-    }
-
     /** Demote one block (stale guards, self-modifying code). */
     void
     invalidate(Superblock &sb)
@@ -253,8 +272,8 @@ class BlockCache
     const obs::BlockStats &stats() const { return stats_; }
 
     /** Host bytes of the cache itself plus, once it exists, the block
-     *  table and every compiled block's step and cumulative-count
-     *  arrays (scale accounting). */
+     *  table and every compiled block's step and row arrays (scale
+     *  accounting). */
     size_t
     footprintBytes() const
     {
@@ -264,7 +283,7 @@ class BlockCache
         n += sizeof(*blocks_);
         for (const Superblock &sb : *blocks_) {
             n += sb.steps.capacity() * sizeof(Step);
-            n += sb.cum.capacity() * sizeof(Superblock::CumRow);
+            n += sb.rows.capacity() * sizeof(Superblock::Row);
         }
         return n;
     }

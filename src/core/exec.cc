@@ -75,23 +75,25 @@ Transputer::fetchByte()
     return b;
 }
 
-void
-Transputer::chargeFetchSpan(Word start, int length)
+int
+Transputer::fetchWaits(Word start, int length)
 {
     // same word-granular accounting as fetchByte, for a whole
     // predecoded chain at once
+    int waits = 0;
     Word w = shape_.wordAlign(start);
     const Word last = shape_.wordAlign(
         shape_.truncate(start + static_cast<Word>(length - 1)));
     while (true) {
         if (!mem_.isOnChip(w) && !fetchBufferHolds(w)) {
-            chargeCycles(mem_.accessWaits(w));
+            waits += mem_.accessWaits(w);
             setFetchBuffer(w);
         }
         if (w == last)
             break;
         w = shape_.truncate(w + static_cast<Word>(shape_.bytes));
     }
+    return waits;
 }
 
 int
@@ -180,7 +182,7 @@ Transputer::runFused(Tick bound, int budget, bool &uncached)
                     ++settled;
                 }
                 ++n;
-                sem::retire<true>(h, *e);
+                sem::retire(h, *e);
                 switch (static_cast<Fn>(e->fn)) {
                   case Fn::J:
                     sem::j(h, e->operand);

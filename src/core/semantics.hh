@@ -9,14 +9,19 @@
  * CPU state lives:
  *   - Members: the Transputer's own registers, clock and counters
  *     (the byte-at-a-time interpreter);
- *   - Hoisted: copies in locals that the fused loop and the block
- *     executor keep in host registers.  Stores into the byte-addressed
- *     memory image may alias any member, so working through the
- *     object would reload the whole state after every write; the
- *     policy spills and reloads around every call that reads or
- *     writes the object.
+ *   - Hoisted: copies in locals that the fused loop keeps in host
+ *     registers.  Stores into the byte-addressed memory image may
+ *     alias any member, so working through the object would reload
+ *     the whole state after every write; the policy spills and
+ *     reloads around every call that reads or writes the object;
+ *   - Swept: Hoisted for the block executor, which takes the charges
+ *     and stamps compilation already knows from its superblock's
+ *     rows, once per sweep of steps.
  * Every cycle charge comes from isa/cycles.hh, so the tiers cannot
- * drift apart in semantics or timing.
+ * drift apart in semantics or timing.  A handler names the two kinds
+ * of charge apart: charge() for the costs the instruction stream fixes
+ * (prefixes, base costs) and chargeDynamic() for the ones the data
+ * decides (wait states, a taken cj's extra cycles).
  */
 
 #ifndef TRANSPUTER_CORE_SEMANTICS_HH
@@ -24,6 +29,7 @@
 
 #include <utility>
 
+#include "core/blockc.hh"
 #include "core/transputer.hh"
 #include "isa/cycles.hh"
 
@@ -104,12 +110,13 @@ struct Members : Core
         cycles += static_cast<uint64_t>(n);
         time += n * period;
     }
+    TRANSPUTER_SEM_INLINE void chargeDynamic(int64_t n) { charge(n); }
     TRANSPUTER_SEM_INLINE void setError() { err = true; }
 
     TRANSPUTER_SEM_INLINE void deschedulePoint() { cpu.timesliceCheck(); }
 
-    /** A store landed at addr (nothing to note here). */
-    TRANSPUTER_SEM_INLINE void stored(Word) {}
+    /** A store landed at offset off (nothing to note here). */
+    TRANSPUTER_SEM_INLINE void stored(size_t) {}
 };
 
 /** State policy: the hot state hoisted into locals. */
@@ -127,13 +134,6 @@ struct Hoisted : Core
     Tick time, lastStart;
     uint64_t cycles, instructions;
     bool err, haltOnError;
-
-    /** Write-generation blocks [codeLo, codeLo + codeSpan] that a
-     *  store must land in to set nearCode.  The block executor sets
-     *  the window of its superblock's guards; left unbounded (the
-     *  fused loop), nearCode is never read and the note folds away. */
-    size_t codeLo = 0, codeSpan = SIZE_MAX;
-    bool nearCode = false;
 
     /** Set between toCore() and fromCore(): while a core member runs,
      *  the object holds the state, and a throw out of the core leaves
@@ -197,6 +197,7 @@ struct Hoisted : Core
         cycles += static_cast<uint64_t>(n);
         time += n * period;
     }
+    TRANSPUTER_SEM_INLINE void chargeDynamic(int64_t n) { charge(n); }
 
     TRANSPUTER_SEM_INLINE void
     setError()
@@ -205,14 +206,13 @@ struct Hoisted : Core
         cpu.errorFlag_ = true;
     }
 
+    /** The off-chip word fetches of the chain at [start, start +
+     *  length). */
     TRANSPUTER_SEM_INLINE void
-    chargeFetch(int length)
+    chargeFetch(Word start, int length)
     {
-        cpu.time_ = time;
-        cpu.cycles_ = cycles;
-        cpu.chargeFetchSpan(iptr, length);
-        time = cpu.time_;
-        cycles = cpu.cycles_;
+        if (const int w = cpu.fetchWaits(start, length))
+            charge(w);
     }
 
     TRANSPUTER_SEM_INLINE void
@@ -223,12 +223,95 @@ struct Hoisted : Core
         fromCore();
     }
 
-    /** A store landed at addr: note it if it hit the window. */
+    /** A store landed at offset off (nothing to note here). */
+    TRANSPUTER_SEM_INLINE void stored(size_t) {}
+};
+
+/**
+ * State policy of the block executor: the hoisted state, with every
+ * charge, count and stamp that compilation already knows taken from
+ * the superblock's rows (blockc::Superblock::Row) once per sweep.  A
+ * sweep is the run of steps retired since the last close(); closing
+ * it folds in their prefix and base cycles and their instruction and
+ * function counts, and sets iptr and lastStart as the interpreter
+ * leaves them after the sweep's last chain.  A dynamic charge -- wait
+ * states, a taken cj's extra cycles, an off-chip fetch -- closes the
+ * sweep before it lands, so every stamp is the interpreter's.  The
+ * executor closes the sweep too before anything reads the state: a
+ * call into the core, an exit, a throw.
+ */
+struct Swept : Hoisted
+{
+    Swept(Transputer &t, const blockc::Superblock &sb)
+        : Hoisted(t), codeLo(sb.codeLo), codeSpan(sb.codeSpan),
+          steps(sb.steps.data()), rows(sb.rows.data()), st(steps),
+          sweep0(steps)
+    {}
+
+    /** The guards' write-generation blocks [codeLo, codeLo +
+     *  codeSpan]: only a store landing there (nearCode) can make a
+     *  guard stale. */
+    const size_t codeLo, codeSpan;
+    bool nearCode = false;
+
+    const blockc::Step *const steps;
+    const blockc::Superblock::Row *const rows;
+    /** Past the last retired step: the next step to dispatch, and
+     *  inside a handler one past the step running (a step retires as
+     *  its handler starts, as retire() runs first in the fused
+     *  loop). */
+    const blockc::Step *st;
+    /** The open sweep's first step. */
+    const blockc::Step *sweep0;
+    /** Chains retired by closed sweeps. */
+    int done = 0;
+
+    /** Prefix and base cycles: the rows carry them. */
+    TRANSPUTER_SEM_INLINE void charge(int64_t) {}
+
+    /** A dynamic charge of the step running, after its stamp. */
     TRANSPUTER_SEM_INLINE void
-    stored(Word addr)
+    chargeDynamic(int64_t n)
     {
-        if (mem.blockIndex(addr) - codeLo <= codeSpan)
+        close(st);
+        Hoisted::charge(n);
+    }
+
+    /** The off-chip fetch of the step about to run (st), before its
+     *  stamp. */
+    TRANSPUTER_SEM_INLINE void
+    chargeFetch(Word start, int length)
+    {
+        if (const int w = cpu.fetchWaits(start, length)) {
+            close(st);
+            Hoisted::charge(w);
+        }
+    }
+
+    /** A store landed at offset off: note it if it hit the window. */
+    TRANSPUTER_SEM_INLINE void
+    stored(size_t off)
+    {
+        if (mem::Memory::blockAt(off) - codeLo <= codeSpan)
             nearCode = true;
+    }
+
+    /** Close the open sweep at `end`: fold in the rows' difference. */
+    TRANSPUTER_SEM_INLINE void
+    close(const blockc::Step *end)
+    {
+        if (end == sweep0)
+            return;
+        const blockc::Superblock::Row &r1 = rows[end - steps];
+        const blockc::Superblock::Row &r0 = rows[sweep0 - steps];
+        for (size_t f = 0; f < r1.fn.size(); ++f)
+            cpu.ctrs_.fn[f] += static_cast<uint64_t>(r1.fn[f] - r0.fn[f]);
+        instructions += static_cast<uint64_t>(r1.len - r0.len);
+        lastStart = time + static_cast<Tick>(r1.stamp - r0.cycles) * period;
+        Hoisted::charge(r1.cycles - r0.cycles);
+        iptr = r1.iptr;
+        done += static_cast<int>(end - sweep0);
+        sweep0 = end;
     }
 };
 
@@ -237,22 +320,20 @@ struct Hoisted : Core
 // ---------------------------------------------------------------------
 
 /**
- * Retire one predecoded chain up to its final function: the off-chip
- * fetch charge, the prefixes' cycles, the post-prefix
- * lastInstrStart_ stamp and the iptr advance -- and, with
- * kCountChain, the instruction and function counts (the block tier
- * folds those in per sweep from compile-time rows instead).
+ * Retire one predecoded chain up to its final function (the fused
+ * loop): the off-chip fetch charge, the instruction and function
+ * counts, the prefixes' cycles, the post-prefix lastInstrStart_ stamp
+ * and the iptr advance.  The block executor takes the same from its
+ * superblock's rows, once per sweep (Swept).
  */
-template <bool kCountChain, class S>
+template <class S>
 TRANSPUTER_SEM_INLINE void
 retire(S &m, const PredecodeCache::Entry &e)
 {
     if (e.offChip)
-        m.chargeFetch(e.length);
-    if (kCountChain) {
-        m.instructions += e.length;
-        m.countFns(e);
-    }
+        m.chargeFetch(e.tag, e.length);
+    m.instructions += e.length;
+    m.countFns(e);
     if (e.pfixes | e.nfixes)
         m.charge(e.pfixes * cyc::direct(Fn::PFIX) +
                  e.nfixes * cyc::direct(Fn::NFIX));
@@ -287,23 +368,29 @@ pop(S &m)
     return v;
 }
 
+/** A guest word load: the word's offset is computed once and serves
+ *  its wait states and the access (mem::Memory's access path). */
 template <class S>
 TRANSPUTER_SEM_INLINE Word
 read(S &m, Word addr)
 {
-    if (const int w = m.mem.accessWaits(addr))
-        m.charge(w);
-    return m.mem.readWord(addr);
+    const size_t off = m.mem.wordOffset(addr);
+    if (const int w = m.mem.waitsAt(off))
+        m.chargeDynamic(w);
+    return m.mem.readWordAt(off);
 }
 
+/** A guest word store: one offset for its wait states, the store and
+ *  its write-generation block. */
 template <class S>
 TRANSPUTER_SEM_INLINE void
 write(S &m, Word addr, Word v)
 {
-    if (const int w = m.mem.accessWaits(addr))
-        m.charge(w);
-    m.mem.writeWord(addr, v);
-    m.stored(addr);
+    const size_t off = m.mem.wordOffset(addr);
+    if (const int w = m.mem.waitsAt(off))
+        m.chargeDynamic(w);
+    m.mem.writeWordAt(off, v);
+    m.stored(off);
 }
 
 /** The word address `n` words (signed) from `base`.  `n` needs no
@@ -349,18 +436,21 @@ j(S &m, Word op)
     m.deschedulePoint();
 }
 
-/** cj: jump if Areg is zero, else pop.  @return true if taken. */
+/** cj: jump if Areg is zero, else pop.  @return true if taken.  The
+ *  fall-through cost is the base cost; a taken branch's extra cycles
+ *  are a dynamic charge. */
 template <class S>
 TRANSPUTER_SEM_INLINE bool
 cj(S &m, Word op)
 {
+    m.charge(cyc::direct(Fn::CJ, false));
     if (m.a == 0) {
-        m.charge(cyc::direct(Fn::CJ, true));
+        m.chargeDynamic(cyc::direct(Fn::CJ, true) -
+                        cyc::direct(Fn::CJ, false));
         m.iptr = m.sh.truncate(m.iptr + op);
         m.flushFetch();
         return true;
     }
-    m.charge(cyc::direct(Fn::CJ, false));
     pop(m);
     return false;
 }
@@ -396,15 +486,19 @@ direct(S &m, Fn fn, Word op)
         m.a = checked(m, sgn(m.sh, m.a) + sgn(m.sh, op));
         break;
       case Fn::CALL: {
-        // save Iptr and the stack below Wptr, enter the routine
+        // save Iptr and the stack below Wptr, enter the routine.  Iptr
+        // is read once, before the stores: a store's wait states may
+        // close the block executor's sweep, which leaves iptr at the
+        // routine (the chain's successor on the block's path)
+        const Word ret = m.iptr;
         const Word w = m.sh.index(m.wp, -4);
-        write(m, m.sh.index(w, 0), m.iptr);
+        write(m, m.sh.index(w, 0), ret);
         write(m, m.sh.index(w, 1), m.a);
         write(m, m.sh.index(w, 2), m.b);
         write(m, m.sh.index(w, 3), m.c);
-        m.a = m.iptr; // return address available to the callee
+        m.a = ret; // return address available to the callee
         m.wp = w;
-        m.iptr = m.sh.truncate(m.iptr + op);
+        m.iptr = m.sh.truncate(ret + op);
         m.flushFetch();
         break;
       }

@@ -5,6 +5,7 @@
 
 #include "base/format.hh"
 #include "core/blockc.hh"
+#include "core/semantics.hh"
 #include "isa/cycles.hh"
 
 namespace transputer::core
@@ -538,15 +539,15 @@ Transputer::pop()
 Word
 Transputer::readWord(Word addr)
 {
-    chargeCycles(mem_.accessWaits(addr));
-    return mem_.readWord(addr);
+    sem::Members m(*this);
+    return sem::read(m, addr);
 }
 
 void
 Transputer::writeWord(Word addr, Word v)
 {
-    chargeCycles(mem_.accessWaits(addr));
-    mem_.writeWord(addr, v);
+    sem::Members m(*this);
+    sem::write(m, addr, v);
 }
 
 uint8_t

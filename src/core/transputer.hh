@@ -56,6 +56,7 @@ namespace sem
 struct Core;
 struct Members;
 struct Hoisted;
+struct Swept;
 } // namespace sem
 
 /** Workspace slot offsets below Wptr (section 3.2.4). */
@@ -482,6 +483,7 @@ class Transputer
     friend struct sem::Core;
     friend struct sem::Members;
     friend struct sem::Hoisted;
+    friend struct sem::Swept;
 
     /** Record a trace event at an explicit timestamp: one branch on a
      *  pointer when tracing is off. */
@@ -576,8 +578,9 @@ class Transputer
     /** Host bytes of the block cache, 0 while deferred. */
     size_t blockTierFootprint() const;
     ///@}
-    /** Off-chip fetch-wait charges for a whole predecoded chain. */
-    void chargeFetchSpan(Word start, int length);
+    /** The off-chip fetch waits of a whole predecoded chain, for the
+     *  caller to charge (the fetch buffer moves on). */
+    int fetchWaits(Word start, int length);
     bool fetchBufferHolds(Word word_addr) const;
     void setFetchBuffer(Word word_addr);
     /** Forget the fetch buffer (process switch / interrupt / boot). */

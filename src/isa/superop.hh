@@ -45,6 +45,7 @@ namespace fx
 constexpr unsigned kNone = 0;
 constexpr unsigned kSetsError = 1 << 0; ///< may set the error flag
 constexpr unsigned kStores = 1 << 1;    ///< stores to memory
+constexpr unsigned kReadsIptr = 1 << 2; ///< reads Iptr
 } // namespace fx
 
 /**
@@ -65,7 +66,7 @@ constexpr unsigned kStores = 1 << 1;    ///< stores to memory
     X(LDNLP, Ldnlp, fx::kNone)                                         \
     X(LDL, Ldl, fx::kNone)                                             \
     X(ADC, Adc, fx::kSetsError)                                        \
-    X(CALL, Call, fx::kStores)                                         \
+    X(CALL, Call, fx::kStores | fx::kReadsIptr)                        \
     X(AJW, Ajw, fx::kNone)                                             \
     X(EQC, Eqc, fx::kNone)                                             \
     X(STL, Stl, fx::kStores)                                           \
@@ -86,7 +87,7 @@ constexpr unsigned kStores = 1 << 1;    ///< stores to memory
     X(NOT, OpNot, fx::kNone)                                           \
     X(MINT, OpMint, fx::kNone)                                         \
     X(DUP, OpDup, fx::kNone)                                           \
-    X(LDPI, OpLdpi, fx::kNone)
+    X(LDPI, OpLdpi, fx::kReadsIptr)
 
 /** Handler kinds.  Order is the block executor's dispatch-table
  *  order. */

@@ -187,7 +187,7 @@ class Memory
     size_t
     blockIndex(Word addr) const
     {
-        return static_cast<size_t>(offset(addr)) >> invalBlockShift;
+        return blockAt(offset(addr));
     }
 
     /** Current generation of the block containing addr. */
@@ -315,16 +315,44 @@ class Memory
         bytes_[off] = v;
     }
 
-    /** Read the word containing addr (byte selector ignored). */
-    Word
-    readWord(Word addr) const
+    /** @name The guest word access path
+     *
+     * A guest load or store computes the offset of its word once
+     * (wordOffset) and passes it down: to its wait states, to the
+     * access itself and to the store's write-generation block.
+     * readWord and writeWord are the same path from an address.
+     */
+    ///@{
+    /** Offset above MostNeg of the word containing addr. */
+    size_t
+    wordOffset(Word addr) const
     {
-        const Word a = shape_.wordAlign(addr);
-        const size_t off = checkedOffset(a);
-        // backing grows in page multiples and words never straddle a
-        // page, so a word is either fully backed or fully unwritten
-        if (off >= bytes_.size())
-            return 0;
+        return offset(shape_.wordAlign(addr));
+    }
+
+    /** Wait states of the word at offset off (accessWaits). */
+    int
+    waitsAt(size_t off) const
+    {
+        return off < onchipBytes_ ? 0 : externalWaits_;
+    }
+
+    /** Write-generation block of the byte at offset off. */
+    static size_t
+    blockAt(size_t off)
+    {
+        return off >> invalBlockShift;
+    }
+
+    /** Read the word at offset off (wordOffset).  The hot path is one
+     *  compare: a word inside the backing is inside populated memory
+     *  too, and backing grows in page multiples, so a word is either
+     *  fully backed or fully unwritten. */
+    Word
+    readWordAt(size_t off) const
+    {
+        if (off >= bytes_.size()) [[unlikely]]
+            return unbackedWord(off);
         // the byte fold below is a little-endian load; take it in one
         // step for the common 32-bit shape on little-endian hosts
         // (the loop's trip count is a runtime value, so the compiler
@@ -342,23 +370,17 @@ class Memory
         return v;
     }
 
-    /**
-     * Write the word containing addr (byte selector ignored).  The hot
-     * path is one compare: a word inside the backing is inside
-     * populated memory too, since the backing never exceeds the
-     * logical size, so only a store past the high-water mark takes
-     * the cold path (the fault, or the growth).
-     */
+    /** Write the word at offset off (wordOffset).  The hot path is one
+     *  compare, as for reads: only a store past the high-water mark
+     *  takes the cold path (the fault, or the growth). */
     void
-    writeWord(Word addr, Word v)
+    writeWordAt(size_t off, Word v)
     {
-        const Word a = shape_.wordAlign(addr);
-        const size_t off = offset(a);
         const size_t end = off + static_cast<size_t>(shape_.bytes);
         if (end > bytes_.size()) [[unlikely]]
-            backWord(a, end - 1);
+            backWord(off);
         if (writeGens_)
-            ++writeGens_[off >> invalBlockShift];
+            ++writeGens_[blockAt(off)];
         markDirty(off);
         if constexpr (std::endian::native == std::endian::little) {
             if (shape_.bytes == 4) {
@@ -371,6 +393,17 @@ class Memory
             bytes_[off + i] = static_cast<uint8_t>(v & 0xFF);
             v >>= 8;
         }
+    }
+    ///@}
+
+    /** Read the word containing addr (byte selector ignored). */
+    Word readWord(Word addr) const { return readWordAt(wordOffset(addr)); }
+
+    /** Write the word containing addr (byte selector ignored). */
+    void
+    writeWord(Word addr, Word v)
+    {
+        writeWordAt(wordOffset(addr), v);
     }
 
     /** Bulk load (program images); faults if any byte out of range. */
@@ -408,14 +441,25 @@ class Memory
         bytes_.resize(std::min(grown, sizeBytes_), 0);
     }
 
-    /** writeWord's cold path: fault outside populated memory, else
-     *  back the word whose last byte is at offset last.  Out of line,
-     *  so the store path inlines into every CPU tier. */
+    /** writeWordAt's cold path: fault outside populated memory, else
+     *  back the word at offset off.  Out of line, so the store path
+     *  inlines into every CPU tier. */
     [[gnu::cold, gnu::noinline]] void
-    backWord(Word addr, size_t last)
+    backWord(size_t off)
     {
-        checkedOffset(addr); // throws outside populated memory
-        ensureBacked(last);
+        if (off >= sizeBytes_)
+            fault(addressAt(off));
+        ensureBacked(off + static_cast<size_t>(shape_.bytes) - 1);
+    }
+
+    /** readWordAt's cold path: fault outside populated memory, else
+     *  the word was never written and reads zero. */
+    [[gnu::cold, gnu::noinline]] Word
+    unbackedWord(size_t off) const
+    {
+        if (off >= sizeBytes_)
+            fault(addressAt(off));
+        return 0;
     }
 
     /** Mark the snapshot page containing byte offset off as written.
@@ -446,12 +490,27 @@ class Memory
     {
         const Word off = offset(addr);
         if (off >= sizeBytes_)
-            throw MemFault(fmt("access at {} outside populated memory "
-                               "([{}, {}))", hexWord(addr),
-                               hexWord(shape_.mostNeg),
-                               hexWord(shape_.truncate(
-                                   shape_.mostNeg + size()))));
+            fault(addr);
         return off;
+    }
+
+    /** The address at offset off (offset is one-to-one over the word
+     *  width). */
+    Word
+    addressAt(size_t off) const
+    {
+        return shape_.truncate(shape_.mostNeg + static_cast<Word>(off));
+    }
+
+    /** The fault of an access at addr, outside populated memory. */
+    [[noreturn]] void
+    fault(Word addr) const
+    {
+        throw MemFault(fmt("access at {} outside populated memory "
+                           "([{}, {}))", hexWord(addr),
+                           hexWord(shape_.mostNeg),
+                           hexWord(shape_.truncate(
+                               shape_.mostNeg + size()))));
     }
 
     const WordShape shape_;

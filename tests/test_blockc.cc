@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -962,6 +963,240 @@ TEST(BlockSnap, MidRunCaptureReplaysBitIdentical)
     EXPECT_EQ(cc.blockc.compiles, dc.blockc.compiles);
     EXPECT_EQ(cc.blockc.enters, dc.blockc.enters);
     EXPECT_EQ(cc.blockc.chains, dc.blockc.chains);
+}
+
+// ---------------------------------------------------------------------
+// every way out of a block: tier on and tier off capture the same
+// snapshot where a block has just ended, lastInstrStart included
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+using core::blockc::Deopt;
+
+/** ExitCase::why of a MemFault thrown out of a block. */
+constexpr Deopt kThrows = Deopt::kCount;
+
+/** By this limit every case has ended a block its way. */
+constexpr Tick kExitHorizon = 20'000'000;
+
+/**
+ * One way a compiled block ends, on a one-node network.  `boot` loads
+ * and boots the program; `why` is the exit's Deopt kind (or kThrows);
+ * `sweep` is how many limits past the first such exit, a cycle apart,
+ * the comparison covers.  A bound exit happens wherever the limit
+ * falls inside a block, so its sweep starts at the first entry.
+ */
+struct ExitCase
+{
+    const char *name;
+    core::Config cfg;
+    std::string src;
+    Deopt why;
+    std::function<void(net::Network &, const tasm::Image &)> boot;
+    int sweep = 2;
+};
+
+void
+bootAtImage(net::Network &n, const tasm::Image &img)
+{
+    n.bootImage(0, img);
+}
+
+std::unique_ptr<net::Network>
+exitNet(const ExitCase &c, bool block_compile)
+{
+    auto n = std::make_unique<net::Network>();
+    core::Config cfg = c.cfg;
+    cfg.blockCompile = block_compile;
+    n->addTransputer(cfg, "x");
+    core::Transputer &t = n->node(0);
+    c.boot(*n, tasm::assemble(c.src, t.memory().memStart(), t.shape()));
+    return n;
+}
+
+/** Run to `limit`: the text of the MemFault that ended the run, or
+ *  empty. */
+std::string
+runTo(net::Network &n, Tick limit)
+{
+    try {
+        n.run(limit);
+    } catch (const mem::MemFault &e) {
+        return e.what();
+    }
+    return {};
+}
+
+/** Whether a tier-on run to `limit` has ended a block c's way. */
+bool
+exited(const ExitCase &c, Tick limit)
+{
+    auto n = exitNet(c, true);
+    const bool threw = !runTo(*n, limit).empty();
+    const obs::BlockStats b = n->node(0).counters().blockc;
+    return c.why == kThrows       ? threw
+           : c.why == Deopt::Bound ? b.enters > 0
+                                   : b.deopts[static_cast<size_t>(c.why)] > 0;
+}
+
+/** The least limit, on the cycle grid, by which a tier-on run has
+ *  ended a block c's way: the run's last chain is that exit's. */
+Tick
+firstExit(const ExitCase &c)
+{
+    const Tick p = c.cfg.cyclePeriod;
+    Tick lo = 0, hi = kExitHorizon;
+    EXPECT_FALSE(exited(c, lo));
+    EXPECT_TRUE(exited(c, hi));
+    while (hi - lo > p) {
+        const Tick mid = lo + (hi - lo) / (2 * p) * p;
+        (exited(c, mid) ? hi : lo) = mid;
+    }
+    return hi;
+}
+
+/** Tier on and tier off, run to `limit`: the same fault, if any, and
+ *  the same snapshot but for the cache statistics. */
+void
+expectSameCapture(const ExitCase &c, Tick limit)
+{
+    SCOPED_TRACE(std::string(c.name) + " to " + std::to_string(limit));
+    auto on = exitNet(c, true), off = exitNet(c, false);
+    EXPECT_EQ(runTo(*on, limit), runTo(*off, limit));
+    snap::DiffOptions opts;
+    opts.ignoreCacheStats = true;
+    const auto d = snap::firstDivergence(snap::capture(*on),
+                                         snap::capture(*off), opts);
+    EXPECT_FALSE(d.has_value())
+        << d->where << ": " << d->a << " (tier on) vs " << d->b;
+}
+
+/** A straight-line body of fused stores: long fused runs, so the
+ *  promotion gate opens. */
+std::string
+storeBody(int groups)
+{
+    std::string body;
+    for (int i = 0; i < groups; ++i)
+        body += "  ldc 5\n  stl 2\n  ldl 2\n  adc 1\n  stl 3\n";
+    return body;
+}
+
+std::vector<ExitCase>
+exitCases()
+{
+    core::Config onchip;
+    onchip.externalWaits = 0; // worst case == exact but for cj
+    std::vector<ExitCase> cases;
+
+    // the bound, everywhere in a lap and so inside fused groups, with
+    // the workspace off-chip: every load and store charges waits
+    core::Config offchip_ws;
+    offchip_ws.externalBytes = 4096;
+    cases.push_back({"bound", offchip_ws, apps::e7LoopSource(200),
+                     Deopt::Bound,
+                     [](net::Network &n, const tasm::Image &img) {
+                         core::Transputer &t = n.node(0);
+                         const auto &s = t.shape();
+                         n.load(0, img);
+                         t.boot(img.symbol("start"),
+                                s.truncate(s.mostNeg +
+                                           t.config().onchipBytes +
+                                           1024));
+                     },
+                     400});
+
+    core::Config small_batch = onchip;
+    small_batch.maxBatch = 100;
+    cases.push_back({"budget", small_batch, apps::e7LoopSource(200),
+                     Deopt::Budget, bootAtImage});
+
+    // each lap writes the loop's first code word back unchanged: a
+    // store into the guards' window
+    cases.push_back({"guard", onchip,
+                     "start:\n  ldc 300\n  stl 1\n"
+                     "loop:\n" + storeBody(4) +
+                         "  ldc loop\n  ldnl 0\n  ldc loop\n  stnl 0\n"
+                         "  ldl 1\n  adc -1\n  stl 1\n"
+                         "  ldl 1\n  cj done\n  j loop\n"
+                         "done:\n  stopp\n",
+                     Deopt::GuardStale, bootAtImage});
+
+    // two processes in two loops: a rotation at one loop's back-edge
+    // resumes the other, away from the block
+    core::Config sliced = onchip;
+    sliced.timesliceCycles = 2000;
+    cases.push_back({"deschedule", sliced,
+                     "start:\n" + storeBody(4) + "  j start\n"
+                     "other:\n" + storeBody(4) + "  j other\n",
+                     Deopt::Deschedule,
+                     [](net::Network &n, const tasm::Image &img) {
+                         n.bootImage(0, img);
+                         core::Transputer &t = n.node(0);
+                         t.addProcess(img.symbol("other"),
+                                      t.shape().index(t.wptr(), 64));
+                     }});
+
+    // an adc overflow with HaltOnError set, inside ldl; adc; stl
+    cases.push_back({"halt", onchip,
+                     "start:\n  sethalterr\n  ldc #7FFFFF00\n  stl 1\n"
+                     "loop:\n" + storeBody(4) +
+                         "  ldl 1\n  adc 1\n  stl 1\n  j loop\n",
+                     Deopt::Halt, bootAtImage});
+
+    // the loop's exit: a taken cj leaves the block
+    cases.push_back({"branch out", onchip, apps::e7LoopSource(30),
+                     Deopt::BranchOut, bootAtImage});
+
+    // a lap longer than a block: the block runs off its tail
+    std::string long_body;
+    for (int i = 0; i < 12; ++i)
+        long_body += "  ldc 5\n  stl 1\n  ldc 6\n  stl 2\n"
+                     "  ldlp 3\n  stl 3\n";
+    cases.push_back({"end", onchip,
+                     "start:\n  ldc 100\n  stl 30\nloop:\n" + long_body +
+                         "  ldl 30\n  adc -1\n  stl 30\n"
+                         "  ldl 30\n  cj done\n  j loop\n"
+                         "done:\n  stopp\n",
+                     Deopt::End, bootAtImage});
+
+    // the workspace climbs a lap at a time until the lap's first
+    // store, the stl of an ldc; stl group, lands past populated
+    // memory (whose wait states it charges first)
+    std::string climb;
+    for (int x = 7; x >= 0; --x)
+        climb += "  ldc 5\n  stl " + std::to_string(x) + "\n";
+    cases.push_back({"fault", core::Config{},
+                     "start:\n" + climb + "  ajw 8\n  j start\n",
+                     kThrows, bootAtImage});
+
+    // the same climb under a call, whose stores go below the
+    // workspace: the fault lands mid-call, before it enters the
+    // routine, and iptr must stay at the return address
+    std::string work;
+    for (int i = 0; i < 8; ++i)
+        work += "  ldc 5\n  adc 1\n";
+    cases.push_back({"call fault", core::Config{},
+                     "start:\n" + work +
+                         "  call leaf\n  ajw 8\n  j start\n"
+                         "leaf:\n  ret\n",
+                     kThrows, bootAtImage});
+    return cases;
+}
+
+} // namespace
+
+TEST(BlockExits, EveryExitCapturesLikeTheTierOffRun)
+{
+    for (const ExitCase &c : exitCases()) {
+        SCOPED_TRACE(c.name);
+        const Tick p = c.cfg.cyclePeriod;
+        const Tick first = firstExit(c);
+        for (Tick l = first - p; l <= first + c.sweep * p; l += p)
+            expectSameCapture(c, l);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -105,6 +105,22 @@ interp_dir=build/interp-smoke
 mkdir -p "$interp_dir"
 (cd "$interp_dir" && ../bench/bench_interp)
 python3 -m json.tool "$interp_dir/BENCH_blockc.json" > /dev/null
+# the deterministic per-tier cost: host instructions per E7
+# instruction for every tier, or why the count was skipped
+python3 -c 'import json, sys
+v = json.load(open(sys.argv[1])).get("host_instr_per_instr")
+if not isinstance(v, dict):
+    sys.exit(sys.argv[1] + ": host_instr_per_instr missing")
+if "skipped" in v:
+    if not isinstance(v["skipped"], str) or not v["skipped"]:
+        sys.exit(sys.argv[1] + ": host_instr_per_instr.skipped empty")
+else:
+    for t in ("plain", "fused", "blockc"):
+        x = v.get(t)
+        if not isinstance(x, (int, float)) or x <= 0:
+            sys.exit(sys.argv[1] + ": host_instr_per_instr." + t +
+                     " missing or not positive")' \
+    "$interp_dir/BENCH_blockc.json"
 echo "BENCH_blockc.json validates"
 
 # observability overhead: the flight recorder, profiler and
