@@ -38,16 +38,10 @@
  * to stdout and BENCH_blockc.json.
  */
 
-#include <cerrno>
-#include <csignal>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <sys/ptrace.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "apps/dbsearch.hh"
 #include "apps/e7.hh"
@@ -149,58 +143,6 @@ finish(AsmRig &rig)
     rig.queue.runUntil(2'000'000'000);
 }
 
-/**
- * Host instructions a child process runs for `laps` E7 laps in
- * `tier`, counted by single-stepping it between its two SIGSTOP
- * markers.  @return the count, or -1 with `why` set.
- */
-long
-hostSteps(size_t tier, int laps, std::string &why)
-{
-    const pid_t pid = fork();
-    if (pid < 0) {
-        why = std::string("fork: ") + std::strerror(errno);
-        return -1;
-    }
-    if (pid == 0) {
-        if (ptrace(PTRACE_TRACEME, 0, nullptr, nullptr) != 0)
-            _exit(2);
-        const auto rig = e7Rig(tier, laps);
-        raise(SIGSTOP);
-        finish(*rig);
-        raise(SIGSTOP);
-        _exit(rig->local(30) == 0 ? 0 : 3);
-    }
-    int status = 0;
-    long steps = 0;
-    bool marked = false;
-    while (waitpid(pid, &status, 0) == pid && WIFSTOPPED(status)) {
-        if (WSTOPSIG(status) == SIGSTOP) {
-            if (marked) { // the second marker: let the child exit
-                ptrace(PTRACE_CONT, pid, nullptr, nullptr);
-                continue;
-            }
-            marked = true;
-        } else {
-            ++steps;
-        }
-        if (ptrace(PTRACE_SINGLESTEP, pid, nullptr, nullptr) != 0) {
-            why = std::string("PTRACE_SINGLESTEP: ") +
-                  std::strerror(errno);
-            kill(pid, SIGKILL);
-            waitpid(pid, &status, 0);
-            return -1;
-        }
-    }
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        why = WIFEXITED(status) && WEXITSTATUS(status) == 2
-                  ? "PTRACE_TRACEME refused"
-                  : "the traced child did not finish its loop";
-        return -1;
-    }
-    return steps;
-}
-
 /** Host instructions per guest instruction of each tier on the E7
  *  loop, or the reason the count was skipped. */
 Row
@@ -210,17 +152,23 @@ hostInstrPerInstr()
     for (size_t t = 0; t < kTiers; ++t) {
         long steps[2];
         uint64_t instr[2];
-        std::string why;
         for (int k = 0; k < 2; ++k) {
-            steps[k] = hostSteps(t, kStepLaps[k], why);
-            if (steps[k] < 0) {
+            const HostSteps h = countHostSteps([t, k] {
+                std::shared_ptr<AsmRig> rig = e7Rig(t, kStepLaps[k]);
+                return [rig]() -> std::optional<uint64_t> {
+                    finish(*rig);
+                    if (rig->local(30) != 0)
+                        return std::nullopt;
+                    return rig->cpu.instructions();
+                };
+            });
+            if (h.steps < 0) {
                 std::cout << "host instructions per instruction: "
-                          << "skipped (" << why << ")\n";
-                return Row().add("skipped", why);
+                          << "skipped (" << h.why << ")\n";
+                return Row().add("skipped", h.why);
             }
-            const auto rig = e7Rig(t, kStepLaps[k]);
-            finish(*rig);
-            instr[k] = rig->cpu.instructions();
+            steps[k] = h.steps;
+            instr[k] = h.result;
         }
         const double per = static_cast<double>(steps[1] - steps[0]) /
                            static_cast<double>(instr[1] - instr[0]);

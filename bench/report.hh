@@ -16,15 +16,17 @@
  * `table` prints the fields that name a column through Table and
  * keeps every field for the artifact; `write` saves the artifact,
  * one table row a line, with one `env` object (host cores, compiler,
- * build type) in front.
+ * build type, git commit) in front.
  */
 
 #ifndef TRANSPUTER_BENCH_REPORT_HH
 #define TRANSPUTER_BENCH_REPORT_HH
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <ctime>
 #include <fstream>
 #include <iostream>
@@ -275,6 +277,26 @@ struct Report : Row
         fields.push_back({"", key, list(rows, true), ""});
     }
 
+    /** The checkout's commit ("-dirty" with uncommitted changes), or
+     *  "unknown" outside a git checkout. */
+    static std::string
+    gitRev()
+    {
+        std::string rev;
+        if (FILE *p = popen("git describe --always --dirty --abbrev=40 "
+                            "--exclude='*' 2>/dev/null",
+                            "r")) {
+            char buf[64];
+            while (fgets(buf, sizeof buf, p))
+                rev += buf;
+            pclose(p);
+        }
+        while (!rev.empty() && std::isspace(
+                                   static_cast<unsigned char>(rev.back())))
+            rev.pop_back();
+        return rev.empty() ? "unknown" : rev;
+    }
+
     /** Write the artifact to `path`, `env` first. */
     void
     write(const std::string &path) const
@@ -283,7 +305,8 @@ struct Report : Row
         env.add("hardware_concurrency",
                 std::thread::hardware_concurrency())
             .add("compiler", TRANSPUTER_BENCH_COMPILER)
-            .add("build_type", TRANSPUTER_BENCH_BUILD_TYPE);
+            .add("build_type", TRANSPUTER_BENCH_BUILD_TYPE)
+            .add("git_rev", gitRev());
         std::ofstream os(path);
         os << "{\n  \"env\": " << env.json();
         for (const Field &f : fields)

@@ -9,11 +9,20 @@
 #ifndef TRANSPUTER_BENCH_UTIL_HH
 #define TRANSPUTER_BENCH_UTIL_HH
 
+#include <cerrno>
+#include <csignal>
+#include <cstdint>
+#include <cstring>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/ptrace.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "core/transputer.hh"
 #include "net/network.hh"
@@ -121,6 +130,91 @@ inline void
 heading(const std::string &title)
 {
     std::cout << "\n=== " << title << " ===\n";
+}
+
+/** What countHostSteps measured: the host instructions of the window
+ *  and the result it reported (steps < 0: skipped, see why). */
+struct HostSteps
+{
+    long steps = -1;
+    uint64_t result = 0;
+    std::string why;
+};
+
+/**
+ * Count the host instructions of one window of work, deterministically:
+ * a forked child calls prepare() (untraced), which returns the window,
+ * a callable returning std::optional<uint64_t>; the child runs it
+ * between two raise(SIGSTOP) markers while the parent single-steps it
+ * with ptrace, and then hands the window's result back through a pipe
+ * (nullopt: the window's own check failed).  Where ptrace is refused,
+ * `why` says so.
+ */
+template <typename Prepare>
+HostSteps
+countHostSteps(Prepare prepare)
+{
+    HostSteps out;
+    int fds[2];
+    if (pipe(fds) != 0) {
+        out.why = std::string("pipe: ") + std::strerror(errno);
+        return out;
+    }
+    const pid_t pid = fork();
+    if (pid < 0) {
+        out.why = std::string("fork: ") + std::strerror(errno);
+        close(fds[0]);
+        close(fds[1]);
+        return out;
+    }
+    if (pid == 0) {
+        close(fds[0]);
+        if (ptrace(PTRACE_TRACEME, 0, nullptr, nullptr) != 0)
+            _exit(2);
+        auto window = prepare();
+        raise(SIGSTOP);
+        const std::optional<uint64_t> r = window();
+        raise(SIGSTOP);
+        if (!r)
+            _exit(3);
+        const uint64_t v = *r;
+        _exit(write(fds[1], &v, sizeof v) == sizeof v ? 0 : 4);
+    }
+    close(fds[1]);
+    int status = 0;
+    long steps = 0;
+    bool marked = false;
+    while (waitpid(pid, &status, 0) == pid && WIFSTOPPED(status)) {
+        if (WSTOPSIG(status) == SIGSTOP) {
+            if (marked) { // the second marker: let the child finish
+                ptrace(PTRACE_CONT, pid, nullptr, nullptr);
+                continue;
+            }
+            marked = true;
+        } else {
+            ++steps;
+        }
+        if (ptrace(PTRACE_SINGLESTEP, pid, nullptr, nullptr) != 0) {
+            out.why = std::string("PTRACE_SINGLESTEP: ") +
+                      std::strerror(errno);
+            kill(pid, SIGKILL);
+            waitpid(pid, &status, 0);
+            close(fds[0]);
+            return out;
+        }
+    }
+    uint64_t v = 0;
+    const bool got = read(fds[0], &v, sizeof v) == sizeof v;
+    close(fds[0]);
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 || !got) {
+        out.why = WIFEXITED(status) && WEXITSTATUS(status) == 2
+                      ? "PTRACE_TRACEME refused"
+                      : "the traced child failed its window";
+        return out;
+    }
+    out.steps = steps;
+    out.result = v;
+    return out;
 }
 
 } // namespace transputer::bench

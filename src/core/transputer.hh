@@ -557,9 +557,14 @@ class Transputer
      * guards wherever the code bytes may have moved.  Returns the
      * chains retired, with `why` set to the exit reason; on return all
      * CPU state is spilled and consistent at a chain boundary.
+     * Cache-line aligned: the threaded loop's speed follows where its
+     * labels fall, so a size change elsewhere in src/core must not
+     * move them (e7 host time moved by 5-8% with the function 16 bytes
+     * off a 32-byte boundary).
      */
-    int execBlock(blockc::Superblock &sb, Tick bound, int budget,
-                  blockc::Deopt &why);
+    [[gnu::aligned(64)]] int execBlock(blockc::Superblock &sb,
+                                       Tick bound, int budget,
+                                       blockc::Deopt &why);
     /** Promotion gate: compile only where the fused tier's observed
      *  mean run length says a superblock can win (blockc.cc). */
     bool blockPromotionAllowed() const;

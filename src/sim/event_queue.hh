@@ -24,7 +24,7 @@
  * one of three payloads; the kind never affects the dispatch order.
  *  - static: a StaticEvent living inside its owner (CPU step and
  *    timer, link and switch-port watchdogs, hop timers), re-armed in
- *    place and cancelled lazily;
+ *    place;
  *  - typed: a fire-and-forget TypedEvent record (function pointer,
  *    context, 64-bit argument) -- the per-packet line deliveries;
  *  - closure: a std::function kept in a live-set map, the only kind
@@ -34,11 +34,12 @@
  *
  * Lanes.  Pending events are kept apart per node: each group of
  * actors (a node, see Topology) has one lane for its CPU steps and
- * one for everything else, and two small top-level heaps order the
- * lanes by their earliest entry.  The dispatch order is the same as
- * one flat heap's; what the split buys is that every node's earliest
- * event is at hand, so nextTimeFor costs the links of one node rather
- * than a scan of the pending set.
+ * one for everything else.  Every lane's root is a live event.  Two
+ * winner trees over the non-empty lanes (steps apart) keep the lanes
+ * in the dispatch order and cover only the lanes that hold events;
+ * their leaves are the lanes' ticks, so nextTimeFor reads two ticks
+ * per in-line of one node rather than scanning the pending set.  The
+ * dispatch order is the same as one flat heap's.
  */
 
 #ifndef TRANSPUTER_SIM_EVENT_QUEUE_HH
@@ -46,6 +47,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -244,16 +246,17 @@ class EventQueue;
  *
  * The object lives inside its owner, carries a plain function pointer
  * + context instead of a std::function, and is re-armed in place
- * (EventQueue::scheduleStatic).  Cancelling (EventQueue::cancelStatic)
- * only clears the armed flag: the entry left behind is dead because
- * its id no longer matches the current arming.  A re-arming on the
- * same actor and channel, strictly later than the event's newest
- * entry still queued, pushes nothing -- that entry stands in for it
- * and, on reaching the head of its lane, re-queues the arming under
- * its exact (tick, key, id) -- so a watchdog pushed back on every byte
- * costs no queue traffic.  Dispatch order is unchanged: the stand-in
- * sorts before the arming it carries, so the arming is back in the
- * queue before anything after it can run.
+ * (EventQueue::scheduleStatic).  It remembers its newest queue entry,
+ * so cancelling (EventQueue::cancelStatic) marks that entry dead where
+ * it sits, and drops it at once if it leads its lane.  A re-arming on
+ * the same actor and channel, strictly later than that entry, pushes
+ * nothing -- the entry stands in for it and, on surfacing at the head
+ * of its lane, re-queues the arming under its exact (tick, key, id) --
+ * so a watchdog pushed back on every byte costs no queue traffic.
+ * Dispatch order is unchanged: the stand-in sorts before the arming it
+ * carries, so the arming is back in the queue before anything after it
+ * can run.  A CPU step alone in its lane (the usual case) needs no
+ * queue node at all: the lane holds the object itself.
  *
  * At most one arming may be outstanding; the owner re-arms it from
  * inside the fire callback (or later).  Migration between queues
@@ -295,19 +298,23 @@ class StaticEvent
     EventKey key_{};
     EventId id_ = invalidEventId;
     EventQueue *home_ = nullptr; ///< queue whose entries name this event
-    Tick headWhen_ = 0;          ///< tick of the newest entry pushed
-    uint32_t entries_ = 0;       ///< entries (live or dead) there
+    /** The newest entry still queued there (live, standing in, or
+     *  cancelled): a queue node, or the step lane holding the object
+     *  (EventQueue::kInline); UINT32_MAX: none. */
+    uint32_t node_ = UINT32_MAX;
+    uint32_t entries_ = 0;  ///< entries (live or dead) there
     bool armed_ = false;
-    bool headValid_ = false; ///< that entry is still queued
-    bool deferred_ = false;  ///< armed, carried by an earlier entry
+    bool deferred_ = false; ///< armed, carried by that entry
 };
 
 /**
  * A time-ordered queue of events.
  *
- * Cancellation is lazy: cancelled entries stay queued and are skipped
- * when they reach the head of their lane, which keeps schedule/cancel
- * O(log n) without a decrease-key structure.
+ * Every lane's root is live.  A cancelled or superseded entry is
+ * marked dead where it sits (its owner knows its node) and leaves the
+ * queue at once if it leads its lane, or when it surfaces there after
+ * a pop; so schedule and cancel stay O(log n) without a decrease-key
+ * structure, and no reader of a lane head ever skips a dead one.
  *
  * Event ids are unique across every EventQueue instance in the
  * process, so an event migrated between queues (src/par shard
@@ -377,9 +384,7 @@ class EventQueue
     void
     setTopology(std::shared_ptr<const Topology> topo)
     {
-        std::vector<HeapEntry> all;
-        forEachEntry([&all](const HeapEntry &e) { all.push_back(e); });
-        resetLanes();
+        const std::vector<HeapEntry> live = takeLive();
         topo_ = std::move(topo);
         groupOf_ = topo_ ? topo_->groupOf.data() : nullptr;
         nactors_ = topo_ ? static_cast<uint32_t>(topo_->groupOf.size())
@@ -388,8 +393,18 @@ class EventQueue
         lanes_.assign(2 * (static_cast<size_t>(globalGroup_) + 1),
                       Lane{});
         watch_.assign(static_cast<size_t>(globalGroup_) + 1, 0);
-        for (const HeapEntry &e : all)
-            pushEntry(e);
+        // size each tree once for the lanes the entries can fill
+        size_t steps = 0;
+        for (const HeapEntry &e : live)
+            steps += e.key.channel == chanStep;
+        const size_t lanes = static_cast<size_t>(globalGroup_) + 1;
+        for (const auto &[k, n] : {std::pair{0, live.size() - steps},
+                                  std::pair{1, steps}})
+            if (std::min(n, lanes) > order_[k].cap)
+                resize(k, static_cast<uint32_t>(
+                              std::bit_ceil(std::min(n, lanes))));
+        for (const HeapEntry &e : live)
+            requeue(e);
         liveSetChanged();
     }
 
@@ -417,20 +432,21 @@ class EventQueue
      * exact bound when the event that sets it is two or more lines
      * away along a path longer than two least leads; a CPU batch then
      * ends sooner, which the guest cannot see, but the clock at which
-     * a run to quiescence stops follows the last batch.  Cancelled
-     * entries are ignored: the bound must be a function of the live
+     * a run to quiescence stops follows the last batch.  Dead
+     * entries never count: the bound must be a function of the live
      * event set alone, which a restored snapshot reproduces exactly --
-     * counting dead entries would make batch boundaries (and the
-     * step-event seq counters) depend on lazily cancelled garbage a
-     * restored run does not have.
+     * counting them would make batch boundaries (and the step-event
+     * seq counters) depend on cancelled garbage a restored run does
+     * not have.  Since every lane root is live, each term is one read
+     * of a lane's tick, its tree leaf.
      *
      * Being a function of the live set and the topology, the answer is
      * kept for the last actor asked and served again until one of the
      * two changes: every operation that adds or removes a live event
      * (schedule, arm, cancel, dispatch, migration, clear) and
-     * setTopology drop it; dropping dead heads does not.  A CPU
-     * re-reads its bound after every non-fast instruction, and most of
-     * those leave the queue untouched.
+     * setTopology drop it.  A CPU re-reads its bound after every
+     * non-fast instruction, and most of those leave the queue
+     * untouched.
      */
     Tick
     nextTimeFor(uint32_t actor)
@@ -454,11 +470,11 @@ class EventQueue
      * count at face value.  Each shard publishes it (src/par).
      */
     Tick
-    nextReach()
+    nextReach() const
     {
-        return std::min({rootWhen(0),
-                         satAdd(rootWhen(1), topo_ ? topo_->stepExtra : 0),
-                         liveWhen(2 * globalGroup_ + 1)});
+        return std::min({orderWhen(0),
+                         satAdd(orderWhen(1), topo_ ? topo_->stepExtra : 0),
+                         laneWhen(2 * globalGroup_ + 1)});
     }
     ///@}
 
@@ -624,7 +640,7 @@ class EventQueue
     }
 
     /**
-     * Disarm a pending StaticEvent (lazy, like cancel()).
+     * Disarm a pending StaticEvent: its entry is dead (see kill).
      * @return true if it was pending.
      */
     bool
@@ -637,6 +653,7 @@ class EventQueue
         ev.armed_ = false;
         ev.deferred_ = false;
         --staticLive_;
+        kill(ev.node_, laneOf(ev.key_));
         liveSetChanged();
         return true;
     }
@@ -666,8 +683,8 @@ class EventQueue
         TRANSPUTER_ASSERT(when >= now_,
                           "event scheduled in the past");
         const EventId id = ++nextId_;
-        live_.emplace(id, Live{std::move(fn), when, key});
-        pushEntry(HeapEntry{when, key, id, {}});
+        const uint32_t node = pushEntry(HeapEntry{when, key, id, {}});
+        live_.emplace(id, Live{std::move(fn), when, key, node});
         noteHighWater();
         liveSetChanged();
         return id;
@@ -698,8 +715,13 @@ class EventQueue
     bool
     cancel(EventId id)
     {
-        if (live_.erase(id) == 0)
+        const auto it = live_.find(id);
+        if (it == live_.end())
             return false;
+        const uint32_t node = it->second.node;
+        const uint32_t lane = laneOf(it->second.key);
+        live_.erase(it);
+        kill(node, lane);
         liveSetChanged();
         return true;
     }
@@ -739,8 +761,7 @@ class EventQueue
         forEachEntry([](const HeapEntry &e) {
             if (StaticEvent *s = staticOf(e)) {
                 s->armed_ = false;
-                s->deferred_ = false;
-                release(*s);
+                detach(*s);
             }
         });
         resetLanes();
@@ -751,15 +772,10 @@ class EventQueue
     }
 
     /** Time of the earliest pending event, or maxTick if none. */
-    Tick
-    nextTime()
-    {
-        const uint32_t lane = frontLane();
-        return lane == kNil ? maxTick : head(lane).when;
-    }
+    Tick nextTime() const { return std::min(orderWhen(0), orderWhen(1)); }
 
     /** True if no live events remain. */
-    bool empty() { return frontLane() == kNil; }
+    bool empty() const { return frontLane() == kNil; }
 
     /**
      * Dispatch the earliest pending event.
@@ -784,7 +800,7 @@ class EventQueue
     {
         uint64_t n = 0;
         for (uint32_t lane; (lane = frontLane()) != kNil &&
-                            head(lane).when <= limit;
+                            laneWhen(lane) <= limit;
              ++n)
             dispatch(lane);
         if (now_ < limit)
@@ -826,15 +842,15 @@ class EventQueue
     {
         std::vector<Pending> out;
         out.reserve(pending());
-        forEachEntry([this, &out](const HeapEntry &e) {
+        forEachEntry([&out](const HeapEntry &e) {
             if (e.ev.fn) {
                 out.push_back(Pending{e.when, e.key, e.id, nullptr, e.ev,
                                       {}});
-            } else if (StaticEvent *s = staticOf(e); s && alive(e)) {
+            } else if (StaticEvent *s = staticOf(e);
+                       s && e.ev.arg != kDead) {
                 // the arming itself, which a stand-in may carry
                 out.push_back(
                     Pending{s->when_, s->key_, s->id_, s, {}, {}});
-                s->armed_ = false; // listed once; clear() releases it
             }
         });
         for (auto &[id, ev] : live_)
@@ -864,8 +880,10 @@ class EventQueue
             pushEntry(HeapEntry{p.when, p.key, p.id, p.typed});
             ++typedLive_;
         } else {
-            pushEntry(HeapEntry{p.when, p.key, p.id, {}});
-            live_.emplace(p.id, Live{std::move(p.fn), p.when, p.key});
+            const uint32_t node =
+                pushEntry(HeapEntry{p.when, p.key, p.id, {}});
+            live_.emplace(p.id,
+                          Live{std::move(p.fn), p.when, p.key, node});
         }
         noteHighWater();
         liveSetChanged();
@@ -879,13 +897,15 @@ class EventQueue
         std::function<void()> fn;
         Tick when;
         EventKey key;
+        uint32_t node; ///< its queue node
     };
 
     /**
-     * One pending (or lazily cancelled) event.  The payload kind is
-     * implicit in ev: a handler makes it typed; no handler but a
-     * context makes the context the StaticEvent; neither makes it a
-     * closure held in live_ under id.
+     * One pending (or dead) event.  The payload kind is implicit in
+     * ev: a handler makes it typed; no handler but a context makes the
+     * context the StaticEvent; neither makes it a closure held in live_
+     * under id.  Only typed events use ev.arg, so a static or closure
+     * entry keeps its state there (kLive, kDead, kStandIn).
      */
     struct HeapEntry
     {
@@ -910,22 +930,30 @@ class EventQueue
         }
     };
 
+    /** @name Entry states (HeapEntry::ev.arg of a static or closure) */
+    ///@{
+    static constexpr uint64_t kLive = 0;
+    static constexpr uint64_t kDead = 1;    ///< cancelled or superseded
+    static constexpr uint64_t kStandIn = 2; ///< carries a later arming
+    ///@}
+
     static StaticEvent *
     staticOf(const HeapEntry &e)
     {
         return e.ev.fn ? nullptr : static_cast<StaticEvent *>(e.ev.ctx);
     }
 
-    /** False for a cancelled closure or a superseded static arming;
-     *  true for the stand-in of a deferred one (see StaticEvent). */
-    bool
-    alive(const HeapEntry &e) const
+    static bool isLive(const HeapEntry &e)
     {
-        if (e.ev.fn)
-            return true; // typed events cannot be cancelled
-        if (const StaticEvent *s = staticOf(e))
-            return s->armed_ && (s->id_ == e.id || s->deferred_);
-        return live_.count(e.id) != 0;
+        return e.ev.fn || e.ev.arg == kLive;
+    }
+
+    /** The entry of a static event's current arming. */
+    static HeapEntry
+    armingOf(StaticEvent &ev)
+    {
+        return HeapEntry{ev.when_, ev.key_, ev.id_,
+                         TypedEvent{nullptr, &ev, kLive}};
     }
 
     /** The live event set (or the topology) changed: the next
@@ -947,16 +975,30 @@ class EventQueue
      * A lane is a pairing heap of pool nodes: an insert is one
      * comparison with the root, a node's handful of pending events
      * keeps the pairing passes short, and a 100k-node network pays for
-     * its pending events rather than for a container per node.  Each
-     * non-empty lane sits in one of two 4-ary top-level heaps (step
-     * lanes apart, so the earliest step and the earliest other event
-     * are both at hand), keyed by its root's (tick, actor): two lanes
-     * in one top-level heap never share an actor, so that order is
-     * exact.
+     * its pending events rather than for a container per node.  A
+     * static event alone in a step lane -- a CPU's one step -- takes no
+     * node: the lane holds it (kInline) until a second entry arrives.
+     *
+     * Every root is live.  Each non-empty lane holds a leaf of one of
+     * two winner trees (step lanes apart, so the earliest step and the
+     * earliest other event are both at hand) ranked by its root's
+     * (tick, actor, lane): two lanes in one tree never share an actor,
+     * so that order is exact.  The leaves are the dense ticks
+     * nextTimeFor reads: an empty lane's leaf is 0, the entry t[0]
+     * that no tree uses and that always reads empty (maxTick), so a
+     * read is two loads and no test.  A root change replays one leaf up to where its
+     * subtree's winner is unchanged: one comparison per level, no
+     * sift-down.  Free leaves are reused last-out first, so a step
+     * re-armed by its own handler takes back the leaf it left; a tree
+     * doubles when full and halves, packing its leaves, when a quarter
+     * full, so it covers only the lanes that hold events.  A lane
+     * itself is 8 bytes, like the lanes of a shard queue that never
+     * hold anything.
      */
     ///@{
     static constexpr uint32_t kNil = UINT32_MAX;
-    static constexpr size_t kArity = 4;
+    static constexpr uint32_t kInline = UINT32_MAX - 1;
+    static constexpr uint32_t kMinLeaves = 16;
 
     /** A lane member; id == invalidEventId marks a free node. */
     struct alignas(64) Node
@@ -969,33 +1011,55 @@ class EventQueue
 
     struct Lane
     {
-        uint32_t root = kNil;
-        uint32_t pos = kNil; ///< index in its top-level heap
+        uint32_t root = kNil; ///< a pool node, kInline, or kNil
+        uint32_t leaf = 0;    ///< its leaf in order_[lane & 1] (0: none)
     };
 
-    struct TopEntry
+    /** (tick, actor, lane ^ 1) as one unsigned number (ticks are never
+     *  negative), so a comparison has no data-dependent branch; the
+     *  flipped lane bit puts a step lane before its group's other lane,
+     *  so the lesser of the two trees' winners is the next event. */
+    using Rank = unsigned __int128;
+    static constexpr Rank kEmpty =
+        static_cast<Rank>(static_cast<uint64_t>(maxTick)) << 64 |
+        (UINT64_MAX - 1); ///< a free leaf: after every lane; lane kNil
+
+    static Rank
+    rank(Tick when, uint32_t actor, uint32_t lane)
     {
-        Tick when;
-        uint32_t actor;
-        uint32_t lane;
+        return static_cast<Rank>(static_cast<uint64_t>(when)) << 64 |
+               (static_cast<uint64_t>(actor) << 32 | (lane ^ 1));
+    }
 
-        /** (when, actor, lane) as one unsigned number (ticks are never
-         *  negative), so a comparison has no data-dependent branch. */
-        unsigned __int128
-        rank() const
-        {
-            return static_cast<unsigned __int128>(
-                       static_cast<uint64_t>(when))
-                       << 64 |
-                   (static_cast<uint64_t>(actor) << 32 | lane);
-        }
+    static uint32_t rankLane(Rank r) { return static_cast<uint32_t>(r) ^ 1; }
+    static Tick whenOf(Rank r) { return static_cast<Tick>(r >> 64); }
 
-        bool before(const TopEntry &o) const { return rank() < o.rank(); }
+    /** A winner tree: t[1] is the least leaf, the leaves are
+     *  t[cap, 2 cap), and t[0] is the empty lanes' leaf. */
+    struct Order
+    {
+        std::vector<Rank> t = std::vector<Rank>(2, kEmpty);
+        /** free[0, nfree): the free leaves, lowest last */
+        std::vector<uint32_t> free = {1};
+        uint32_t nfree = 1;
+        uint32_t cap = 1;
     };
 
-    const HeapEntry &head(uint32_t lane) const
+    /** Tick of a tree's earliest lane (maxTick: none). */
+    Tick orderWhen(int k) const { return whenOf(order_[k].t[1]); }
+
+    /** Tick of a lane's root (maxTick: empty). */
+    Tick
+    laneWhen(uint32_t lane) const
     {
-        return pool_[lanes_[lane].root].e;
+        return whenOf(order_[lane & 1].t[lanes_[lane].leaf]);
+    }
+
+    /** The static event a step lane holds (kInline), by its leaf. */
+    StaticEvent *&
+    held(uint32_t leaf)
+    {
+        return inline_[leaf - order_[1].cap];
     }
 
     uint32_t
@@ -1012,12 +1076,14 @@ class EventQueue
         for (const Node &n : pool_)
             if (n.e.id != invalidEventId)
                 fn(n.e);
+        for (StaticEvent *s : inline_)
+            if (s)
+                fn(armingOf(*s));
     }
 
-    void
-    pushEntry(const HeapEntry &e)
+    [[gnu::always_inline]] uint32_t
+    newNode(const HeapEntry &e)
     {
-        const uint32_t lane = laneOf(e.key);
         uint32_t n;
         if (free_ != kNil) {
             n = free_;
@@ -1027,42 +1093,70 @@ class EventQueue
             n = static_cast<uint32_t>(pool_.size());
             pool_.push_back(Node{e, kNil, kNil});
         }
-        Lane &l = lanes_[lane];
-        if (l.root == kNil) {
-            l.root = n;
-            auto &top = top_[lane & 1];
-            top.emplace_back();
-            topSiftUp(lane & 1, top.size() - 1,
-                      TopEntry{e.when, e.key.actor, lane});
-        } else if (e.before(pool_[l.root].e)) {
-            pool_[n].child = l.root;
-            l.root = n;
-            topSiftUp(lane & 1, l.pos,
-                      TopEntry{e.when, e.key.actor, lane});
-        } else {
-            pool_[n].next = pool_[l.root].child;
-            pool_[l.root].child = n;
-        }
+        return n;
     }
 
-    /** Remove a lane's root (the caller has copied it). */
     void
-    popLane(uint32_t lane)
+    freeNode(uint32_t n)
+    {
+        pool_[n].e.id = invalidEventId;
+        pool_[n].next = free_;
+        free_ = n;
+    }
+
+    /**
+     * Put a live entry into its lane, leaving the lane's leaf to
+     * sync().  @return its node (kInline: a static event alone in a
+     * step lane); root is set when it became the lane's root.
+     */
+    [[gnu::always_inline]] uint32_t
+    insert(uint32_t lane, const HeapEntry &e, bool &root)
     {
         Lane &l = lanes_[lane];
-        const uint32_t r = l.root;
-        l.root = mergePairs(pool_[r].child);
-        pool_[r].e.id = invalidEventId;
-        pool_[r].next = free_;
-        free_ = r;
-        const int k = static_cast<int>(lane & 1);
+        root = true;
         if (l.root == kNil) {
-            topRemove(k, l.pos);
-            l.pos = kNil;
-        } else {
-            const HeapEntry &e = pool_[l.root].e;
-            topSiftDown(k, l.pos, TopEntry{e.when, e.key.actor, lane});
+            if (StaticEvent *s = staticOf(e); s && (lane & 1))
+                return hold(l, *s);
+            return l.root = newNode(e);
         }
+        if (l.root == kInline) { // a second entry: the step takes a node
+            StaticEvent *&s = held(l.leaf);
+            l.root = s->node_ = newNode(armingOf(*s));
+            s = nullptr;
+        }
+        const uint32_t n = newNode(e);
+        Node &r = pool_[l.root];
+        if (e.before(r.e)) {
+            pool_[n].child = l.root;
+            l.root = n;
+        } else {
+            pool_[n].next = r.child;
+            r.child = n;
+            root = false;
+        }
+        return n;
+    }
+
+    /** Make an empty step lane hold ev itself (kInline). */
+    uint32_t
+    hold(Lane &l, StaticEvent &ev)
+    {
+        if (l.leaf == 0)
+            l.leaf = takeLeaf(1);
+        held(l.leaf) = &ev;
+        return l.root = kInline;
+    }
+
+    /** insert() and, for a new root, sync(). */
+    uint32_t
+    pushEntry(const HeapEntry &e)
+    {
+        const uint32_t lane = laneOf(e.key);
+        bool root;
+        const uint32_t n = insert(lane, e, root);
+        if (root)
+            sync(lane);
+        return n;
     }
 
     /** Link two roots: the later becomes the earlier's first child. */
@@ -1082,6 +1176,12 @@ class EventQueue
     {
         if (first == kNil || pool_[first].next == kNil)
             return first;
+        return pairUp(first);
+    }
+
+    [[gnu::noinline]] uint32_t
+    pairUp(uint32_t first)
+    {
         uint32_t stack = kNil; // melded pairs, threaded through next
         while (first != kNil) {
             const uint32_t a = first, b = pool_[a].next;
@@ -1108,199 +1208,293 @@ class EventQueue
         return root;
     }
 
+    /** Pop a lane's dead roots until a live one (or none) leads it.  A
+     *  stand-in re-queues the arming it carries, in the same lane. */
     void
-    topPlace(int k, size_t i, const TopEntry &t)
+    dropDead(uint32_t lane)
     {
-        top_[k][i] = t;
-        lanes_[t.lane].pos = static_cast<uint32_t>(i);
+        const Lane &l = lanes_[lane];
+        if (l.root < kInline && !isLive(pool_[l.root].e)) [[unlikely]]
+            dropDeadRoots(lane);
     }
 
-    void
-    topSiftUp(int k, size_t i, const TopEntry &t)
+    [[gnu::noinline]] void
+    dropDeadRoots(uint32_t lane)
     {
-        auto &h = top_[k];
-        while (i > 0) {
-            const size_t parent = (i - 1) / kArity;
-            if (!t.before(h[parent]))
-                break;
-            topPlace(k, i, h[parent]);
-            i = parent;
-        }
-        topPlace(k, i, t);
-    }
-
-    void
-    topSiftDown(int k, size_t i, const TopEntry &t)
-    {
-        auto &h = top_[k];
-        const size_t n = h.size();
-        while (true) {
-            const size_t first = i * kArity + 1;
-            if (first >= n)
-                break;
-            // the least child, picked by selects rather than branches:
-            // which child wins is a coin toss the predictor would lose
-            size_t best = first;
-            unsigned __int128 least = h[first].rank();
-            const size_t end = std::min(first + kArity, n);
-            for (size_t c = first + 1; c < end; ++c) {
-                const unsigned __int128 r = h[c].rank();
-                const bool less = r < least;
-                best = less ? c : best;
-                least = less ? r : least;
+        Lane &l = lanes_[lane];
+        while (l.root < kInline && !isLive(pool_[l.root].e)) {
+            const uint32_t r = l.root;
+            StaticEvent *s = staticOf(pool_[r].e);
+            const bool stand_in = pool_[r].e.ev.arg == kStandIn;
+            l.root = mergePairs(pool_[r].child);
+            freeNode(r);
+            if (!s)
+                continue;
+            release(*s, r);
+            if (stand_in) {
+                s->deferred_ = false;
+                bool root;
+                queueArming(*s, lane, root);
             }
-            if (least >= t.rank())
-                break;
-            topPlace(k, i, h[best]);
-            i = best;
         }
-        topPlace(k, i, t);
+    }
+
+    /**
+     * An entry stopped being live (a cancelled closure, a disarmed
+     * static event): mark it dead where it sits.  A root leaves at
+     * once, with the dead entries behind it, so every root stays live;
+     * any other leaves when it surfaces.
+     */
+    void
+    kill(uint32_t node, uint32_t lane)
+    {
+        Lane &l = lanes_[lane];
+        if (node == kInline) {
+            StaticEvent *&s = held(l.leaf);
+            release(*s, kInline);
+            s = nullptr;
+            l.root = kNil;
+            sync(lane);
+            return;
+        }
+        pool_[node].e.ev.arg = kDead;
+        if (l.root == node) {
+            dropDead(lane);
+            sync(lane);
+        }
+    }
+
+    /** Bring a lane's leaf up to date with its root.  Winner: the lane
+     *  was its tree's winner, whose whole path changes. */
+    template <bool Winner = false>
+    [[gnu::always_inline]] void
+    sync(uint32_t lane)
+    {
+        Lane &l = lanes_[lane];
+        const int k = static_cast<int>(lane & 1);
+        if (l.root == kNil) {
+            if (l.leaf != 0) {
+                const uint32_t leaf = l.leaf;
+                l.leaf = 0;
+                replay<Winner>(k, leaf, kEmpty);
+                putLeaf(k, leaf);
+            }
+            return;
+        }
+        Tick when;
+        uint32_t actor;
+        if (l.root == kInline) {
+            const StaticEvent &s = *held(l.leaf);
+            when = s.when_;
+            actor = s.key_.actor;
+        } else {
+            const HeapEntry &e = pool_[l.root].e;
+            when = e.when;
+            actor = e.key.actor;
+        }
+        if (l.leaf == 0)
+            l.leaf = takeLeaf(k);
+        replay<Winner>(k, l.leaf, rank(when, actor, lane));
+    }
+
+    /** Set a leaf and replay it toward the root, stopping where a
+     *  subtree's winner is unchanged (its ancestors are too); the
+     *  winner's path changes all the way up. */
+    template <bool Winner = false>
+    void
+    replay(int k, uint32_t leaf, Rank r)
+    {
+        // walked by byte offset: a sibling is one bit away, a parent
+        // one shift, with no index scaling at each level
+        constexpr size_t kSize = sizeof(Rank);
+        char *t = reinterpret_cast<char *>(order_[k].t.data());
+        size_t at = leaf * kSize;
+        *reinterpret_cast<Rank *>(t + at) = r;
+        while (at > kSize) {
+            const Rank sibling = *reinterpret_cast<Rank *>(t + (at ^ kSize));
+            r = sibling < r ? sibling : r;
+            at = at >> 1 & ~(kSize - 1);
+            Rank &up = *reinterpret_cast<Rank *>(t + at);
+            if (!Winner && up == r)
+                break;
+            up = r;
+        }
+    }
+
+    uint32_t
+    takeLeaf(int k)
+    {
+        Order &o = order_[k];
+        if (o.nfree == 0) [[unlikely]]
+            resize(k, 2 * o.cap);
+        return o.free[--o.nfree];
     }
 
     void
-    topRemove(int k, size_t i)
+    putLeaf(int k, uint32_t leaf)
     {
-        auto &h = top_[k];
-        const TopEntry last = h.back();
-        h.pop_back();
-        if (i == h.size())
-            return;
-        if (i > 0 && last.before(h[(i - 1) / kArity]))
-            topSiftUp(k, i, last);
-        else
-            topSiftDown(k, i, last);
+        Order &o = order_[k];
+        o.free[o.nfree++] = leaf;
+        // fewer than a quarter taken
+        if (4 * (o.cap - o.nfree) < o.cap && o.cap > kMinLeaves)
+            [[unlikely]] resize(k, o.cap / 2);
+    }
+
+    /** Rebuild tree k over cap leaves (a power of two that holds every
+     *  taken one), packing the taken leaves at its start. */
+    [[gnu::noinline]] void
+    resize(int k, uint32_t cap)
+    {
+        Order &o = order_[k];
+        std::vector<Rank> t(2 * static_cast<size_t>(cap), kEmpty);
+        std::vector<StaticEvent *> steps(k ? cap : 0, nullptr);
+        uint32_t n = cap;
+        for (uint32_t i = o.cap; i < 2 * o.cap; ++i) {
+            const Rank r = o.t[i];
+            if (r == kEmpty)
+                continue;
+            if (k)
+                steps[n - cap] = inline_[i - o.cap];
+            lanes_[rankLane(r)].leaf = n;
+            t[n++] = r;
+        }
+        for (size_t i = cap; i-- > 1;)
+            t[i] = std::min(t[2 * i], t[2 * i + 1]);
+        o.free.resize(cap);
+        o.nfree = 0;
+        for (uint32_t i = 2 * cap; i-- > n;)
+            o.free[o.nfree++] = i;
+        o.t = std::move(t);
+        o.cap = cap;
+        if (k)
+            inline_ = std::move(steps);
     }
 
     /** Empty every lane (entries are dropped, not released). */
     void
     resetLanes()
     {
-        for (auto &top : top_) {
-            for (const TopEntry &t : top)
-                lanes_[t.lane] = Lane{};
-            top.clear();
+        for (Order &o : order_) {
+            for (uint32_t i = o.cap; i < 2 * o.cap; ++i)
+                if (o.t[i] != kEmpty)
+                    lanes_[rankLane(o.t[i])] = Lane{};
+            o = Order{};
         }
+        inline_.assign(1, nullptr);
         pool_.clear();
         free_ = kNil;
     }
 
-    /** True when a lane's root is the live arming it names; a
-     *  stand-in is not (dropHead re-queues what it carries). */
-    bool
-    headLive(uint32_t lane) const
+    /** Every live event's current entry (a stand-in gives the arming
+     *  it carries), leaving the queue empty.  A static event's entry
+     *  count is left as requeue() will find it: its dead entries are
+     *  released here, and a live one's (or a stand-in's) count goes to
+     *  the entry requeued for it; only those entries touch the owner. */
+    std::vector<HeapEntry>
+    takeLive()
     {
-        const HeapEntry &e = head(lane);
-        if (e.ev.fn)
-            return true;
-        if (const StaticEvent *s = staticOf(e))
-            return s->armed_ && s->id_ == e.id;
-        return live_.count(e.id) != 0;
+        std::vector<HeapEntry> live;
+        for (uint32_t n = 0; n < pool_.size(); ++n) {
+            const HeapEntry &e = pool_[n].e;
+            if (e.id == invalidEventId)
+                continue;
+            StaticEvent *s = staticOf(e);
+            if (isLive(e)) {
+                live.push_back(e);
+            } else if (s && e.ev.arg == kStandIn) {
+                s->deferred_ = false;
+                live.push_back(armingOf(*s));
+            } else if (s) {
+                release(*s, n);
+            }
+        }
+        for (StaticEvent *s : inline_)
+            if (s)
+                live.push_back(armingOf(*s));
+        resetLanes();
+        return live;
     }
 
-    /** Drop a dead root, re-queueing the deferred arming a stand-in
-     *  carries (it lands in the same lane: same actor and channel). */
+    /** Queue a live entry takeLive() returned, re-pointing its owner. */
     void
-    dropHead(uint32_t lane)
+    requeue(const HeapEntry &e)
     {
-        StaticEvent *s = staticOf(head(lane));
-        popLane(lane);
-        if (!s)
-            return;
-        release(*s);
-        if (s->deferred_) {
-            s->deferred_ = false;
-            pushStatic(*s);
-        }
-    }
-
-    /** Tick of a lane's earliest live event (maxTick: none). */
-    Tick
-    liveWhen(uint32_t lane)
-    {
-        while (lanes_[lane].root != kNil) {
-            if (headLive(lane))
-                return head(lane).when;
-            dropHead(lane);
-        }
-        return maxTick;
-    }
-
-    /** Tick of the earliest live event in top-level heap k. */
-    Tick
-    rootWhen(int k)
-    {
-        while (!top_[k].empty()) {
-            const TopEntry &t = top_[k][0];
-            if (headLive(t.lane))
-                return t.when;
-            dropHead(t.lane);
-        }
-        return maxTick;
+        bool root;
+        const uint32_t lane = laneOf(e.key);
+        const uint32_t n = insert(lane, e, root);
+        if (root)
+            sync(lane);
+        if (StaticEvent *s = staticOf(e))
+            s->node_ = n;
+        else if (!e.ev.fn)
+            live_.find(e.id)->second.node = n;
     }
 
     /** nextTimeFor without the memo. */
     Tick
-    computeNextTimeFor(uint32_t actor)
+    computeNextTimeFor(uint32_t actor) const
     {
-        const int32_t g = actor < nactors_ ? groupOf_[actor] : -1;
-        const uint32_t front = frontLane();
+        const Rank other_first = order_[0].t[1];
+        const Rank step_first = order_[1].t[1];
+        const Rank next = std::min(other_first, step_first);
+        const uint32_t front = rankLane(next);
         if (front == kNil)
             return maxTick;
         // no bound is earlier than the next event, which is the bound
         // itself when it acts on this group or on every group
-        const Tick first = head(front).when;
+        const Tick first = whenOf(next);
+        const int32_t g = actor < nactors_ ? groupOf_[actor] : -1;
+        if (g < 0 || front >> 1 == static_cast<uint32_t>(g) ||
+            front >> 1 == globalGroup_)
+            return first;
+        // Each term is a tick plus a lead, both at most maxTick, so in
+        // unsigned arithmetic the sum cannot wrap, and min(best, sum)
+        // with best <= maxTick is min(best, satAdd(tick, lead)).
+        const auto least = [](uint64_t a, uint64_t b) {
+            return a < b ? a : b;
+        };
+        const Topology &t = *topo_;
+        const Lane *lanes = lanes_.data();
+        const Rank *other = order_[0].t.data();
+        const Rank *step = order_[1].t.data();
+        const auto when = [lanes](const Rank *tree, uint32_t lane) {
+            return static_cast<uint64_t>(whenOf(tree[lanes[lane].leaf]));
+        };
         const uint32_t own = 2 * static_cast<uint32_t>(g);
         const uint32_t global = 2 * globalGroup_;
-        if (g < 0 || front >> 1 == own >> 1 || front >> 1 == globalGroup_)
-            return first;
-        const Topology &t = *topo_;
-        Tick best = std::min(std::min(liveWhen(own), liveWhen(own + 1)),
-                             std::min(liveWhen(global),
-                                      liveWhen(global + 1)));
-        // a lane can only lower the bound if even its head, dead or
-        // not, would: the rest are skipped without a liveness check
-        const auto credit = [&](uint32_t lane, Tick lead) {
-            if (lanes_[lane].root != kNil &&
-                satAdd(head(lane).when, lead) < best)
-                best = std::min(best, satAdd(liveWhen(lane), lead));
-        };
-        for (uint32_t i = t.inBegin[g];
-             i < t.inBegin[g + 1] && best > first; ++i) {
-            const Topology::InLine &in = t.in[i];
-            credit(2 * in.from, in.lead);
-            credit(2 * in.from + 1, satAdd(in.lead, t.stepExtra));
+        const uint64_t global_step = when(step, global + 1);
+        uint64_t best = least(least(when(other, own), when(step, own + 1)),
+                              least(when(other, global), global_step));
+        const uint64_t extra = static_cast<uint64_t>(t.stepExtra);
+        const uint64_t stop = static_cast<uint64_t>(first);
+        for (const Topology::InLine *in = t.in.data() + t.inBegin[g],
+                                    *end = t.in.data() + t.inBegin[g + 1];
+             in != end && best > stop; ++in) {
+            const uint64_t lead = in->lead;
+            const uint32_t from = 2 * in->from;
+            best = least(best, when(other, from) + lead);
+            best = least(best, when(step, from + 1) +
+                                   least(lead + extra, maxTick));
         }
-        if (satAdd(first, t.multiHop) < best)
-            best = std::min(best, satAdd(nextReach(), t.multiHop));
-        return best;
+        // nextReach(), from the values at hand
+        const uint64_t hop = static_cast<uint64_t>(t.multiHop);
+        if (stop + hop < best) {
+            const uint64_t reach = least(
+                least(static_cast<uint64_t>(whenOf(other_first)),
+                      least(static_cast<uint64_t>(whenOf(step_first)) +
+                                extra,
+                            maxTick)),
+                global_step);
+            best = least(best, reach + hop);
+        }
+        return static_cast<Tick>(best);
     }
 
-    /** The lane holding the next event to dispatch (kNil: none),
-     *  after dropping the dead entries ahead of it. */
+    /** The lane holding the next event to dispatch (kNil: none). */
     uint32_t
-    frontLane()
+    frontLane() const
     {
-        while (true) {
-            uint32_t lane;
-            if (top_[0].empty()) {
-                if (top_[1].empty())
-                    return kNil;
-                lane = top_[1][0].lane;
-            } else if (top_[1].empty()) {
-                lane = top_[0][0].lane;
-            } else {
-                // same tick and actor: the step (channel 0) goes first
-                const TopEntry &o = top_[0][0], &s = top_[1][0];
-                lane = o.when != s.when    ? (o.when < s.when ? o.lane
-                                                              : s.lane)
-                       : o.actor != s.actor ? (o.actor < s.actor ? o.lane
-                                                                 : s.lane)
-                                            : s.lane;
-            }
-            if (headLive(lane))
-                return lane;
-            dropHead(lane);
-        }
+        return rankLane(std::min(order_[0].t[1], order_[1].t[1]));
     }
 
     /** Dispatch the root of a lane frontLane() returned, settling its
@@ -1308,21 +1502,61 @@ class EventQueue
     void
     dispatch(uint32_t lane)
     {
-        const HeapEntry e = head(lane);
-        popLane(lane);
-        liveSetChanged();
-        TRANSPUTER_ASSERT(e.when >= now_, "time went backwards");
-        now_ = e.when;
-        if (watch_[lane >> 1]) [[unlikely]]
-            settleFn_(settleCtx_, lane >> 1, e.when, e.key);
-        curKey_ = e.key;
-        // between dispatches, also after a handler has thrown
-        struct Done
-        {
-            EventKey &key;
-            ~Done() { key = endOfTick; }
-        } done{curKey_};
+        Lane &l = lanes_[lane];
+        if (l.root == kInline) { // a CPU's one step: no node to pop
+            StaticEvent *&held_step = held(l.leaf);
+            StaticEvent &s = *held_step;
+            held_step = nullptr;
+            l.root = kNil;
+            const uint32_t leaf = l.leaf;
+            l.leaf = 0;
+            replay<true>(1, leaf, kEmpty);
+            putLeaf(1, leaf);
+            begin(lane, s.when_, s.key_);
+            Done done{curKey_};
+            fireStatic(s);
+            return;
+        }
+        const uint32_t r = l.root;
+        const HeapEntry e = pool_[r].e;
+        l.root = mergePairs(pool_[r].child);
+        freeNode(r);
+        dropDead(lane);
+        sync<true>(lane);
+        begin(lane, e.when, e.key);
+        Done done{curKey_};
         fire(e);
+    }
+
+    /** The dispatch of (when, key), popped from lane, begins. */
+    void
+    begin(uint32_t lane, Tick when, const EventKey &key)
+    {
+        liveSetChanged();
+        TRANSPUTER_ASSERT(when >= now_, "time went backwards");
+        now_ = when;
+        if (watch_[lane >> 1]) [[unlikely]]
+            settleFn_(settleCtx_, lane >> 1, when, key);
+        curKey_ = key;
+    }
+
+    /** Resets the current key between dispatches, also after a
+     *  handler has thrown. */
+    struct Done
+    {
+        EventKey &key;
+        ~Done() { key = endOfTick; }
+    };
+
+    void
+    fireStatic(StaticEvent &s)
+    {
+        release(s, s.node_); // a live entry is the newest
+        s.armed_ = false;
+        --staticLive_;
+        ++(s.key_.channel == chanStep ? dispatchedSteps_
+                                      : dispatchedStatic_);
+        s.fire_(s.ctx_);
     }
 
     /** Run a popped entry's payload. */
@@ -1336,12 +1570,7 @@ class EventQueue
             return;
         }
         if (StaticEvent *s = staticOf(e)) {
-            release(*s);
-            s->armed_ = false;
-            --staticLive_;
-            ++(e.key.channel == chanStep ? dispatchedSteps_
-                                         : dispatchedStatic_);
-            s->fire_(s->ctx_);
+            fireStatic(*s);
             return;
         }
         auto it = live_.find(e.id);
@@ -1366,47 +1595,70 @@ class EventQueue
         // dead entries on a queue the owner has since moved away from
         if (ev.home_ && ev.home_ != this)
             ev.home_->forget(ev);
-        // strictly later than an entry still queued for the same actor
-        // and channel: that entry -- in the same lane -- reaches the
-        // lane's head first, so it can stand in
-        ev.deferred_ = ev.headValid_ && ev.headWhen_ < when &&
-                       key.actor == ev.key_.actor &&
-                       key.channel == ev.key_.channel;
+        // strictly later than its newest entry, for the same actor and
+        // channel: that entry (cancelled, so not a root) sits in the
+        // same lane and reaches its head first, so it can stand in
+        const uint32_t old = ev.node_;
+        const bool defer = old < kInline && pool_[old].e.when < when &&
+                           key.actor == ev.key_.actor &&
+                           key.channel == ev.key_.channel;
         ev.when_ = when;
         ev.key_ = key;
         ev.id_ = id;
         ev.armed_ = true;
+        ev.deferred_ = defer;
         ++staticLive_;
-        if (!ev.deferred_)
-            pushStatic(ev);
+        const uint32_t lane = laneOf(key);
+        Lane &l = lanes_[lane];
+        if (defer) {
+            pool_[old].e.ev.arg = kStandIn;
+        } else if (l.root == kNil && (lane & 1)) { // a CPU's one step
+            ev.home_ = this;
+            ++ev.entries_;
+            ev.node_ = hold(l, ev);
+            replay(1, l.leaf, rank(when, key.actor, lane));
+        } else {
+            bool root;
+            queueArming(ev, lane, root);
+            if (root)
+                sync(lane);
+        }
         noteHighWater();
         liveSetChanged();
     }
 
-    /** Queue ev's current arming under its exact (tick, key, id). */
+    /** Insert ev's current arming under its exact (tick, key, id). */
     void
-    pushStatic(StaticEvent &ev)
+    queueArming(StaticEvent &ev, uint32_t lane, bool &root)
     {
         ev.home_ = this;
         ++ev.entries_;
-        ev.headWhen_ = ev.when_;
-        ev.headValid_ = true;
-        pushEntry(HeapEntry{ev.when_, ev.key_, ev.id_,
-                            TypedEvent{nullptr, &ev, 0}});
+        ev.node_ = insert(lane, armingOf(ev), root);
     }
 
-    /** One entry naming ev has left the queue.  It may have been the
-     *  newest, so that one no longer stands in for a re-arming. */
+    /** One entry naming ev (node) has left the queue. */
     static void
-    release(StaticEvent &ev)
+    release(StaticEvent &ev, uint32_t node)
     {
-        ev.headValid_ = false;
+        if (ev.node_ == node)
+            ev.node_ = kNil;
         if (--ev.entries_ == 0)
             ev.home_ = nullptr;
     }
 
+    /** No entry names ev any more (the queue is being emptied). */
+    static void
+    detach(StaticEvent &ev)
+    {
+        ev.home_ = nullptr;
+        ev.node_ = kNil;
+        ev.entries_ = 0;
+        ev.deferred_ = false;
+    }
+
     /** Remove every entry naming ev (it is being destroyed or
-     *  re-homed); O(pending), off every hot path. */
+     *  re-homed): each becomes an anonymous dead entry; O(pending),
+     *  off every hot path. */
     void
     forget(StaticEvent &ev)
     {
@@ -1414,18 +1666,22 @@ class EventQueue
             ev.armed_ = false;
             --staticLive_;
         }
-        std::vector<HeapEntry> keep;
-        forEachEntry([&](const HeapEntry &e) {
-            if (staticOf(e) != &ev)
-                keep.push_back(e);
-        });
-        resetLanes();
-        for (const HeapEntry &e : keep)
-            pushEntry(e);
-        ev.entries_ = 0;
-        ev.home_ = nullptr;
-        ev.headValid_ = false;
-        ev.deferred_ = false;
+        if (ev.node_ == kInline)
+            kill(kInline, laneOf(ev.key_));
+        std::vector<uint32_t> led; // lanes one of them leads
+        for (uint32_t n = 0; n < pool_.size(); ++n) {
+            HeapEntry &e = pool_[n].e;
+            if (e.id == invalidEventId || staticOf(e) != &ev)
+                continue;
+            e.ev = TypedEvent{nullptr, nullptr, kDead};
+            if (lanes_[laneOf(e.key)].root == n)
+                led.push_back(laneOf(e.key));
+        }
+        for (const uint32_t lane : led) {
+            dropDead(lane);
+            sync(lane);
+        }
+        detach(ev);
         liveSetChanged();
     }
     ///@}
@@ -1458,7 +1714,9 @@ class EventQueue
     std::vector<Node> pool_; ///< lane nodes, free ones chained
     uint32_t free_ = kNil;   ///< first free node
     std::vector<Lane> lanes_;
-    std::vector<TopEntry> top_[2]; ///< [0]: other lanes, [1]: steps
+    Order order_[2]; ///< [0]: other lanes, [1]: step lanes
+    /** Per step-tree leaf: the static event its lane holds (kInline). */
+    std::vector<StaticEvent *> inline_ = {nullptr};
 
     /** Per group (the global one last): held-back count; the global
      *  entry counts every group's. */

@@ -10,7 +10,9 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -801,8 +803,6 @@ TEST(EventQueueLookahead, NeverLaterThanTheAllPairsBoundNorMovedByMigration)
             }
 
             // the bound of every actor, checked against the reference
-            // (the bounds first, while dead entries may still lead
-            // the lanes they read)
             std::vector<Tick> bound(unmapped + 1);
             for (uint32_t a = unmapped + 1; a-- > 0;)
                 bound[a] = q->nextTimeFor(a);
@@ -880,5 +880,452 @@ TEST(EventQueueLookahead, EarliestInputBracketedByThePathsIntoAGroup)
                 ASSERT_GE(bound, sim::satAdd(low, least)) << "group " << g;
             }
         }
+    }
+}
+
+namespace
+{
+
+/**
+ * The kernel differential driver: random operations on an EventQueue
+ * beside a reference -- a std::set of the live events in the dispatch
+ * order -- and a brute-force evaluation of nextTimeFor's documented
+ * rule over that set.
+ */
+class Differential
+{
+  public:
+    /** Groups 0..n-1 (actors 1..n, and a peripheral actor n+1 in group
+     *  `home`); actor 0 and actor n+2 are global. */
+    Differential(uint32_t n, uint32_t home, std::vector<Topology::Line> lines,
+                 uint64_t seed)
+        : n_(n), rng_(seed), lines_(std::move(lines))
+    {
+        groupOf_.assign(n + 2, -1);
+        for (uint32_t i = 0; i < n; ++i)
+            groupOf_[i + 1] = static_cast<int32_t>(i);
+        groupOf_[n + 1] = static_cast<int32_t>(home);
+        topos_[0] = Topology::build(groupOf_, n, lines_, kStepExtra);
+        topos_[1] = Topology::build(groupOf_, n, lines_, 0);
+        in_.resize(n);
+        Tick least = maxTick;
+        for (const Topology::Line &l : lines_)
+            if (l.from != l.to) {
+                in_[l.to].push_back({l.from, l.lead});
+                least = std::min(least, l.lead);
+            }
+        multiHop_ = sim::satAdd(least, least);
+        for (uint32_t a = 1; a <= n + 1; ++a)
+            for (int k = 0; k < 2; ++k)
+                statics_.push_back(std::make_unique<StaticRec>(
+                    this, a, tag(2, statics_.size())));
+        fresh(0);
+    }
+
+    /** Run `ops` random operations, checking after each; `all`: ask
+     *  every actor's bound each time, else a sample. */
+    void
+    run(int ops, bool all)
+    {
+        for (int op = 0; op < ops; ++op) {
+            const int kind = static_cast<int>(rng_() % 16);
+            SCOPED_TRACE("op " + std::to_string(op) + " kind " +
+                         std::to_string(kind));
+            step(kind);
+            if (::testing::Test::HasFatalFailure())
+                return;
+            check(all || op % 100 == 0);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+
+    /** Arm a CPU step on every node, as a network boot does. */
+    void
+    bootAll()
+    {
+        for (size_t i = 0; i < statics_.size(); i += 2)
+            arm(*statics_[i], q_->now() + static_cast<Tick>(rng_() % 50),
+                sim::chanStep);
+        check(false);
+    }
+
+    /** Dispatch everything, checking as it goes. */
+    void
+    drain()
+    {
+        while (q_->runOne())
+            if (::testing::Test::HasFatalFailure())
+                return;
+        check(true);
+    }
+
+  private:
+    static constexpr Tick kStepExtra = 700;
+
+    /** One live event of the reference, in the dispatch order.  Typed
+     *  events have unique keys, so their unseen id never decides. */
+    struct Ref
+    {
+        Tick when;
+        EventKey key;
+        sim::EventId id;
+        uint64_t tag;
+
+        auto
+        order() const
+        {
+            return std::tie(when, key.actor, key.channel, key.seq, id, tag);
+        }
+        bool operator<(const Ref &o) const { return order() < o.order(); }
+    };
+
+    struct StaticRec
+    {
+        Differential *d;
+        uint32_t actor;
+        uint64_t tag;
+        std::optional<StaticEvent> ev;
+        Ref ref{};
+
+        StaticRec(Differential *owner, uint32_t a, uint64_t t)
+            : d(owner), actor(a), tag(t)
+        {
+        }
+
+        /** Checks the dispatch; half the time the handler re-arms its
+         *  event, as a CPU re-arms its step. */
+        static void
+        fire(void *ctx)
+        {
+            auto *r = static_cast<StaticRec *>(ctx);
+            r->d->fired(r->ref);
+            if (r->d->rng_() % 2 == 0)
+                r->d->arm(*r, r->d->randomWhen(), r->ref.key.channel);
+        }
+
+        StaticEvent &
+        event()
+        {
+            if (!ev)
+                ev.emplace(&StaticRec::fire, this);
+            return *ev;
+        }
+    };
+
+    /** The dispatched event must be the reference's least. */
+    void
+    fired(const Ref &r)
+    {
+        ASSERT_FALSE(live_.empty());
+        const Ref &least = *live_.begin();
+        ASSERT_EQ(least.tag, r.tag);
+        ASSERT_EQ(q_->now(), r.when);
+        const EventKey &k = q_->currentKey();
+        ASSERT_EQ(std::tie(k.actor, k.channel, k.seq),
+                  std::tie(r.key.actor, r.key.channel, r.key.seq));
+        live_.erase(live_.begin());
+    }
+
+    static void
+    firedTyped(void *ctx, uint64_t arg)
+    {
+        auto *d = static_cast<Differential *>(ctx);
+        d->fired(d->typed_[arg]);
+    }
+
+    /** A new queue on the current topology (nullptr: none). */
+    void
+    fresh(int t)
+    {
+        cur_ = t;
+        auto q = std::make_unique<EventQueue>();
+        q->setTopology(t < 2 ? topos_[t] : nullptr);
+        q_ = std::move(q);
+        defaultSeq_ = 0;
+    }
+
+    uint32_t randomActor() { return static_cast<uint32_t>(rng_() % (n_ + 3)); }
+
+    uint32_t
+    randomChannel()
+    {
+        static constexpr uint32_t kChannels[] = {
+            sim::chanStep, sim::chanTimer, sim::chanSelf, sim::chanLine + 1};
+        return kChannels[rng_() % 4];
+    }
+
+    Tick
+    randomWhen()
+    {
+        // clustered ticks, so keys tie on the tick and often on more
+        return q_->now() + static_cast<Tick>(rng_() % 4 == 0
+                                                 ? rng_() % 4
+                                                 : rng_() % 3000);
+    }
+
+    void
+    arm(StaticRec &s, Tick when, uint32_t channel)
+    {
+        StaticEvent &ev = s.event();
+        if (ev.pending()) {
+            live_.erase(s.ref);
+            q_->cancelStatic(ev);
+        }
+        const EventKey key{s.actor, channel, ++seq_};
+        const sim::EventId id = q_->scheduleStatic(when, key, ev);
+        s.ref = Ref{when, key, id, s.tag};
+        live_.insert(s.ref);
+    }
+
+    static uint64_t tag(int kind, uint64_t i) { return 3 * i + kind; }
+
+    void
+    step(int kind)
+    {
+        switch (kind) {
+        case 0:
+        case 1: { // a typed event
+            const EventKey key{randomActor(), randomChannel(), ++seq_};
+            const Tick when = randomWhen();
+            typed_.push_back(Ref{when, key, 0, tag(0, typed_.size())});
+            live_.insert(typed_.back());
+            q_->scheduleTyped(when, key,
+                              TypedEvent{&Differential::firedTyped, this,
+                                         typed_.size() - 1});
+            break;
+        }
+        case 2:
+        case 3: { // a closure: keyed, legacy, or tied with another
+            Tick when = randomWhen();
+            EventKey key{randomActor(), randomChannel(), ++seq_};
+            const uint64_t t = tag(1, closures_.size());
+            if (rng_() % 4 == 0 && !closures_.empty()) {
+                const Ref &twin = closures_[rng_() % closures_.size()];
+                if (live_.count(twin)) {
+                    when = twin.when;
+                    key = twin.key;
+                }
+            }
+            sim::EventId id;
+            if (rng_() % 5 == 0) {
+                key = EventKey{0, 0, ++defaultSeq_};
+                id = q_->schedule(when, [this, t] { firedClosure(t); });
+            } else {
+                id = q_->schedule(when, key, [this, t] { firedClosure(t); });
+            }
+            closures_.push_back(Ref{when, key, id, t});
+            live_.insert(closures_.back());
+            break;
+        }
+        case 4: { // cancel a closure, pending or not
+            if (closures_.empty())
+                break;
+            const Ref &r = closures_[rng_() % closures_.size()];
+            const bool was = live_.erase(r) != 0;
+            ASSERT_EQ(q_->cancel(r.id), was);
+            break;
+        }
+        case 5:
+        case 6:
+        case 7: { // arm, or re-arm earlier or later (a stand-in)
+            StaticRec &s = *statics_[rng_() % statics_.size()];
+            Tick when = randomWhen();
+            uint32_t channel =
+                rng_() % 3 == 0 ? sim::chanTimer : sim::chanStep;
+            if (s.ev && s.ev->pending() && rng_() % 2 == 0) {
+                channel = s.ref.key.channel;
+                const Tick d = static_cast<Tick>(rng_() % 500);
+                when = rng_() % 2 ? s.ref.when + d
+                                  : std::max(q_->now(), s.ref.when - d);
+            }
+            arm(s, when, channel);
+            break;
+        }
+        case 8: { // cancel a static event
+            StaticRec &s = *statics_[rng_() % statics_.size()];
+            if (!s.ev)
+                break;
+            const bool was = s.ev->pending();
+            if (was)
+                live_.erase(s.ref);
+            ASSERT_EQ(q_->cancelStatic(*s.ev), was);
+            break;
+        }
+        case 9: { // an owner dies, armed or not
+            StaticRec &s = *statics_[rng_() % statics_.size()];
+            if (s.ev && s.ev->pending())
+                live_.erase(s.ref);
+            s.ev.reset();
+            break;
+        }
+        case 10:
+        case 11:
+        case 12: // dispatch
+            ASSERT_EQ(q_->runOne(), !live_.empty());
+            break;
+        case 13: { // migrate into a fresh queue
+            auto moved = q_->extractPending();
+            ASSERT_EQ(moved.size(), live_.size());
+            ASSERT_EQ(q_->pending(), 0u);
+            // keys travel; a fresh queue's legacy seq starts over, so
+            // later legacy events may tie with moved ones on the key
+            const Tick now = q_->now();
+            fresh(cur_);
+            for (auto &p : moved)
+                q_->insertPending(std::move(p));
+            q_->setNow(now);
+            break;
+        }
+        case 14: // another lookahead table (or none)
+            cur_ = static_cast<int>(rng_() % 3);
+            q_->setTopology(cur_ < 2 ? topos_[cur_] : nullptr);
+            break;
+        default: // the whole queue dropped, rarely
+            if (rng_() % 8 != 0)
+                break;
+            q_->clear();
+            live_.clear();
+            for (auto &s : statics_)
+                ASSERT_TRUE(!s->ev || !s->ev->pending());
+            break;
+        }
+    }
+
+    void
+    firedClosure(uint64_t t)
+    {
+        fired(closures_[t / 3]);
+    }
+
+    int32_t
+    groupOf(uint32_t actor) const
+    {
+        return cur_ < 2 && actor < groupOf_.size() ? groupOf_[actor] : -1;
+    }
+
+    /** nextTimeFor's documented rule, evaluated over the reference. */
+    Tick
+    bruteBound(uint32_t actor) const
+    {
+        if (live_.empty())
+            return maxTick;
+        const Ref &front = *live_.begin();
+        const int32_t g = groupOf(actor);
+        const int32_t fg = groupOf(front.key.actor);
+        if (g < 0 || fg < 0 || fg == g)
+            return front.when;
+        const Tick extra = cur_ == 0 ? kStepExtra : 0;
+        Tick best = maxTick, reach = maxTick;
+        for (const Ref &e : live_) {
+            const int32_t h = groupOf(e.key.actor);
+            const bool step = e.key.channel == sim::chanStep;
+            reach = std::min(reach, h >= 0 && step
+                                        ? sim::satAdd(e.when, extra)
+                                        : e.when);
+            if (h < 0 || h == g) {
+                best = std::min(best, e.when);
+                continue;
+            }
+            for (const auto &[from, lead] : in_[static_cast<size_t>(g)])
+                if (from == static_cast<uint32_t>(h))
+                    best = std::min(
+                        best, sim::satAdd(e.when,
+                                          step ? sim::satAdd(lead, extra)
+                                               : lead));
+        }
+        if (sim::satAdd(front.when, multiHop_) < best)
+            best = std::min(best, sim::satAdd(reach, multiHop_));
+        return best;
+    }
+
+    /** The queue against the reference: size, head, reach, bounds. */
+    void
+    check(bool all)
+    {
+        ASSERT_EQ(q_->pending(), live_.size());
+        ASSERT_EQ(q_->nextTime(),
+                  live_.empty() ? maxTick : live_.begin()->when);
+        const uint32_t actors = n_ + 3;
+        const uint32_t asked = all ? actors : std::min(actors, 24u);
+        for (uint32_t i = 0; i < asked; ++i) {
+            const uint32_t a = all ? i : randomActor();
+            ASSERT_EQ(q_->nextTimeFor(a), bruteBound(a)) << "actor " << a;
+        }
+        if (cur_ < 2) {
+            Tick reach = maxTick;
+            const Tick extra = cur_ == 0 ? kStepExtra : 0;
+            for (const Ref &e : live_)
+                reach = std::min(reach, groupOf(e.key.actor) >= 0 &&
+                                                e.key.channel ==
+                                                    sim::chanStep
+                                            ? sim::satAdd(e.when, extra)
+                                            : e.when);
+            ASSERT_EQ(q_->nextReach(), reach);
+        }
+    }
+
+    uint32_t n_;
+    std::mt19937_64 rng_;
+    std::vector<Topology::Line> lines_;
+    std::vector<int32_t> groupOf_;
+    std::shared_ptr<const Topology> topos_[2]; ///< step credit, none
+    std::vector<std::vector<std::pair<uint32_t, Tick>>> in_;
+    Tick multiHop_ = maxTick;
+    int cur_ = 0; ///< topos_ index, 2: no topology
+
+    std::unique_ptr<EventQueue> q_;
+    std::set<Ref> live_;
+    std::vector<Ref> typed_, closures_;
+    std::vector<std::unique_ptr<StaticRec>> statics_;
+    uint64_t seq_ = 0;
+    uint64_t defaultSeq_ = 0; ///< the queue's legacy seq
+};
+
+} // namespace
+
+TEST(EventQueueDifferential, EveryDispatchAndBoundMatchesTheLiveSet)
+{
+    for (uint64_t seed = 1; seed <= 120; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        const Wiring w = randomWiring(rng);
+        Differential d(w.n, w.home, w.lines, seed);
+        d.run(400, true);
+        if (HasFatalFailure())
+            return;
+        d.drain();
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(EventQueueDifferential, TwoThousandGroupsGrowAndShrinkTheOrder)
+{
+    // a 50x40 torus: every node's step at once (a boot), drained, then
+    // random traffic over the whole array
+    constexpr uint32_t kCols = 50, kRows = 40;
+    std::vector<Topology::Line> lines;
+    for (uint32_t y = 0; y < kRows; ++y)
+        for (uint32_t x = 0; x < kCols; ++x) {
+            const uint32_t id = y * kCols + x;
+            const uint32_t right = y * kCols + (x + 1) % kCols;
+            const uint32_t down = ((y + 1) % kRows) * kCols + x;
+            for (const uint32_t to : {right, down}) {
+                lines.push_back({id, to, 60 + static_cast<Tick>(id % 7)});
+                lines.push_back({to, id, 60 + static_cast<Tick>(to % 5)});
+            }
+        }
+    Differential d(kCols * kRows, 17, lines, 2026);
+    for (int round = 0; round < 2; ++round) {
+        d.bootAll();
+        if (HasFatalFailure())
+            return;
+        d.run(1500, false);
+        if (HasFatalFailure())
+            return;
+        d.drain();
+        if (HasFatalFailure())
+            return;
     }
 }

@@ -122,6 +122,41 @@ else:
                      " missing or not positive")' \
     "$interp_dir/BENCH_blockc.json"
 echo "BENCH_blockc.json validates"
+# those counts do not move with timing noise: a rise of more than 3%
+# over the committed artifact fails (same compiler and build type)
+python3 tools/compare_counts.py host_instr_per_instr \
+    "$interp_dir/BENCH_blockc.json" BENCH_blockc.json
+
+# event-kernel cost: host instructions per dispatched event on the
+# 16x8 dbsearch board and the lossy routed torus, counted by single
+# steps (or why the count was skipped); a rise of more than 3% over
+# the committed artifact fails
+echo "== event kernel: bench_kernel =="
+kernel_dir=build/kernel-smoke
+mkdir -p "$kernel_dir"
+(cd "$kernel_dir" && ../bench/bench_kernel)
+python3 -c 'import json, sys
+v = json.load(open(sys.argv[1])).get("host_instr_per_event")
+if not isinstance(v, dict):
+    sys.exit(sys.argv[1] + ": host_instr_per_event missing")
+if "skipped" in v:
+    if not isinstance(v["skipped"], str) or not v["skipped"]:
+        sys.exit(sys.argv[1] + ": host_instr_per_event.skipped empty")
+else:
+    for run in ("dbsearch_16x8", "routed_loss10"):
+        r = v.get(run)
+        if not isinstance(r, dict):
+            sys.exit(sys.argv[1] + ": host_instr_per_event." + run +
+                     " missing")
+        for k in ("per_event", "instructions", "events"):
+            x = r.get(k)
+            if not isinstance(x, (int, float)) or x <= 0:
+                sys.exit(sys.argv[1] + ": host_instr_per_event." + run +
+                         "." + k + " missing or not positive")' \
+    "$kernel_dir/BENCH_kernel.json"
+echo "BENCH_kernel.json validates"
+python3 tools/compare_counts.py host_instr_per_event \
+    "$kernel_dir/BENCH_kernel.json" BENCH_kernel.json
 
 # observability overhead: the flight recorder, profiler and
 # time-series must stay within their bars on the E7 loop (medians of
